@@ -173,10 +173,15 @@ def smooth_pvalues(pvalues, fit: BetaFit) -> np.ndarray:
     """Map p-values to smooth p-values through the fitted beta CDF.
 
     The transform is strictly increasing, so ranks are preserved exactly
-    (up to the clamp at the extreme 1e-10 boundaries).
+    (up to the clamp at the extreme 1e-10 boundaries).  Shapes so large that
+    the incomplete beta leaves [0, 1] raise :class:`EstimationError`.
     """
     u = np.asarray(pvalues, dtype=float)
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise InsufficientDataError("p-values must be finite and lie in [0, 1]")
     uc = np.clip(u, CLAMP, 1.0 - CLAMP)
-    return beta_cdf_many(uc, fit.alpha, fit.beta)
+    v = beta_cdf_many(uc, fit.alpha, fit.beta)
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise EstimationError(f"beta CDF left [0, 1] (range [{float(v.min())!r}, "
+                              f"{float(v.max())!r}]) at alpha = {fit.alpha!r}, beta = {fit.beta!r}")
+    return v

@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .betafit import smooth_pvalues
-from .density import clipped_measure, eval_comparison_density_many, integrate_comparison_density
+from .density import assemble_comparison_density, clipped_measure, integrate_comparison_density
 from .errors import (
     CdfdrError,
     ConfigError,
@@ -33,9 +33,10 @@ from .errors import (
 from .pipeline import (
     CdfrModel,
     NullSpec,
-    discoveries,
+    capped_fdr,
     fit_cdfdr,
     integrate_nonnull_density,
+    select_discoveries,
     t_to_z,
     to_pvalues,
 )
@@ -188,53 +189,48 @@ def parse_null_spec(text: str) -> NullSpec:
 # fdr subcommand
 # ---------------------------------------------------------------------------
 
-def _prepare_model(args) -> tuple[list[str], np.ndarray | None, np.ndarray, CdfrModel]:
+def _prepare_model(args) -> tuple[list[str], CdfrModel]:
     """Shared ingestion + fitting for the fdr and pi0 subcommands."""
     ids, values = read_input_table(args.input, args.column)
     mode = args.transform.replace("-", "_")
     if args.column == "pvalue":
-        null_spec = NullSpec.precomputed()
-        stats = None
-        data = values
+        null_spec, data = NullSpec.precomputed(), values
     else:
         null_spec = parse_null_spec(args.null)
-        stats = t_to_z(values, args.df) if args.df is not None else values
-        data = stats
+        data = t_to_z(values, args.df) if args.df is not None else values
     model = fit_cdfdr(
         data, null_spec, mode=mode,
         m_density=args.m_density, m_mdc=args.m_mdc, grid_step=args.lambda_step,
     )
-    return ids, stats, values, model
+    return ids, model
 
 
-def _case_table(ids, stats, model: CdfrModel) -> dict:
-    u = model.pvalues
-    d_hat = eval_comparison_density_many(model.cd_model, u)
-    fdr = np.minimum(model.pi0 / d_hat, 1.0)
+def _case_table(ids, model: CdfrModel, fdr: np.ndarray) -> dict:
     return {
         "id": list(ids),
-        "stat": None if stats is None else [float(s) for s in stats],
-        "pvalue": u,
+        "stat": model.stats,
+        "pvalue": model.pvalues,
         "smooth_pvalue": model.smooth,
-        "d_hat": d_hat,
+        "d_hat": model.d_hat,
         "fdr": fdr,
     }
 
 
-def _curve_rows(model: CdfrModel, stats: np.ndarray | None) -> list[list[str]]:
-    """Evaluation-grid rows followed by one row per observed case."""
-    if stats is not None:
-        t_grid = np.linspace(float(np.min(stats)), float(np.max(stats)), 401)
-        t_all = np.concatenate([t_grid, stats])
-        u_all = to_pvalues(t_all, model.null_spec, model.transform_mode)
-        t_text = [_fmt(t) for t in t_all]
+def _curve_rows(model: CdfrModel, fdr: np.ndarray) -> list[list[str]]:
+    """Evaluation-grid rows, then one row per case from the fit's own arrays."""
+    if model.stats is not None:
+        t_grid = np.linspace(float(np.min(model.stats)), float(np.max(model.stats)), 401)
+        u_grid = to_pvalues(t_grid, model.null_spec, model.transform_mode)
+        t_text = [_fmt(t) for t in np.concatenate([t_grid, model.stats])]
     else:
         u_grid = np.linspace(0.0, 1.0, 403)[1:-1]
-        u_all = np.concatenate([u_grid, model.pvalues])
-        t_text = ["" for _ in u_all]
-    v_all = smooth_pvalues(u_all, model.beta_fit)
-    d_all = eval_comparison_density_many(model.cd_model, u_all)
-    fdr_all = np.minimum(model.pi0 / d_all, 1.0)
+        t_text = [""] * (u_grid.size + model.pvalues.size)
+    v_grid = smooth_pvalues(u_grid, model.beta_fit)
+    d_grid = assemble_comparison_density(model.cd_model, u_grid, v_grid)
+    u_all = np.concatenate([u_grid, model.pvalues])
+    v_all = np.concatenate([v_grid, model.smooth])
+    d_all = np.concatenate([d_grid, model.d_hat])
+    fdr_all = np.concatenate([capped_fdr(model.pi0, d_grid), fdr])
     return [
         [t_text[i], _fmt(u_all[i]), _fmt(v_all[i]), _fmt(d_all[i]), _fmt(fdr_all[i])]
         for i in range(u_all.size)
@@ -246,12 +242,14 @@ def _config_echo(args, keys: list[str]) -> dict:
 
 
 def cmd_fdr(args) -> int:
-    ids, stats, _, model = _prepare_model(args)
+    ids, model = _prepare_model(args)
     fit = model.beta_fit
     coeffs = model.cd_model.coeffs
     path = model.deviance_path
-    report_stats = model.pvalues if stats is None else stats
-    disc = discoveries(model, report_stats, threshold=args.fdr_threshold)
+    fdr = capped_fdr(model.pi0, model.d_hat)
+    report_stats = model.pvalues if model.stats is None else model.stats
+    disc = select_discoveries(report_stats, model.pvalues, fdr, model.null_spec.median(),
+                              args.fdr_threshold)
     diag_f1 = None if model.pi0 >= 1.0 else integrate_nonnull_density(model)
     report = {
         "config": _config_echo(args, [
@@ -297,7 +295,7 @@ def cmd_fdr(args) -> int:
                 for rec in disc.records
             ],
         },
-        "cases": _case_table(ids, stats, model),
+        "cases": _case_table(ids, model, fdr),
         "diagnostics": {
             "clipped_measure": clipped_measure(model.cd_model),
             "integral_d_hat": integrate_comparison_density(model.cd_model),
@@ -305,12 +303,12 @@ def cmd_fdr(args) -> int:
         },
     }
     _write_json(args.out, report)
-    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_rows(model, stats))
+    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_rows(model, fdr))
     return 0
 
 
 def cmd_pi0(args) -> int:
-    _, _, _, model = _prepare_model(args)
+    _, model = _prepare_model(args)
     path = model.deviance_path
     _write_json(args.out, {"lambda_star": path.lambda_star, "pi0_hat": path.pi0_hat})
     rows = [

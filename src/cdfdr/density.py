@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betafit import CLAMP, BetaFit
+from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
 from .legendre import M_MAX, basis_matrix
 from .quadrature import integrate_unit
@@ -27,6 +27,7 @@ __all__ = [
     "score_coefficients",
     "eval_smooth_density",
     "eval_smooth_density_many",
+    "assemble_comparison_density",
     "eval_comparison_density",
     "eval_comparison_density_many",
     "comparison_density_raw_many",
@@ -141,13 +142,22 @@ def comparison_density_raw_reflected_many(model: ComparisonDensityModel, w) -> n
     return fb * eval_smooth_density_many(model.coeffs, v)
 
 
+def assemble_comparison_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
+    """Floored density max(floor, f_B(u) d(v)) given v = ``smooth_pvalues(u, model.fit)``.
+
+    u is clamped as there; a fit that holds v needs no second incomplete beta.
+    """
+    uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
+    fb = beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
+    return np.maximum(model.floor, fb * eval_smooth_density_many(model.coeffs, v))
+
+
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:
     """Floored assembled density at each u; u is clamped to the fit's range."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
-    uc = np.clip(u, CLAMP, 1.0 - CLAMP)
-    return np.maximum(model.floor, comparison_density_raw_many(model, uc))
+    return assemble_comparison_density(model, u, smooth_pvalues(u, model.fit))
 
 
 def eval_comparison_density(model: ComparisonDensityModel, u: float) -> float:

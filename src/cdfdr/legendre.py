@@ -55,8 +55,10 @@ def basis_matrix(m: int, v) -> np.ndarray:
         p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
         cols.append(p_next)
         p_prev, p_cur = p_cur, p_next
-    scale = np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
-    return np.column_stack(cols) * scale
+    basis = np.column_stack(cols)
+    # Scaled in place: a second n-by-m array would set the pi0 scan's peak memory.
+    basis *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+    return basis
 
 
 def basis_row(m: int, v: float) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ComparisonDensityModel, eval_comparison_density_many
 from .errors import DomainError, EstimationError, InsufficientDataError
 from .legendre import M_MAX, basis_matrix
 
@@ -41,12 +40,12 @@ class DeviancePath:
     flat: bool
 
 
-def estimate_pi0(pvalues, model: ComparisonDensityModel, m: int = 10,
-                 grid_step: float = 0.01, lambda_min: float = 1.0,
-                 lambda_max: float = 3.5) -> DeviancePath:
+def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
+                 lambda_min: float = 1.0, lambda_max: float = 3.5) -> DeviancePath:
     """Minimum-deviance estimate of the true-null proportion.
 
-    The model must already be fitted on the same p-values.  Ties at the
+    ``density`` holds the floored comparison density at each p-value, as
+    fitted on these same p-values (``CdfrModel.d_hat``).  Ties at the
     minimum break toward the smallest lambda (most conservative null set);
     the scan is performed in ascending lambda order, so the result is
     deterministic bit for bit.
@@ -58,16 +57,16 @@ def estimate_pi0(pvalues, model: ComparisonDensityModel, m: int = 10,
     u = np.asarray(pvalues, dtype=float).ravel()
     if u.size == 0:
         raise InsufficientDataError("no p-values supplied")
+    dens = np.asarray(density, dtype=float).ravel()
+    if dens.size != u.size:
+        raise DomainError(f"density has {dens.size} values for {u.size} p-values")
     n = int(u.size)
-
-    dens = eval_comparison_density_many(model, u)
-    basis = basis_matrix(int(m), u)
 
     # Canonical (density, p-value) ordering makes the prefix sums, and hence
     # every deviance, invariant under permutation of the input.
     order = np.lexsort((u, dens))
     dens_sorted = dens[order]
-    prefix = np.cumsum(basis[order], axis=0)
+    prefix = np.cumsum(basis_matrix(int(m), u[order]), axis=0)
 
     n_grid = int(round((lambda_max - lambda_min) / grid_step)) + 1
     lambdas = lambda_min + grid_step * np.arange(n_grid)

@@ -17,6 +17,7 @@ from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
     DEFAULT_FLOOR,
+    assemble_comparison_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
     eval_comparison_density,
@@ -36,7 +37,6 @@ from .special import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    student_t_cdf,
     student_t_cdf_many,
     student_t_pdf,
 )
@@ -54,9 +54,11 @@ __all__ = [
     "u_of_t_many",
     "local_fdr",
     "local_fdr_many",
+    "capped_fdr",
     "nonnull_density",
     "integrate_nonnull_density",
     "discoveries",
+    "select_discoveries",
 ]
 
 TRANSFORM_MODES = ("pit", "two_sided")
@@ -104,13 +106,7 @@ class NullSpec:
         return NullSpec(kind="precomputed_pvalues")
 
     def cdf(self, t: float) -> float:
-        if self.kind == "standard_normal":
-            return normal_cdf(t)
-        if self.kind == "normal":
-            return normal_cdf((t - self.mu0) / self.sigma0)
-        if self.kind == "student_t":
-            return student_t_cdf(t, self.df)
-        raise ConfigError("precomputed_pvalues null has no distribution function")
+        return float(self.cdf_many(np.array([float(t)]))[0])
 
     def pdf(self, t: float) -> float:
         if self.kind == "standard_normal":
@@ -166,8 +162,10 @@ class DiscoveryReport:
 class CdfrModel:
     """Complete fitted model with every intermediate artifact retained.
 
-    The algebraic identity fdr(t) * d(u(t)) = pi0 holds exactly for the
-    uncapped fdr, by construction of :func:`local_fdr`.
+    The read-only per-case arrays ``pvalues`` (u), ``smooth`` (v) and
+    ``d_hat`` (floored density at u) are computed once by the fit.  The
+    identity fdr(t) * d(u(t)) = pi0 holds exactly for the uncapped fdr, by
+    construction of :func:`local_fdr`.
     """
 
     null_spec: NullSpec
@@ -178,6 +176,7 @@ class CdfrModel:
     stats: np.ndarray | None = field(repr=False, default=None)
     pvalues: np.ndarray | None = field(repr=False, default=None)
     smooth: np.ndarray | None = field(repr=False, default=None)
+    d_hat: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def beta_fit(self) -> BetaFit:
@@ -264,11 +263,12 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
     v = step("step 3 (smooth p-values)", lambda: smooth_pvalues(u, fit))
     coeffs = step("step 4 (series density)", lambda: score_coefficients(v, m_density))
     cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs, floor=floor)
+    d_hat = assemble_comparison_density(cd_model, u, v)
     path = step("step 5 (pi0 estimation)",
-                lambda: estimate_pi0(u, cd_model, m=m_mdc, grid_step=grid_step))
+                lambda: estimate_pi0(u, d_hat, m=m_mdc, grid_step=grid_step))
 
     stats = None if null_spec.kind == "precomputed_pvalues" else data.copy()
-    for arr in (stats, u, v):
+    for arr in (stats, u, v, d_hat):
         if arr is not None:
             arr.setflags(write=False)
     return CdfrModel(
@@ -280,6 +280,7 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
         stats=stats,
         pvalues=u,
         smooth=v,
+        d_hat=d_hat,
     )
 
 
@@ -290,9 +291,13 @@ def local_fdr_many(model: CdfrModel, t, cap: bool = True) -> np.ndarray:
     density dips below pi0; with ``cap=True`` (the reporting default) values
     are capped at 1.0.  Pass ``cap=False`` for the raw audit values.
     """
-    u = u_of_t_many(model, t)
-    fdr = model.pi0 / eval_comparison_density_many(model.cd_model, u)
-    return np.minimum(fdr, 1.0) if cap else fdr
+    d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+    return capped_fdr(model.pi0, d) if cap else model.pi0 / d
+
+
+def capped_fdr(pi0: float, d_hat) -> np.ndarray:
+    """Reported local fdr min(pi0 / d, 1) at floored density values d."""
+    return np.minimum(pi0 / d_hat, 1.0)
 
 
 def local_fdr(model: CdfrModel, t: float, cap: bool = True) -> float:
@@ -338,34 +343,31 @@ def integrate_nonnull_density(model: CdfrModel) -> float:
 
 
 def discoveries(model: CdfrModel, stats, threshold: float = 0.2) -> DiscoveryReport:
-    """Cases with estimated fdr at or below the threshold.
+    """Cases with estimated fdr at or below the threshold (:func:`select_discoveries`)."""
+    stats = np.asarray(stats, dtype=float).ravel()
+    u = u_of_t_many(model, stats)
+    fdr = capped_fdr(model.pi0, eval_comparison_density_many(model.cd_model, u))
+    return select_discoveries(stats, u, fdr, model.null_spec.median(), threshold)
 
-    The left/right split is by the sign of the statistic relative to the
-    null median (left is strictly below); for precomputed p-values the split
-    point is 0.5 on the p-value scale.
+
+def select_discoveries(stats, pvalues, fdr, median: float, threshold: float) -> DiscoveryReport:
+    """The discovery rule on per-case arrays: fdr at or below the threshold.
+
+    The left/right split is by the statistic relative to the null median
+    (left is strictly below); for precomputed p-values the statistics are
+    the p-values and the split point is 0.5.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
-    stats = np.asarray(stats, dtype=float).ravel()
-    u = u_of_t_many(model, stats)
-    fdr = local_fdr_many(model, stats)
-    median = model.null_spec.median()
     hits = np.flatnonzero(fdr <= threshold)
-    records = [
-        DiscoveryRecord(
-            index=int(i),
-            statistic=float(stats[i]),
-            pvalue=float(u[i]),
-            fdr=float(fdr[i]),
-        )
-        for i in hits
-    ]
+    records = [DiscoveryRecord(int(i), float(stats[i]), float(pvalues[i]), float(fdr[i]))
+               for i in hits]
     n_left = int(np.sum(stats[hits] < median))
     return DiscoveryReport(
         threshold=float(threshold),
         n_discoveries=int(hits.size),
         n_left=n_left,
         n_right=int(hits.size) - n_left,
-        indices=[int(i) for i in hits],
+        indices=hits.tolist(),
         records=records,
     )

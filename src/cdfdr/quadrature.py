@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "integrate_fixed", "integrate_unit"]
+__all__ = ["gauss_legendre", "integrate_unit"]
 
 
 @lru_cache(maxsize=16)
@@ -24,15 +24,6 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(int(order))
     return nodes, weights
-
-
-def integrate_fixed(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    order: int = 64) -> float:
-    """Single Gauss-Legendre panel over [a, b]; f must accept numpy arrays."""
-    nodes, weights = gauss_legendre(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.sum(weights * np.asarray(f(mid + half * nodes), dtype=float)))
 
 
 @lru_cache(maxsize=8)

@@ -186,19 +186,11 @@ def _run_one(args) -> tuple[int, np.ndarray | None, float | None, str | None]:
     design, config, grid, replicate = args
     try:
         if isinstance(design, MixtureNormalDesign):
-            stats = gen_mixture_normal(design, replicate)
-            model = fit_cdfdr(
-                stats, NullSpec.standard_normal(), mode="pit",
-                m_density=config.m_density, m_mdc=config.m_mdc,
-                grid_step=config.grid_step, floor=config.floor,
-            )
+            data, null_spec = gen_mixture_normal(design, replicate), NullSpec.standard_normal()
         else:
-            pvals = gen_mixture_uniform(design, replicate)
-            model = fit_cdfdr(
-                pvals, NullSpec.precomputed(),
-                m_density=config.m_density, m_mdc=config.m_mdc,
-                grid_step=config.grid_step, floor=config.floor,
-            )
+            data, null_spec = gen_mixture_uniform(design, replicate), NullSpec.precomputed()
+        model = fit_cdfdr(data, null_spec, m_density=config.m_density, m_mdc=config.m_mdc,
+                          grid_step=config.grid_step, floor=config.floor)
         fdr = local_fdr_many(model, grid)
         return replicate, fdr, model.pi0, None
     except CdfdrError as exc:

@@ -124,6 +124,16 @@ class TestFdrCommand:
             assert len(cases[key]) == stats.size
         assert report["diagnostics"]["integral_d_hat"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_discoveries_follow_case_fdr(self, mixture_csv, tmp_path):
+        csv_path, _ = mixture_csv
+        code, out, _ = self._run(csv_path, tmp_path, ["--fdr-threshold", "0.3"])
+        assert code == 0
+        report = json.loads(out.read_text())
+        fdr = np.array(report["cases"]["fdr"])
+        indices = report["discoveries"]["indices"]
+        assert indices == np.flatnonzero(fdr <= 0.3).tolist()
+        assert indices
+
     def test_curves_format_and_roundtrip(self, mixture_csv, tmp_path):
         csv_path, stats = mixture_csv
         code, out, curves = self._run(csv_path, tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdfdr.betafit import BetaFit
-from cdfdr.density import ComparisonDensityModel, CoefficientSet
+from cdfdr.density import ComparisonDensityModel, CoefficientSet, eval_comparison_density_many
 from cdfdr.errors import DomainError, EstimationError
 from cdfdr.pi0 import estimate_pi0
 from cdfdr.pipeline import NullSpec, fit_cdfdr
@@ -19,6 +19,10 @@ def _unit_model():
     return ComparisonDensityModel(fit=fit, coeffs=coeffs)
 
 
+def _unit_density(u):
+    return eval_comparison_density_many(_unit_model(), u)
+
+
 class TestAllNull:
     def test_unit_model_gives_pi0_exactly_one(self):
         # d = 1 everywhere: lambda = 1.00 has an empty (skipped) set, every
@@ -26,7 +30,7 @@ class TestAllNull:
         # tie-break lands on the smallest valid lambda.
         rng = np.random.Generator(np.random.Philox(5))
         u = rng.random(10_000)
-        path = estimate_pi0(u, _unit_model())
+        path = estimate_pi0(u, _unit_density(u))
         assert path.pi0_hat == 1.0
         assert path.flat
         assert path.lambda_star == pytest.approx(1.01)
@@ -37,7 +41,7 @@ class TestAllNull:
     def test_uniform_grid_deviance_profile(self):
         n = 10_000
         u = (np.arange(n) + 0.5) / n
-        path = estimate_pi0(u, _unit_model())
+        path = estimate_pi0(u, _unit_density(u))
         assert path.pi0_hat == 1.0
         # An exactly uniform grid has essentially zero deviance.
         assert np.nanmax(path.deviances) < 1e-6
@@ -72,10 +76,10 @@ class TestInvariants:
     def test_permutation_invariance_bitwise(self):
         rng = np.random.Generator(np.random.Philox(29))
         u = np.concatenate([rng.random(2000), rng.beta(0.3, 1.0, 300)])
-        model = fit_cdfdr(u, NullSpec.precomputed()).cd_model
-        path_a = estimate_pi0(u, model)
+        d_hat = fit_cdfdr(u, NullSpec.precomputed()).d_hat
+        path_a = estimate_pi0(u, d_hat)
         perm = rng.permutation(u.size)
-        path_b = estimate_pi0(u[perm], model)
+        path_b = estimate_pi0(u[perm], d_hat[perm])
         assert np.array_equal(path_a.deviances, path_b.deviances, equal_nan=True)
         assert path_a.lambda_star == path_b.lambda_star
         assert path_a.pi0_hat == path_b.pi0_hat
@@ -83,9 +87,9 @@ class TestInvariants:
     def test_determinism_bitwise(self):
         rng = np.random.Generator(np.random.Philox(31))
         u = rng.random(3000)
-        model = fit_cdfdr(u, NullSpec.precomputed()).cd_model
-        a = estimate_pi0(u, model)
-        b = estimate_pi0(u.copy(), model)
+        d_hat = fit_cdfdr(u, NullSpec.precomputed()).d_hat
+        a = estimate_pi0(u, d_hat)
+        b = estimate_pi0(u.copy(), d_hat.copy())
         assert np.array_equal(a.deviances, b.deviances, equal_nan=True)
         assert np.array_equal(a.n_lambda, b.n_lambda)
         assert (a.lambda_star, a.pi0_hat, a.flat) == (b.lambda_star, b.pi0_hat, b.flat)
@@ -93,7 +97,7 @@ class TestInvariants:
     def test_grid_layout(self):
         rng = np.random.Generator(np.random.Philox(37))
         u = rng.random(500)
-        path = estimate_pi0(u, _unit_model(), grid_step=0.01)
+        path = estimate_pi0(u, _unit_density(u), grid_step=0.01)
         assert path.lambdas.size == 251
         assert path.lambdas[0] == 1.0
         assert path.lambdas[-1] == pytest.approx(3.5)
@@ -102,8 +106,7 @@ class TestInvariants:
     def test_lambda_star_attains_minimum(self):
         rng = np.random.Generator(np.random.Philox(43))
         u = np.concatenate([rng.random(1500), rng.beta(0.25, 1.0, 500)])
-        model = fit_cdfdr(u, NullSpec.precomputed()).cd_model
-        path = estimate_pi0(u, model)
+        path = estimate_pi0(u, fit_cdfdr(u, NullSpec.precomputed()).d_hat)
         star = int(round((path.lambda_star - 1.0) / 0.01))
         assert path.deviances[star] == np.nanmin(path.deviances)
         # Tie-break toward the smallest lambda.
@@ -123,11 +126,16 @@ class TestErrors:
         model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
         u = np.linspace(0.495, 0.505, 100)
         with pytest.raises(EstimationError):
-            estimate_pi0(u, model)
+            estimate_pi0(u, eval_comparison_density_many(model, u))
 
     def test_validation(self):
-        model = _unit_model()
+        u = np.full(100, 0.5)
         with pytest.raises(DomainError):
-            estimate_pi0(np.full(100, 0.5), model, m=17)
+            estimate_pi0(u, _unit_density(u), m=17)
         with pytest.raises(DomainError):
-            estimate_pi0(np.full(100, 0.5), model, grid_step=0.0)
+            estimate_pi0(u, _unit_density(u), grid_step=0.0)
+
+    def test_density_length_must_match(self):
+        u = np.full(100, 0.5)
+        with pytest.raises(DomainError):
+            estimate_pi0(u, _unit_density(u)[:-1])

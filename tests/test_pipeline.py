@@ -23,6 +23,7 @@ from cdfdr.pi0 import DeviancePath
 from cdfdr.pipeline import (
     CdfrModel,
     NullSpec,
+    capped_fdr,
     discoveries,
     fit_cdfdr,
     integrate_nonnull_density,
@@ -206,6 +207,34 @@ class TestFitCdfdr:
         # Retained arrays are read-only audit artifacts.
         with pytest.raises(ValueError):
             model.pvalues[0] = 0.5
+
+    @pytest.mark.parametrize("mode", ["pit", "two_sided", "precomputed"])
+    def test_d_hat_matches_fresh_evaluation(self, mode):
+        stats = _two_sided_mixture(19)
+        if mode == "precomputed":
+            data = to_pvalues(stats, NullSpec.standard_normal(), "two_sided")
+            model = fit_cdfdr(data, NullSpec.precomputed())
+        else:
+            data = stats
+            model = fit_cdfdr(data, NullSpec.standard_normal(), mode=mode)
+        assert np.array_equal(
+            model.d_hat, eval_comparison_density_many(model.cd_model, model.pvalues)
+        )
+        assert np.array_equal(
+            capped_fdr(model.pi0, model.d_hat), local_fdr_many(model, data)
+        )
+        with pytest.raises(ValueError):
+            model.d_hat[0] = 1.0
+
+    def test_huge_beta_shapes_fail_at_step_3(self):
+        # Statistics far more concentrated than the null fit a beta with
+        # shapes near 1e12, where the incomplete beta leaves [0, 1]; the
+        # failure must name the smooth p-value step and the shapes.
+        rng = np.random.Generator(np.random.Philox(47))
+        z = rng.normal(0.0, 1e-6, 5000)
+        with pytest.raises(PipelineError, match=r"step 3 .*alpha = .*beta = ") as info:
+            fit_cdfdr(z, NullSpec.standard_normal())
+        assert info.value.step == "step 3 (smooth p-values)"
 
 
 class TestLocalFdr:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cdfdr.quadrature import gauss_legendre, integrate_fixed, integrate_unit
+from cdfdr.quadrature import gauss_legendre, integrate_unit
 from cdfdr.special import log_beta
 
 
@@ -21,14 +21,6 @@ class TestGaussLegendre:
         for order in (4, 32, 64):
             _, weights = gauss_legendre(order)
             assert np.sum(weights) == pytest.approx(2.0, rel=1e-14)
-
-
-class TestIntegrateFixed:
-    def test_smooth_function(self):
-        assert integrate_fixed(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-13)
-
-    def test_shifted_interval(self):
-        assert integrate_fixed(lambda x: x ** 3, 1.0, 3.0) == pytest.approx(20.0, rel=1e-13)
 
 
 class TestIntegrateUnit:
