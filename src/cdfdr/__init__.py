@@ -14,7 +14,6 @@ from .density import (
     clipped_measure,
     eval_comparison_density,
     eval_comparison_density_many,
-    eval_smooth_density,
     eval_smooth_density_many,
     integrate_comparison_density,
     reconstruct_density,
@@ -31,7 +30,7 @@ from .errors import (
     PipelineError,
     SimulationError,
 )
-from .legendre import M_MAX, basis_matrix, basis_row, shifted_legendre
+from .legendre import M_MAX, basis_matrix
 from .pi0 import DeviancePath, estimate_pi0
 from .pipeline import (
     CdfrModel,
@@ -41,12 +40,10 @@ from .pipeline import (
     discoveries,
     fit_cdfdr,
     integrate_nonnull_density,
-    local_fdr,
     local_fdr_many,
     nonnull_density,
     t_to_z,
     to_pvalues,
-    u_of_t,
     u_of_t_many,
 )
 from .simulate import (
@@ -68,11 +65,12 @@ from .special import (
     digamma,
     log_gamma,
     normal_cdf,
+    normal_cdf_many,
     normal_pdf,
     normal_quantile,
-    regularized_incomplete_beta,
-    regularized_incomplete_beta_many,
+    normal_quantile_many,
     student_t_cdf,
+    student_t_cdf_many,
     student_t_pdf,
 )
 

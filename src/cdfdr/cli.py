@@ -61,20 +61,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+def _default(obj):
+    """JSON form of numpy arrays and scalars; numpy floats already encode as floats."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -91,7 +82,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonable(payload), indent=1) + "\n")
+    _atomic_write(path, json.dumps(payload, indent=1, default=_default) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

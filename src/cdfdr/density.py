@@ -25,7 +25,6 @@ __all__ = [
     "CoefficientSet",
     "ComparisonDensityModel",
     "score_coefficients",
-    "eval_smooth_density",
     "eval_smooth_density_many",
     "assemble_comparison_density",
     "eval_comparison_density",
@@ -101,16 +100,14 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
 
 
 def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
-    """Series density 1 + sum_j theta_hat[j] S_j(v) at each point of v."""
+    """Series density 1 + sum_j theta_hat[j] S_j(v) at each point of v.
+
+    May be negative; the floor applies downstream.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.all(coeffs.theta_hat == 0.0):
         return np.ones_like(v)
     return 1.0 + basis_matrix(coeffs.m, v) @ coeffs.theta_hat
-
-
-def eval_smooth_density(coeffs: CoefficientSet, v: float) -> float:
-    """Scalar series density; may be negative (floor applies downstream)."""
-    return float(eval_smooth_density_many(coeffs, np.array([float(v)]))[0])
 
 
 def comparison_density_raw_many(model: ComparisonDensityModel, u) -> np.ndarray:

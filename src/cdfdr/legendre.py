@@ -8,24 +8,15 @@ max |S_j| = sqrt(2j+1), attained at the endpoints.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["M_MAX", "shifted_legendre", "basis_row", "basis_matrix"]
+__all__ = ["M_MAX", "basis_matrix"]
 
 # Hard cap on the basis size; leaves headroom over the default series lengths
 # without inviting overfitting.
 M_MAX = 16
-
-
-def _check_index(j: int) -> int:
-    j = int(j)
-    if not 1 <= j <= M_MAX:
-        raise DomainError(f"basis index must lie in [1, {M_MAX}], got {j}")
-    return j
 
 
 def _check_order(m: int) -> int:
@@ -60,16 +51,3 @@ def basis_matrix(m: int, v) -> np.ndarray:
     basis *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
     return basis
 
-
-def basis_row(m: int, v: float) -> np.ndarray:
-    """S_1..S_m at a single point v, as a length-m vector."""
-    v = float(v)
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"v must lie in [0, 1], got {v!r}")
-    return basis_matrix(m, np.array([v]))[0]
-
-
-def shifted_legendre(j: int, v: float) -> float:
-    """Single basis function S_j(v) = sqrt(2j+1) P_j(2v-1)."""
-    j = _check_index(j)
-    return float(basis_row(j, v)[j - 1])

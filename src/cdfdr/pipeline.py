@@ -8,6 +8,7 @@ every intermediate artifact for audit; evaluation operations are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +21,6 @@ from .density import (
     assemble_comparison_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
-    eval_comparison_density,
     eval_comparison_density_many,
     score_coefficients,
 )
@@ -34,9 +34,9 @@ from .errors import (
 from .pi0 import DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
-    normal_cdf,
+    normal_cdf_many,
     normal_pdf,
-    normal_quantile,
+    normal_quantile_many,
     student_t_cdf_many,
     student_t_pdf,
 )
@@ -50,9 +50,7 @@ __all__ = [
     "t_to_z",
     "to_pvalues",
     "fit_cdfdr",
-    "u_of_t",
     "u_of_t_many",
-    "local_fdr",
     "local_fdr_many",
     "capped_fdr",
     "nonnull_density",
@@ -84,10 +82,13 @@ class NullSpec:
     def __post_init__(self):
         if self.kind not in ("standard_normal", "normal", "student_t", "precomputed_pvalues"):
             raise ConfigError(f"unknown null kind {self.kind!r}")
+        if not (math.isfinite(self.mu0) and math.isfinite(self.sigma0)):
+            raise ConfigError(f"mu0 and sigma0 must be finite, got {self.mu0!r}, {self.sigma0!r}")
         if self.kind == "normal" and not self.sigma0 > 0.0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0!r}")
-        if self.kind == "student_t" and not (self.df is not None and self.df > 0.0):
-            raise ConfigError(f"student_t null needs df > 0, got {self.df!r}")
+        if self.kind == "student_t" and not (self.df is not None and self.df > 0.0
+                                             and math.isfinite(self.df)):
+            raise ConfigError(f"student_t null needs finite df > 0, got {self.df!r}")
 
     @staticmethod
     def standard_normal() -> "NullSpec":
@@ -104,9 +105,6 @@ class NullSpec:
     @staticmethod
     def precomputed() -> "NullSpec":
         return NullSpec(kind="precomputed_pvalues")
-
-    def cdf(self, t: float) -> float:
-        return float(self.cdf_many(np.array([float(t)]))[0])
 
     def pdf(self, t: float) -> float:
         if self.kind == "standard_normal":
@@ -125,17 +123,15 @@ class NullSpec:
             return 0.5
         return 0.0
 
-    def cdf_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def cdf_many(self, t) -> np.ndarray:
+        """Null distribution function at each t, as an array of at least one dimension."""
         if self.kind == "student_t":
             return student_t_cdf_many(t, self.df)
         if self.kind == "normal":
-            z = (t - self.mu0) / self.sigma0
-        elif self.kind == "standard_normal":
-            z = t
-        else:
-            raise ConfigError("precomputed_pvalues null has no distribution function")
-        return np.array([normal_cdf(zi) for zi in np.atleast_1d(z)])
+            return normal_cdf_many((np.asarray(t, dtype=float) - self.mu0) / self.sigma0)
+        if self.kind == "standard_normal":
+            return normal_cdf_many(t)
+        raise ConfigError("precomputed_pvalues null has no distribution function")
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class CdfrModel:
     The read-only per-case arrays ``pvalues`` (u), ``smooth`` (v) and
     ``d_hat`` (floored density at u) are computed once by the fit.  The
     identity fdr(t) * d(u(t)) = pi0 holds exactly for the uncapped fdr, by
-    construction of :func:`local_fdr`.
+    construction of :func:`local_fdr_many`.
     """
 
     null_spec: NullSpec
@@ -187,14 +183,13 @@ def t_to_z(t_stats, df: float) -> np.ndarray:
     """Convert t statistics to z scale through the t CDF and normal quantile.
 
     Probabilities are clamped to [1e-15, 1 - 1e-15] before inversion (the
-    named clamp point for this operation); the map is order-preserving.
+    named clamp point for this operation); the map is order-preserving and
+    returns an array of at least one dimension.
     """
-    if not df > 0.0:
-        raise ConfigError(f"df must be positive, got {df!r}")
-    t_stats = np.asarray(t_stats, dtype=float)
-    p = student_t_cdf_many(t_stats, df)
-    p = np.clip(p, _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
-    return np.array([normal_quantile(pi) for pi in p])
+    if not (df > 0.0 and math.isfinite(df)):
+        raise ConfigError(f"df must be finite and positive, got {df!r}")
+    p = np.clip(student_t_cdf_many(t_stats, df), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
+    return normal_quantile_many(p)
 
 
 def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
@@ -203,10 +198,11 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     ``pit`` uses u = F0(t), putting signal in both tails of u; ``two_sided``
     uses u = 2 min(F0(t), 1 - F0(t)), folding signal toward 0.  With a
     ``precomputed_pvalues`` null the input passes through after validation.
+    The result has at least one dimension.
     """
     if mode not in TRANSFORM_MODES:
         raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
-    stats = np.asarray(stats, dtype=float)
+    stats = np.atleast_1d(np.asarray(stats, dtype=float))
     if np.any(~np.isfinite(stats)):
         raise ConfigError("statistics must be finite")
     if null_spec.kind == "precomputed_pvalues":
@@ -222,10 +218,6 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
 def u_of_t_many(model: CdfrModel, t) -> np.ndarray:
     """The model's own statistic-to-p-value map, applied to an array."""
     return to_pvalues(t, model.null_spec, model.transform_mode)
-
-
-def u_of_t(model: CdfrModel, t: float) -> float:
-    return float(u_of_t_many(model, np.array([float(t)]))[0])
 
 
 def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
@@ -300,10 +292,6 @@ def capped_fdr(pi0: float, d_hat) -> np.ndarray:
     return np.minimum(pi0 / d_hat, 1.0)
 
 
-def local_fdr(model: CdfrModel, t: float, cap: bool = True) -> float:
-    return float(local_fdr_many(model, np.array([float(t)]), cap=cap)[0])
-
-
 def nonnull_density(model: CdfrModel, t: float) -> float:
     """Reconstructed density of the non-null cases at statistic t.
 
@@ -314,8 +302,7 @@ def nonnull_density(model: CdfrModel, t: float) -> float:
         raise EstimationError(
             "nonnull density undefined when pi0 = 1 (no estimated signal)"
         )
-    u = u_of_t(model, t)
-    d = eval_comparison_density(model.cd_model, u)
+    d = float(eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))[0])
     return max(0.0, d - model.pi0) * model.null_spec.pdf(t) / (1.0 - model.pi0)
 
 

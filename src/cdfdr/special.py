@@ -1,8 +1,11 @@
 """Numerically stable elementary statistical functions.
 
-Scalar functions are pure Python floats end to end; the ``*_many`` variants
-are vectorized over numpy arrays and share the same continued-fraction
-machinery, so scalar and array paths agree bit for bit.
+The ``*_many`` kernels are the implementation: each takes a float array (a
+scalar counts as one element) and returns an array of at least one
+dimension.  The scalar distribution functions are one-line wrappers over
+them, so a scalar call and the same element of a batch agree bit for bit.
+The gamma family and the densities ``normal_pdf`` and ``student_t_pdf`` are
+scalar only.
 
 No probability clamping happens here: these primitives are exact over their
 domains, and callers clamp at their own named clamp points.
@@ -18,8 +21,10 @@ from .errors import DomainError
 
 __all__ = [
     "normal_cdf",
+    "normal_cdf_many",
     "normal_pdf",
     "normal_quantile",
+    "normal_quantile_many",
     "student_t_cdf",
     "student_t_cdf_many",
     "student_t_pdf",
@@ -27,8 +32,6 @@ __all__ = [
     "digamma",
     "trigamma",
     "log_beta",
-    "regularized_incomplete_beta",
-    "regularized_incomplete_beta_many",
     "beta_pdf",
     "beta_pdf_many",
     "beta_cdf",
@@ -36,12 +39,20 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / _SQRT_2PI
 
 # Lentz continued-fraction controls for the incomplete beta.
 _CF_FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
+
+# libm's erfc, log and exp applied element by element; numpy's own log and
+# exp differ from libm's in the last bit on some inputs, which would change
+# the quantiles and every output downstream of them.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_log = np.frompyfunc(math.log, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -51,20 +62,41 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
+def _finite_1d(name: str, x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension, all finite."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
+def _unit_1d(name: str, x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension, all in [0, 1]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise DomainError(f"{name} must lie in [0, 1]")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Normal distribution
 # ---------------------------------------------------------------------------
 
-def normal_cdf(z: float) -> float:
-    """Standard normal distribution function Phi(z).
+def normal_cdf_many(z) -> np.ndarray:
+    """Standard normal distribution function Phi(z) at each z.
 
     Computed as ``erfc(-z/sqrt(2))/2``; the complementary error function keeps
     full relative accuracy in the lower tail.  Below roughly z = -38 the value
     is subnormal and underflows to exactly 0.0 near z = -39 (documented
     behavior; callers that need strict positivity must clamp).
     """
-    z = _require_finite("z", z)
-    return 0.5 * math.erfc(-z / _SQRT2)
+    z = _finite_1d("z", z)
+    return 0.5 * _erfc(-z / _SQRT2).astype(float)
+
+
+def normal_cdf(z: float) -> float:
+    """Scalar :func:`normal_cdf_many`."""
+    return float(normal_cdf_many(z)[0])
 
 
 def normal_pdf(z: float) -> float:
@@ -93,39 +125,47 @@ _ACKLAM_D = (
 _ACKLAM_P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
+def _acklam_tail(q: np.ndarray) -> np.ndarray:
+    """Lower-tail branch of Acklam's approximation at q = sqrt(-2 ln p)."""
+    c, d = _ACKLAM_C, _ACKLAM_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def normal_quantile_many(p) -> np.ndarray:
+    """Inverse of :func:`normal_cdf_many` on the open interval (0, 1).
+
+    Acklam's rational approximation (relative error ~1e-9; one branch for each
+    tail and one for the centre) refined by one Newton step against
+    :func:`normal_cdf_many`, which brings the result to near machine
+    precision.  ``p`` equal to 0 or 1 is a domain error; callers clamp first.
+    """
+    p = _finite_1d("p", p)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise DomainError("p must lie strictly inside (0, 1)")
+    x = np.empty_like(p)
+    low = p < _ACKLAM_P_LOW
+    high = p > 1.0 - _ACKLAM_P_LOW
+    centre = ~(low | high)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _log(p[low]).astype(float)))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _log(1.0 - p[high]).astype(float)))
+    a, b = _ACKLAM_A, _ACKLAM_B
+    q = p[centre] - 0.5
     r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+    x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    # One Newton step; skipped where exp(x^2/2) would overflow (|x| > ~37.4,
+    # i.e. p below ~1e-306, far outside any clamped caller input).
+    newton = x * x < 1400.0
+    xn = x[newton]
+    err = normal_cdf_many(xn) - p[newton]
+    x[newton] = xn - err * _SQRT_2PI * _exp(0.5 * xn * xn).astype(float)
+    return x
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of :func:`normal_cdf` on the open interval (0, 1).
-
-    Rational approximation (relative error ~1e-9) refined by one Newton step
-    against :func:`normal_cdf`, which brings the result to near machine
-    precision.  ``p`` equal to 0 or 1 is a domain error; callers clamp first.
-    """
-    p = _require_finite("p", p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
-    x = _acklam(p)
-    # One Newton step; skipped where exp(x^2/2) would overflow (|x| > ~37.6,
-    # i.e. p below ~1e-310, far outside any clamped caller input).
-    if x * x < 1400.0:
-        err = normal_cdf(x) - p
-        x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x
+    """Scalar :func:`normal_quantile_many`."""
+    return float(normal_quantile_many(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +249,9 @@ def log_beta(alpha: float, beta: float) -> float:
 def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Lentz continued fraction for I_x(a,b), valid for x below the pivot.
 
-    Each lane freezes at its own convergence, so a value never depends on
-    which other points share the batch (scalar and vector paths agree bit
-    for bit).
+    Each lane freezes at its own convergence: from then on both of its
+    factors are exactly 1.0, so a value never depends on which other points
+    share the batch (a one-element call and a batch agree bit for bit).
     """
     qab = a + b
     qap = a + 1.0
@@ -223,6 +263,7 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     h = d.copy()
     active = np.ones(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
+        frozen = ~active
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -230,7 +271,9 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
         c = 1.0 + aa / c
         np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
         d = 1.0 / d
-        h[active] *= (d * c)[active]
+        even = d * c
+        np.copyto(even, 1.0, where=frozen)
+        h *= even
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
@@ -238,8 +281,10 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
         np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
         d = 1.0 / d
         delta = d * c
-        h[active] *= delta[active]
-        active &= np.abs(delta - 1.0) >= _CF_EPS
+        np.copyto(delta, 1.0, where=frozen)
+        h *= delta
+        # A frozen lane's delta is exactly 1.0, so the test keeps it frozen.
+        active = np.abs(delta - 1.0) >= _CF_EPS
         if not np.any(active):
             break
     return h
@@ -251,7 +296,9 @@ def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
 
     Passing the complement explicitly lets callers that know it exactly
     (e.g. the t CDF, where x and xc are the two ratios df/(df+t^2) and
-    t^2/(df+t^2)) avoid the cancellation of forming 1 - x near 1.
+    t^2/(df+t^2)) avoid the cancellation of forming 1 - x near 1.  The
+    symmetry switch at the standard pivot ``(alpha+1)/(alpha+beta+2)`` keeps
+    the continued fraction in its fast-converging regime on both sides.
     """
     out = np.empty_like(x)
     ln_b = log_beta(alpha, beta)
@@ -272,45 +319,18 @@ def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
     return out
 
 
-def regularized_incomplete_beta_many(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized I_x(alpha, beta) over an array of x values in [0, 1].
-
-    Symmetry switch at the standard pivot ``(alpha+1)/(alpha+beta+2)`` keeps
-    the continued fraction in its fast-converging regime on both sides.
-    """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError(f"shape parameters must be positive, got {alpha!r}, {beta!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("x must lie in [0, 1]")
-    return _betainc_with_complement(alpha, beta, x, 1.0 - x)
-
-
-def regularized_incomplete_beta(alpha: float, beta: float, x: float) -> float:
-    """Scalar I_x(alpha, beta); delegates to the vectorized path."""
-    return float(regularized_incomplete_beta_many(alpha, beta, np.array([float(x)]))[0])
-
-
 # ---------------------------------------------------------------------------
 # Beta distribution
 # ---------------------------------------------------------------------------
 
-def beta_pdf_many(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Vectorized beta density over u in [0, 1].
+def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
+    """Beta density f_B(u; alpha, beta) at each u in [0, 1].
 
     At u = 0 with alpha < 1 (and u = 1 with beta < 1) the density diverges and
     the result is ``+inf`` (documented sentinel); with shape exactly 1 the
     finite boundary limit is returned.
     """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError(f"shape parameters must be positive, got {alpha!r}, {beta!r}")
-    u = np.asarray(u, dtype=float)
-    scalar_shape = u.ndim == 0
-    u = np.atleast_1d(u)
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise DomainError("u must lie in [0, 1]")
+    u = _unit_1d("u", u)
     ln_b = log_beta(alpha, beta)
     out = np.empty_like(u)
     interior = (u > 0.0) & (u < 1.0)
@@ -335,33 +355,35 @@ def beta_pdf_many(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
             out[at1] = math.exp(-ln_b)
         else:
             out[at1] = 0.0
-    return out[0] if scalar_shape else out
+    return out
 
 
 def beta_pdf(u: float, alpha: float, beta: float) -> float:
-    """Beta density f_B(u; alpha, beta), the pre-flattening density."""
-    return float(beta_pdf_many(np.array([float(u)]), alpha, beta)[0])
+    """Scalar :func:`beta_pdf_many`, the pre-flattening density."""
+    return float(beta_pdf_many(u, alpha, beta)[0])
 
 
-def beta_cdf_many(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Vectorized beta distribution function F_B(u; alpha, beta)."""
-    return regularized_incomplete_beta_many(alpha, beta, u)
+def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
+    """Beta distribution function F_B(u; alpha, beta) = I_u(alpha, beta) at each u.
+
+    The regularized incomplete beta by Lentz's continued fraction, for u in
+    [0, 1] and positive shapes; never infinite.
+    """
+    u = _unit_1d("u", u)
+    return _betainc_with_complement(alpha, beta, u, 1.0 - u)
 
 
 def beta_cdf(u: float, alpha: float, beta: float) -> float:
-    """Beta distribution function F_B(u; alpha, beta); never infinite."""
-    u = float(u)
-    if not (math.isfinite(u) and 0.0 <= u <= 1.0):
-        raise DomainError(f"u must lie in [0, 1], got {u!r}")
-    return regularized_incomplete_beta(alpha, beta, u)
+    """Scalar :func:`beta_cdf_many`."""
+    return float(beta_cdf_many(u, alpha, beta)[0])
 
 
 # ---------------------------------------------------------------------------
 # Student t
 # ---------------------------------------------------------------------------
 
-def student_t_cdf_many(t: np.ndarray, df: float) -> np.ndarray:
-    """Vectorized Student-t distribution function.
+def student_t_cdf_many(t, df: float) -> np.ndarray:
+    """Student-t distribution function at each t; monotone in t, any real df > 0.
 
     The lower-tail mass is I_y(df/2, 1/2)/2 with y = df/(df+t^2); both y and
     its complement t^2/(df+t^2) are formed directly from t, so the tail
@@ -371,23 +393,17 @@ def student_t_cdf_many(t: np.ndarray, df: float) -> np.ndarray:
     df = float(df)
     if not (math.isfinite(df) and df > 0.0):
         raise DomainError(f"df must be positive, got {df!r}")
-    t = np.asarray(t, dtype=float)
-    scalar_shape = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(~np.isfinite(t)):
-        raise DomainError("t must be finite")
+    t = _finite_1d("t", t)
     t2 = t * t
     y = df / (df + t2)
     yc = t2 / (df + t2)
     tail = 0.5 * _betainc_with_complement(0.5 * df, 0.5, y, yc)
-    return_value = np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
-    return return_value[0] if scalar_shape else return_value
+    return np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
 
 
 def student_t_cdf(t: float, df: float) -> float:
-    """Student-t distribution function; monotone in ``t``, any real df > 0."""
-    t = _require_finite("t", t)
-    return float(student_t_cdf_many(np.array([t]), df)[0])
+    """Scalar :func:`student_t_cdf_many`."""
+    return float(student_t_cdf_many(t, df)[0])
 
 
 def student_t_pdf(t: float, df: float) -> float:

@@ -252,6 +252,20 @@ class TestFdrCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--null", "normal:nan,1"],
+        ["--null", "t:inf"],
+        ["--null", "normal:0,inf"],
+        ["--df", "inf"],
+    ], ids=["mu-nan", "df-inf", "sigma-inf", "t-to-z-df-inf"])
+    def test_nonfinite_null_parameter_exits_2(self, mixture_csv, tmp_path, capsys, flags):
+        csv_path, _ = mixture_csv
+        code, out, _ = self._run(csv_path, tmp_path, flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "finite" in err
+        assert not out.exists()
+
 
 class TestPi0Command:
     def test_uniform_input(self, tmp_path):

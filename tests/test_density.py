@@ -14,13 +14,13 @@ from cdfdr.density import (
     comparison_density_raw_many,
     eval_comparison_density,
     eval_comparison_density_many,
-    eval_smooth_density,
+    eval_smooth_density_many,
     integrate_comparison_density,
     reconstruct_density,
     score_coefficients,
 )
 from cdfdr.errors import DomainError, InsufficientDataError
-from cdfdr.legendre import basis_row
+from cdfdr.legendre import basis_matrix
 from cdfdr.special import beta_cdf, normal_cdf, normal_pdf
 
 
@@ -91,7 +91,7 @@ class TestScoreCoefficients:
         v = rng.random(200)
         coeffs = score_coefficients(v, 4)
         for j in range(1, 5):
-            mean = np.mean([basis_row(4, vi)[j - 1] for vi in v])
+            mean = np.mean([basis_matrix(4, vi)[0, j - 1] for vi in v])
             assert coeffs.theta_tilde[j - 1] == pytest.approx(mean, rel=1e-12)
 
     def test_threshold_decreasing_in_n(self):
@@ -141,21 +141,22 @@ class TestScoreCoefficients:
 class TestSmoothDensityEval:
     def test_null_series(self):
         coeffs = _manual_coeffs(np.zeros(6))
-        for v in np.linspace(0.0, 1.0, 21):
-            assert eval_smooth_density(coeffs, v) == 1.0
+        v = np.linspace(0.0, 1.0, 21)
+        assert eval_smooth_density_many(coeffs, v).tolist() == [1.0] * 21
+        assert eval_smooth_density_many(coeffs, 0.3).tolist() == [1.0]
 
     def test_expression_study_series(self):
         # Single surviving third coefficient of -0.16.
         coeffs = _manual_coeffs([0.0, 0.0, -0.16, 0.0, 0.0, 0.0])
-        for v in np.linspace(0.0, 1.0, 31):
-            expected = 1.0 - 0.16 * basis_row(6, v)[2]
-            assert eval_smooth_density(coeffs, v) == pytest.approx(expected, rel=1e-14)
+        v = np.linspace(0.0, 1.0, 31)
+        expected = 1.0 - 0.16 * basis_matrix(6, v)[:, 2]
+        np.testing.assert_allclose(eval_smooth_density_many(coeffs, v), expected, rtol=1e-14)
 
     def test_prostate_series(self):
         coeffs = _manual_coeffs([0.0, 0.0, 0.0, 0.0, 0.0, 0.057])
-        for v in np.linspace(0.0, 1.0, 31):
-            expected = 1.0 + 0.057 * basis_row(6, v)[5]
-            assert eval_smooth_density(coeffs, v) == pytest.approx(expected, rel=1e-14)
+        v = np.linspace(0.0, 1.0, 31)
+        expected = 1.0 + 0.057 * basis_matrix(6, v)[:, 5]
+        np.testing.assert_allclose(eval_smooth_density_many(coeffs, v), expected, rtol=1e-14)
 
 
 class TestComparisonDensityEval:
@@ -172,7 +173,7 @@ class TestComparisonDensityEval:
         model = _manual_model(0.81, 0.82, [0.0, 0.0, 0.0, 0.0, 0.0, 0.057])
         for u in np.arange(0.1, 0.95, 0.1):
             v = beta_cdf(u, 0.81, 0.82)
-            display = 0.68 * (1.0 + 0.057 * basis_row(6, v)[5]) \
+            display = 0.68 * (1.0 + 0.057 * basis_matrix(6, v)[0, 5]) \
                 * u ** (-0.19) * (1.0 - u) ** (-0.18)
             assert eval_comparison_density(model, u) == pytest.approx(display, abs=1e-2)
 

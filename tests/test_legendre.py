@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdfdr.errors import DomainError
-from cdfdr.legendre import M_MAX, basis_matrix, basis_row, shifted_legendre
+from cdfdr.legendre import M_MAX, basis_matrix
 from cdfdr.quadrature import gauss_legendre
 
 
@@ -17,41 +17,45 @@ def _gl_nodes_unit(order=64):
 
 class TestPointValues:
     def test_odd_about_midpoint(self):
-        assert shifted_legendre(1, 0.5) == 0.0
-        assert shifted_legendre(3, 0.5) == 0.0
+        assert basis_matrix(1, 0.5)[0, 0] == 0.0
+        assert basis_matrix(3, 0.5)[0, 2] == 0.0
 
     def test_gram_schmidt_endpoint(self):
         # Orthonormalizing {1, v} on [0,1] gives sqrt(12)(v - 1/2), which is
         # sqrt(3) at v = 1.
-        assert shifted_legendre(1, 1.0) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        assert basis_matrix(1, 1.0)[0, 0] == pytest.approx(math.sqrt(3.0), rel=1e-14)
 
     def test_endpoint_alternation(self):
         # S_j(0) = (-1)^j sqrt(2j+1), S_j(1) = sqrt(2j+1)
-        row = basis_row(3, 0.0)
+        row = basis_matrix(3, 0.0)[0]
         expected = [-math.sqrt(3.0), math.sqrt(5.0), -math.sqrt(7.0)]
         assert row == pytest.approx(expected, rel=1e-14)
+        at_one = basis_matrix(M_MAX, 1.0)[0]
         for j in range(1, M_MAX + 1):
-            assert shifted_legendre(j, 1.0) == pytest.approx(
-                math.sqrt(2 * j + 1), rel=1e-12
-            )
+            assert at_one[j - 1] == pytest.approx(math.sqrt(2 * j + 1), rel=1e-12)
 
     def test_single_element_row(self):
-        assert basis_row(1, 0.5).tolist() == [0.0]
+        assert basis_matrix(1, 0.5).tolist() == [[0.0]]
 
 
 class TestConsistency:
     def test_row_matches_scalar(self):
+        # A one-point call equals its row of a batch call, and column j does
+        # not depend on how many columns were requested.
         rng = np.random.Generator(np.random.Philox(11))
-        for v in rng.random(100):
-            row = basis_row(6, v)
+        v = rng.random(100)
+        batch = basis_matrix(6, v)
+        for i, vi in enumerate(v):
+            row = basis_matrix(6, vi)[0]
+            assert np.array_equal(row, batch[i])
             for j in range(1, 7):
-                assert shifted_legendre(j, v) == row[j - 1]
+                assert basis_matrix(j, vi)[0, j - 1] == row[j - 1]
 
     def test_matrix_matches_rows(self):
         v = np.linspace(0.0, 1.0, 17)
         mat = basis_matrix(10, v)
         for i, vi in enumerate(v):
-            assert np.array_equal(mat[i], basis_row(10, vi))
+            assert np.array_equal(mat[i], basis_matrix(10, vi)[0])
 
 
 class TestOrthonormality:
@@ -82,18 +86,16 @@ class TestOrthonormality:
 
 class TestValidation:
     def test_index_bounds(self):
-        for j in (0, -1, M_MAX + 1):
+        for m in (0, -1, M_MAX + 1):
             with pytest.raises(DomainError):
-                shifted_legendre(j, 0.5)
-        with pytest.raises(DomainError):
-            basis_row(M_MAX + 1, 0.5)
-        with pytest.raises(DomainError):
-            basis_matrix(0, np.array([0.5]))
+                basis_matrix(m, 0.5)
+            with pytest.raises(DomainError):
+                basis_matrix(m, np.array([0.5]))
 
     def test_point_bounds(self):
         with pytest.raises(DomainError):
-            shifted_legendre(1, -0.01)
+            basis_matrix(1, -0.01)
         with pytest.raises(DomainError):
             basis_matrix(3, np.array([0.2, 1.01]))
         with pytest.raises(DomainError):
-            basis_row(3, math.nan)
+            basis_matrix(3, math.nan)

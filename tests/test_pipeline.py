@@ -27,12 +27,10 @@ from cdfdr.pipeline import (
     discoveries,
     fit_cdfdr,
     integrate_nonnull_density,
-    local_fdr,
     local_fdr_many,
     nonnull_density,
     t_to_z,
     to_pvalues,
-    u_of_t,
     u_of_t_many,
 )
 
@@ -72,13 +70,26 @@ class TestNullSpec:
             NullSpec.normal(0.0, 0.0)
         with pytest.raises(ConfigError):
             NullSpec.student_t(-3.0)
+        for build in (lambda: NullSpec.normal(math.nan, 1.0),
+                      lambda: NullSpec.normal(0.0, math.inf),
+                      lambda: NullSpec.student_t(math.inf)):
+            with pytest.raises(ConfigError, match="finite"):
+                build()
 
     def test_cdf_dispatch(self):
-        assert NullSpec.standard_normal().cdf(0.0) == 0.5
-        assert NullSpec.normal(2.0, 3.0).cdf(2.0) == 0.5
-        assert NullSpec.student_t(7.0).cdf(0.0) == 0.5
+        assert NullSpec.standard_normal().cdf_many(np.array([0.0]))[0] == 0.5
+        assert NullSpec.normal(2.0, 3.0).cdf_many(np.array([2.0]))[0] == 0.5
+        assert NullSpec.student_t(7.0).cdf_many(np.array([0.0]))[0] == 0.5
         with pytest.raises(ConfigError):
-            NullSpec.precomputed().cdf(0.5)
+            NullSpec.precomputed().cdf_many(np.array([0.5]))
+
+    @pytest.mark.parametrize("spec", [
+        NullSpec.standard_normal(), NullSpec.normal(1.0, 2.0), NullSpec.student_t(7.0),
+    ], ids=["standard_normal", "normal", "student_t"])
+    def test_cdf_many_of_scalar_is_one_element_array(self, spec):
+        out = spec.cdf_many(1.0)
+        assert out.shape == (1,)
+        assert out[0] == spec.cdf_many(np.array([1.0, -3.0]))[0]
 
     def test_medians(self):
         assert NullSpec.standard_normal().median() == 0.0
@@ -114,8 +125,14 @@ class TestTtoZ:
         np.testing.assert_allclose(z, ref, rtol=1e-9)
 
     def test_bad_df(self):
-        with pytest.raises(ConfigError):
-            t_to_z(np.array([1.0]), 0.0)
+        for df in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                t_to_z(np.array([1.0]), df)
+
+    def test_scalar_input_gives_one_element_array(self):
+        z = t_to_z(2.0, 10.0)
+        assert z.shape == (1,)
+        assert z[0] == t_to_z(np.array([2.0, -1.0]), 10.0)[0]
 
 
 class TestToPvalues:
@@ -244,12 +261,12 @@ class TestLocalFdr:
         # At u -> 1 the series factor approaches 1 + theta * S_2(1) = 5.
         d = eval_comparison_density(model.cd_model, 1.0)
         assert d == pytest.approx(5.0, abs=1e-6)
-        assert local_fdr(model, 1.0) == pytest.approx(0.2, abs=1e-6)
+        assert local_fdr_many(model, 1.0)[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_uniform_model_constant_fdr(self):
         model = _manual_cdfr_model(0.97, np.zeros(6))
-        for t in np.linspace(0.01, 0.99, 13):
-            assert local_fdr(model, t) == pytest.approx(0.97, rel=1e-12)
+        t = np.linspace(0.01, 0.99, 13)
+        np.testing.assert_allclose(local_fdr_many(model, t), 0.97, rtol=1e-12)
 
     def test_identity_with_comparison_density(self):
         stats = _two_sided_mixture(19)
@@ -404,12 +421,12 @@ class TestLeukemiaDataset:
 class TestUofT:
     def test_precomputed_identity(self):
         model = _manual_cdfr_model(0.9, np.zeros(6))
-        assert u_of_t(model, 0.37) == 0.37
+        assert u_of_t_many(model, 0.37).tolist() == [0.37]
 
     def test_pit_matches_null_cdf(self):
         stats = _two_sided_mixture(61)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         from cdfdr.special import normal_cdf
 
-        for t in (-2.0, 0.0, 1.5):
-            assert u_of_t(model, t) == normal_cdf(t)
+        t = np.array([-2.0, 0.0, 1.5])
+        assert u_of_t_many(model, t).tolist() == [normal_cdf(ti) for ti in t]

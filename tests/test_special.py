@@ -9,12 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
 from cdfdr.errors import DomainError
 from cdfdr.quadrature import integrate_unit
 from cdfdr.special import (
+    _ACKLAM_A,
+    _ACKLAM_B,
+    _ACKLAM_C,
+    _ACKLAM_D,
     beta_cdf,
     beta_cdf_many,
     beta_pdf,
@@ -22,9 +28,11 @@ from cdfdr.special import (
     digamma,
     log_gamma,
     normal_cdf,
+    normal_cdf_many,
     normal_quantile,
-    regularized_incomplete_beta,
+    normal_quantile_many,
     student_t_cdf,
+    student_t_cdf_many,
     student_t_pdf,
     trigamma,
 )
@@ -113,6 +121,8 @@ class TestNormalCdf:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 normal_cdf(bad)
+            with pytest.raises(DomainError):
+                normal_cdf_many([0.3, bad])
 
 
 class TestNormalQuantile:
@@ -135,6 +145,8 @@ class TestNormalQuantile:
         for p in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(DomainError):
                 normal_quantile(p)
+            with pytest.raises(DomainError):
+                normal_quantile_many([0.3, p])
 
 
 class TestStudentT:
@@ -276,8 +288,8 @@ class TestBetaDistribution:
     def test_incomplete_beta_symmetry(self):
         # I_x(a,b) = 1 - I_{1-x}(b,a)
         for x, a, b in [(0.3, 0.7, 2.2), (0.9, 5.0, 0.4)]:
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                1.0 - regularized_incomplete_beta(b, a, 1.0 - x), rel=1e-12
+            assert beta_cdf_many(x, a, b)[0] == pytest.approx(
+                1.0 - beta_cdf_many(1.0 - x, b, a)[0], rel=1e-12
             )
 
     def test_domain_errors(self):
@@ -289,3 +301,100 @@ class TestBetaDistribution:
             beta_pdf(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             beta_cdf(0.5, 1.0, -2.0)
+
+
+def _math_normal_cdf(z):
+    """Reference Phi(z), one Python float at a time through math.erfc."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _math_normal_quantile(p):
+    """Reference Acklam quantile with its Newton step, one Python float at a time."""
+    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    if p < 0.02425:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    elif p > 1.0 - 0.02425:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    else:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    if x * x < 1400.0:
+        err = _math_normal_cdf(x) - p
+        x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x
+
+
+def _with_neighbours(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)])
+
+
+class TestNormalKernels:
+    def _assert_bitwise(self, kernel, reference, x):
+        expected = np.array([reference(float(xi)) for xi in x])
+        assert np.array_equal(kernel(x).view(np.int64), expected.view(np.int64))
+
+    def test_quantile_branch_breakpoints(self):
+        p = _with_neighbours([0.02425, 1.0 - 0.02425, 0.5])
+        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+
+    def test_quantile_at_clamp(self):
+        p = _with_neighbours([1e-15, 1.0 - 1e-15])
+        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+
+    def test_quantile_across_newton_cutoff(self):
+        p = np.geomspace(1e-320, 1e-290, 4001)
+        acklam = np.array([_math_normal_quantile(float(pi)) for pi in p])
+        assert np.any(acklam * acklam < 1400.0) and np.any(acklam * acklam >= 1400.0)
+        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+
+    def test_quantile_on_seeded_grid(self):
+        # 5.8566747757759295e-46 is an input where numpy's own log and exp
+        # (in place of libm's) move the quantile by one ulp.
+        rng = np.random.Generator(np.random.Philox(29))
+        p = np.concatenate([rng.random(20_000), np.geomspace(1e-300, 0.5, 2000),
+                            [5.8566747757759295e-46]])
+        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+
+    def test_cdf_through_underflow(self):
+        z = np.concatenate([np.linspace(-40.0, -36.0, 4001), np.linspace(-9.0, 9.0, 4001)])
+        values = normal_cdf_many(z)
+        assert np.any(values == 0.0) and values[z > -38.0].min() > 0.0
+        self._assert_bitwise(normal_cdf_many, _math_normal_cdf, z)
+
+    def test_against_scipy(self):
+        z = np.linspace(-37.0, 8.5, 100_001)
+        np.testing.assert_allclose(normal_cdf_many(z), sp_special.ndtr(z), rtol=1e-12, atol=0)
+        lower = np.geomspace(1e-300, 0.5, 100_001)
+        np.testing.assert_allclose(normal_quantile_many(lower), sp_special.ndtri(lower),
+                                   rtol=1e-12, atol=0)
+        upper = 1.0 - np.geomspace(1e-15, 0.5, 100_001)
+        np.testing.assert_allclose(normal_quantile_many(upper), sp_special.ndtri(upper),
+                                   rtol=0, atol=1e-8)
+
+
+_reals = st.floats(-60.0, 60.0, allow_nan=False)
+_unit = st.floats(0.0, 1.0)
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_shape = st.floats(0.05, 50.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.lists(_reals, min_size=1, max_size=12),
+       p=st.lists(_open_unit, min_size=1, max_size=12),
+       u=st.lists(_unit, min_size=1, max_size=12),
+       alpha=_shape, beta=_shape, df=st.floats(0.5, 300.0))
+def test_scalar_wrappers_equal_kernels(z, p, u, alpha, beta, df):
+    # Each scalar function is its array kernel at one element, bit for bit,
+    # whatever else shares the batch.
+    assert [normal_cdf(x) for x in z] == normal_cdf_many(z).tolist()
+    assert [normal_quantile(x) for x in p] == normal_quantile_many(p).tolist()
+    assert [student_t_cdf(x, df) for x in z] == student_t_cdf_many(z, df).tolist()
+    assert [beta_cdf(x, alpha, beta) for x in u] == beta_cdf_many(u, alpha, beta).tolist()
+    assert [beta_pdf(x, alpha, beta) for x in u] == beta_pdf_many(u, alpha, beta).tolist()
