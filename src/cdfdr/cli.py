@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,16 +58,49 @@ _INPUT_ERRORS = (InputError, ConfigError, InsufficientDataError, DegenerateSampl
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal representation of a float."""
-    return repr(float(x))
+def _float_text(values) -> list[str]:
+    """Shortest round-trip text of each float, as ``repr`` writes it."""
+    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+class _Column:
+    """A float column rendered to text once, for both the JSON report and the CSV."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.text = _float_text(self.values)
 
 
 def _default(obj):
-    """JSON form of numpy arrays and scalars; numpy floats already encode as floats."""
+    """JSON form of columns and numpy arrays and scalars; numpy floats already encode as floats."""
+    if isinstance(obj, _Column):
+        obj = obj.values
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=1, default=_default)``, nested ``len(pad)`` levels deep.
+
+    Dicts with string keys, lists of strings and columns are joined here;
+    everything else is left to ``json.dumps``.  ``json`` writes non-finite
+    floats as ``NaN``/``Infinity`` where ``repr`` writes ``nan``/``inf``, so a
+    column holding one is left to ``json.dumps`` too.
+    """
+    inner = pad + " "
+    if isinstance(value, _Column) and value.values.size and np.isfinite(value.values).all():
+        brackets, items = "[]", value.text
+    elif type(value) is list and set(map(type, value)) == {str}:
+        brackets, items = "[]", map(encode_basestring_ascii, value)
+    elif type(value) is dict and value and all(type(key) is str for key in value):
+        brackets, items = "{}", (
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        )
+    else:
+        return json.dumps(value, indent=1, default=_default).replace("\n", "\n" + pad)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -74,6 +109,11 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.  The
+        # umask can only be read by setting it, so set the strictest meanwhile.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,14 +122,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=1, default=_default) + "\n")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
+    """Write one line per row of the equal-length text ``columns``."""
+    _atomic_write(path, "\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +157,57 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
             raise InputError(
                 f"{path!r} has no {column!r} column (header: {header})"
             )
-        value_idx = header.index(column)
-        id_idx = header.index("id") if "id" in header else None
-        ids: list[str] = []
-        values: list[float] = []
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-                )
-            cell = row[value_idx].strip()
-            if not cell:
-                raise InputError(f"row {row_number}: missing {column} value")
-            try:
-                value = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"row {row_number}: {column} value {cell!r} is not a number"
-                )
-            if not math.isfinite(value):
-                raise InputError(f"row {row_number}: {column} value {cell!r} is not finite")
-            if column == "pvalue" and not 0.0 <= value <= 1.0:
-                raise InputError(
-                    f"row {row_number}: p-value {value!r} outside [0, 1]"
-                )
-            ids.append(row[id_idx].strip() if id_idx is not None else str(row_number))
-            values.append(value)
+        rows = list(reader)
+    value_idx = header.index(column)
+    id_idx = header.index("id") if "id" in header else None
+    # Whole columns at once; a blank, ragged or bad row sends the table to
+    # _parse_rows, which skips blank rows and names the first bad one.
+    try:
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError("ragged or blank rows")
+        values = np.fromiter(map(float, map(itemgetter(value_idx), rows)), float, len(rows))
+        valid = np.isfinite(values).all() and (
+            column != "pvalue" or (values.min() >= 0.0 and values.max() <= 1.0))
+    except ValueError:
+        valid = False
+    if not valid:
+        return _parse_rows(path, rows, header, column)
+    if id_idx is None:
+        return list(map(str, range(1, len(rows) + 1))), values
+    return list(map(str.strip, map(itemgetter(id_idx), rows))), values
+
+
+def _parse_rows(path: str, rows: list[list[str]], header: list[str], column: str
+                ) -> tuple[list[str], np.ndarray]:
+    """Row-by-row form of :func:`read_input_table` after its header checks."""
+    value_idx = header.index(column)
+    id_idx = header.index("id") if "id" in header else None
+    ids: list[str] = []
+    values: list[float] = []
+    for row_number, row in enumerate(rows, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise InputError(
+                f"row {row_number}: expected {len(header)} fields, got {len(row)}"
+            )
+        cell = row[value_idx].strip()
+        if not cell:
+            raise InputError(f"row {row_number}: missing {column} value")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise InputError(
+                f"row {row_number}: {column} value {cell!r} is not a number"
+            )
+        if not math.isfinite(value):
+            raise InputError(f"row {row_number}: {column} value {cell!r} is not finite")
+        if column == "pvalue" and not 0.0 <= value <= 1.0:
+            raise InputError(
+                f"row {row_number}: p-value {value!r} outside [0, 1]"
+            )
+        ids.append(row[id_idx].strip() if id_idx is not None else str(row_number))
+        values.append(value)
     if not values:
         raise InputError(f"{path!r} contains a header but no data rows")
     return ids, np.array(values)
@@ -196,36 +257,20 @@ def _prepare_model(args) -> tuple[list[str], CdfrModel]:
     return ids, model
 
 
-def _case_table(ids, model: CdfrModel, fdr: np.ndarray) -> dict:
-    return {
-        "id": list(ids),
-        "stat": model.stats,
-        "pvalue": model.pvalues,
-        "smooth_pvalue": model.smooth,
-        "d_hat": model.d_hat,
-        "fdr": fdr,
-    }
-
-
-def _curve_rows(model: CdfrModel, fdr: np.ndarray) -> list[list[str]]:
-    """Evaluation-grid rows, then one row per case from the fit's own arrays."""
+def _curve_columns(model: CdfrModel, cases: dict) -> list[list[str]]:
+    """Text of the t, u, v, d_hat, fdr curves: the evaluation grid, then the cases."""
     if model.stats is not None:
         t_grid = np.linspace(float(np.min(model.stats)), float(np.max(model.stats)), 401)
         u_grid = to_pvalues(t_grid, model.null_spec, model.transform_mode)
-        t_text = [_fmt(t) for t in np.concatenate([t_grid, model.stats])]
+        t_text = _float_text(t_grid) + cases["stat"].text
     else:
         u_grid = np.linspace(0.0, 1.0, 403)[1:-1]
         t_text = [""] * (u_grid.size + model.pvalues.size)
     v_grid = smooth_pvalues(u_grid, model.beta_fit)
     d_grid = assemble_comparison_density(model.cd_model, u_grid, v_grid)
-    u_all = np.concatenate([u_grid, model.pvalues])
-    v_all = np.concatenate([v_grid, model.smooth])
-    d_all = np.concatenate([d_grid, model.d_hat])
-    fdr_all = np.concatenate([capped_fdr(model.pi0, d_grid), fdr])
-    return [
-        [t_text[i], _fmt(u_all[i]), _fmt(v_all[i]), _fmt(d_all[i]), _fmt(fdr_all[i])]
-        for i in range(u_all.size)
-    ]
+    fdr_grid = capped_fdr(model.pi0, d_grid)
+    grids = {"pvalue": u_grid, "smooth_pvalue": v_grid, "d_hat": d_grid, "fdr": fdr_grid}
+    return [t_text] + [_float_text(grid) + cases[key].text for key, grid in grids.items()]
 
 
 def _config_echo(args, keys: list[str]) -> dict:
@@ -238,6 +283,14 @@ def cmd_fdr(args) -> int:
     coeffs = model.cd_model.coeffs
     path = model.deviance_path
     fdr = capped_fdr(model.pi0, model.d_hat)
+    cases = {
+        "id": list(ids),
+        "stat": None if model.stats is None else _Column(model.stats),
+        "pvalue": _Column(model.pvalues),
+        "smooth_pvalue": _Column(model.smooth),
+        "d_hat": _Column(model.d_hat),
+        "fdr": _Column(fdr),
+    }
     report_stats = model.pvalues if model.stats is None else model.stats
     disc = select_discoveries(report_stats, model.pvalues, fdr, model.null_spec.median(),
                               args.fdr_threshold)
@@ -286,7 +339,7 @@ def cmd_fdr(args) -> int:
                 for rec in disc.records
             ],
         },
-        "cases": _case_table(ids, model, fdr),
+        "cases": cases,
         "diagnostics": {
             "clipped_measure": clipped_measure(model.cd_model),
             "integral_d_hat": integrate_comparison_density(model.cd_model),
@@ -294,7 +347,7 @@ def cmd_fdr(args) -> int:
         },
     }
     _write_json(args.out, report)
-    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_rows(model, fdr))
+    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_columns(model, cases))
     return 0
 
 
@@ -302,12 +355,12 @@ def cmd_pi0(args) -> int:
     _, model = _prepare_model(args)
     path = model.deviance_path
     _write_json(args.out, {"lambda_star": path.lambda_star, "pi0_hat": path.pi0_hat})
-    rows = [
-        [_fmt(path.lambdas[k]), _fmt(path.deviances[k]), str(int(path.n_lambda[k]))]
-        for k in range(path.lambdas.size)
-        if path.n_lambda[k] > 0
-    ]
-    _write_csv(args.curves, ["lambda", "D_lambda", "n_lambda"], rows)
+    keep = path.n_lambda > 0
+    _write_csv(args.curves, ["lambda", "D_lambda", "n_lambda"], [
+        _float_text(path.lambdas[keep]),
+        _float_text(path.deviances[keep]),
+        list(map(str, path.n_lambda[keep].tolist())),
+    ])
     return 0
 
 
@@ -331,6 +384,8 @@ def cmd_simulate(args) -> int:
             replicates=args.replicates, seed=args.seed,
         )
     report = run_replicates(design, config)
+    curves = {key: _Column(getattr(report, key))
+              for key in ("grid", "true_fdr", "mean_fdr", "sd_fdr")}
     payload = {
         "design": _config_echo(args, [
             "design", "mu", "pi0", "a", "n", "n_null",
@@ -341,10 +396,7 @@ def cmd_simulate(args) -> int:
             "m_mdc": config.m_mdc,
             "grid_step": config.grid_step,
         },
-        "grid": report.grid,
-        "true_fdr": report.true_fdr,
-        "mean_fdr": report.mean_fdr,
-        "sd_fdr": report.sd_fdr,
+        **curves,
         "mise": report.mise,
         "tail_mise": report.tail_mise,
         "pi0_estimates": report.pi0_estimates,
@@ -352,14 +404,7 @@ def cmd_simulate(args) -> int:
         "failed_replicates": report.failed_replicates,
     }
     _write_json(args.out, payload)
-    rows = [
-        [
-            _fmt(report.grid[k]), _fmt(report.true_fdr[k]),
-            _fmt(report.mean_fdr[k]), _fmt(report.sd_fdr[k]),
-        ]
-        for k in range(report.grid.size)
-    ]
-    _write_csv(args.curves, ["grid", "true_fdr", "mean_fdr", "sd_fdr"], rows)
+    _write_csv(args.curves, list(curves), [column.text for column in curves.values()])
     return 0
 
 

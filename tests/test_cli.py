@@ -2,11 +2,22 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdfdr.cli import main, parse_null_spec, read_input_table
+from cdfdr.cli import (
+    _Column,
+    _default,
+    _json_text,
+    _parse_rows,
+    main,
+    parse_null_spec,
+    read_input_table,
+)
 from cdfdr.errors import ConfigError, InputError
 from cdfdr.pipeline import NullSpec
 
@@ -78,6 +89,32 @@ class TestInputTable:
         path.write_text("id,zscore\na,1.0\n", encoding="utf-8")
         with pytest.raises(InputError, match="no 'stat' column"):
             read_input_table(str(path), "stat")
+
+
+class TestBulkIngestion:
+    """The whole-column path of read_input_table against the row-by-row parser."""
+
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+        ["0", "+1", "-2.5e-3", "1E3", "1_000", ".5", "5."])
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    row = st.tuples(st.text("ab\u00e9 ", max_size=4), cell, pad, pad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(row, min_size=1, max_size=30), blank=st.none() | st.integers(0, 30),
+           with_id=st.booleans())
+    def test_matches_row_parser(self, tmp_path_factory, rows, blank, with_id):
+        lines = [(f"{ident}," if with_id else "") + f"{left}{cell}{right}"
+                 for ident, cell, left, right in rows]
+        if blank is not None:
+            lines.insert(blank, "")
+        path = tmp_path_factory.mktemp("bulk") / "in.csv"
+        header = ["id", "stat"] if with_id else ["stat"]
+        path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+        ids, values = read_input_table(str(path), "stat")
+        table = [line.split(",") if line else [] for line in lines]
+        ref_ids, ref_values = _parse_rows(str(path), table, header, "stat")
+        assert ids == ref_ids
+        assert values.tolist() == ref_values.tolist()
 
 
 class TestNullSpecParsing:
@@ -265,6 +302,90 @@ class TestFdrCommand:
         err = capsys.readouterr().err
         assert "input error" in err and "finite" in err
         assert not out.exists()
+
+
+def _assert_canonical_outputs(out, curves, empty=(), ints=()):
+    """report.json is the stdlib indent-1 form; curves.csv fields are repr text."""
+    data = out.read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=1) + "\n").encode("ascii")
+    text = curves.read_bytes().decode("ascii")
+    assert text.endswith("\n") and "\r" not in text
+    lines = text[:-1].split("\n")
+    header = lines[0].split(",")
+    assert len(lines) > 1
+    for line in lines[1:]:
+        for name, field in zip(header, line.split(","), strict=True):
+            if name in empty:
+                assert field == ""
+            elif name in ints:
+                assert field == str(int(field))
+            else:
+                assert field == repr(float(field))
+
+
+_COMMANDS = {
+    "fdr-stat": (["fdr", "--column", "stat"], {}),
+    "fdr-pvalue": (["fdr", "--column", "pvalue"], {"empty": {"t"}}),
+    "pi0": (["pi0", "--column", "pvalue"], {"ints": {"n_lambda"}}),
+    "simulate-mixnorm": (["simulate", "--design", "mixnorm", "--mu", "2", "--replicates",
+                          "2", "--seed", "3", "--n", "2000", "--n-null", "1800"], {}),
+    "simulate-mixunif": (["simulate", "--design", "mixunif", "--pi0", "0.9", "--a", "0.05",
+                          "--replicates", "2", "--seed", "3", "--n", "2000"], {}),
+}
+
+
+def _run_command(name, mixture_csv, tmp_path):
+    argv, fields = _COMMANDS[name]
+    csv_path, stats = mixture_csv
+    if "--column" in argv:
+        if argv[-1] == "pvalue":
+            csv_path = tmp_path / "p.csv"
+            rng = np.random.Generator(np.random.Philox(305))
+            _write_stats_csv(csv_path, rng.random(stats.size) ** 1.5, column="pvalue")
+        argv = argv + ["--input", str(csv_path)]
+    out, curves = tmp_path / "out.json", tmp_path / "curves.csv"
+    assert main(argv + ["--out", str(out), "--curves", str(curves)]) == 0
+    return out, curves, fields
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_outputs_are_canonical(name, mixture_csv, tmp_path):
+    out, curves, fields = _run_command(name, mixture_csv, tmp_path)
+    _assert_canonical_outputs(out, curves, **fields)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+@pytest.mark.parametrize("name", ["fdr-stat", "pi0"])
+def test_outputs_take_umask(name, umask, mixture_csv, tmp_path):
+    previous = os.umask(umask)
+    try:
+        out, curves, _ = _run_command(name, mixture_csv, tmp_path)
+    finally:
+        os.umask(previous)
+    for path in (out, curves):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+_scalars = (
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=6) | st.floats().map(np.float64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+_floats = st.lists(st.floats(), max_size=6)
+_json_values = st.recursive(
+    _scalars
+    | _floats.map(np.array) | _floats.map(_Column)
+    | st.lists(st.text(alphabet="a\u00e9\u4e2d\"\\\n\x00", max_size=5), max_size=5),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _json_values, max_size=6))
+def test_json_writer_matches_stdlib(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=1, default=_default)
 
 
 class TestPi0Command:
