@@ -26,11 +26,13 @@ def _check_order(m: int) -> int:
     return m
 
 
-def basis_matrix(m: int, v) -> np.ndarray:
+def basis_matrix(m: int, v, out=None) -> np.ndarray:
     """Evaluate S_1..S_m at each point of ``v``; returns shape (len(v), m).
 
-    One recurrence pass in x = 2v - 1 produces the classical P_j, scaled by
-    sqrt(2j+1) at the end.
+    One recurrence pass in x = 2v - 1 writes the classical P_j into the
+    columns of ``out`` (a new array when None, else a float (len(v), m) array
+    or view, such as a chunk of a caller's buffer), scaled by sqrt(2j+1) at
+    the end.
     """
     m = _check_order(m)
     v = np.asarray(v, dtype=float)
@@ -38,16 +40,18 @@ def basis_matrix(m: int, v) -> np.ndarray:
         v = v.reshape(1)
     if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
+    if out is None:
+        out = np.empty((v.size, m))
     x = 2.0 * v - 1.0
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    cols = [p_cur]
+    out[:, 0] = x
+    p_prev, p_cur = 1.0, x
     for k in range(1, m):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        cols.append(p_next)
+        # ((2k+1) x P_k - k P_{k-1}) / (k+1), one operation at a time in that order.
+        p_next = x * (2 * k + 1)
+        p_next *= p_cur
+        p_next -= k * p_prev
+        p_next /= k + 1
+        out[:, k] = p_next
         p_prev, p_cur = p_cur, p_next
-    basis = np.column_stack(cols)
-    # Scaled in place: a second n-by-m array would set the pi0 scan's peak memory.
-    basis *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
-    return basis
-
+    out *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+    return out

@@ -20,6 +20,10 @@ __all__ = ["DeviancePath", "estimate_pi0"]
 
 _FLAT_TOL = 1e-12
 
+# Rows of the basis the scan builds at a time, so its memory does not grow
+# with the number of p-values.
+_SCAN_CHUNK = 32_768
+
 
 @dataclass(frozen=True)
 class DeviancePath:
@@ -65,19 +69,18 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
     # Canonical (density, p-value) ordering makes the prefix sums, and hence
     # every deviance, invariant under permutation of the input.
     order = np.lexsort((u, dens))
-    dens_sorted = dens[order]
-    prefix = np.cumsum(basis_matrix(int(m), u[order]), axis=0)
 
     n_grid = int(round((lambda_max - lambda_min) / grid_step)) + 1
     lambdas = lambda_min + grid_step * np.arange(n_grid)
-    counts = np.searchsorted(dens_sorted, lambdas, side="left")
+    counts = np.searchsorted(dens[order], lambdas, side="left")
     deviances = np.full(n_grid, np.nan)
     n_lambda = counts.astype(int)
     valid = counts > 0
+    # Built before the empty-set check: the basis rejects p-values outside [0, 1].
+    prefix = _prefix_rows(int(m), u, order, counts[valid] - 1)
     if not np.any(valid):
         raise EstimationError("every lambda grid point produced an empty null set")
-    idx = counts[valid] - 1
-    theta = prefix[idx] / counts[valid, None]
+    theta = prefix / counts[valid, None]
     deviances[valid] = np.sum(theta ** 2, axis=1)
 
     valid_dev = deviances[valid]
@@ -101,3 +104,25 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
         m=int(m),
         flat=flat,
     )
+
+
+def _prefix_rows(m: int, u: np.ndarray, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (ascending) of ``np.cumsum(basis_matrix(m, u[order]), axis=0)``.
+
+    The basis is built one chunk at a time below a carry row that holds the
+    sum so far, so a cumsum down the chunk adds in the same sequence as the
+    cumsum over all N rows and every row is bit-identical to it.
+    """
+    n = order.size
+    out = np.empty((rows.size, m))
+    buf = np.empty((min(n, _SCAN_CHUNK) + 1, m))
+    buf[0] = -0.0  # -0.0 + x is x for every x, signed zeros included
+    for start in range(0, n, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, n)
+        block = buf[: stop - start + 1]
+        basis_matrix(m, u[order[start:stop]], out=block[1:])
+        np.cumsum(block, axis=0, out=block)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        out[lo:hi] = block[rows[lo:hi] - start + 1]
+        buf[0] = block[-1]
+    return out

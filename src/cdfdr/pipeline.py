@@ -252,6 +252,14 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
 
     u = step("step 1 (rank-null transform)", lambda: to_pvalues(data, null_spec, mode))
     fit = step("step 2 (beta fit)", lambda: fit_beta_mle(u))
+    if mode == "two_sided" and fit.beta < 1.0:
+        warnings.warn(
+            f"step 2 (beta fit): two-sided p-values fit alpha = {fit.alpha:.6g}, "
+            f"beta = {fit.beta:.6g} < 1; the fitted density diverges at u = 1, the "
+            "null end, so the most null-looking cases can be reported as signal",
+            UserWarning,
+            stacklevel=2,
+        )
     v = step("step 3 (smooth p-values)", lambda: smooth_pvalues(u, fit))
     coeffs = step("step 4 (series density)", lambda: score_coefficients(v, m_density))
     cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs, floor=floor)
@@ -283,8 +291,25 @@ def local_fdr_many(model: CdfrModel, t, cap: bool = True) -> np.ndarray:
     density dips below pi0; with ``cap=True`` (the reporting default) values
     are capped at 1.0.  Pass ``cap=False`` for the raw audit values.
     """
-    d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+    _, d = _fdr_inputs(model, t)
     return capped_fdr(model.pi0, d) if cap else model.pi0 / d
+
+
+def _fdr_inputs(model: CdfrModel, t) -> tuple[np.ndarray, np.ndarray]:
+    """p-values u(t) and floored densities d(u(t)) at the query ``t``.
+
+    A query equal bit for bit to the fitted data (the statistics, or the
+    p-values for a ``precomputed_pvalues`` null) reads the model's stored
+    ``pvalues`` and ``d_hat``, which hold exactly what a fresh evaluation
+    returns; any other query is transformed and evaluated afresh.
+    """
+    fitted = model.pvalues if model.null_spec.kind == "precomputed_pvalues" else model.stats
+    q = np.asarray(t, dtype=float)
+    if (fitted is not None and model.d_hat is not None and q.shape == fitted.shape
+            and np.array_equal(q.view(np.uint64), fitted.view(np.uint64))):
+        return model.pvalues, model.d_hat
+    u = u_of_t_many(model, q)
+    return u, eval_comparison_density_many(model.cd_model, u)
 
 
 def capped_fdr(pi0: float, d_hat) -> np.ndarray:
@@ -332,9 +357,9 @@ def integrate_nonnull_density(model: CdfrModel) -> float:
 def discoveries(model: CdfrModel, stats, threshold: float = 0.2) -> DiscoveryReport:
     """Cases with estimated fdr at or below the threshold (:func:`select_discoveries`)."""
     stats = np.asarray(stats, dtype=float).ravel()
-    u = u_of_t_many(model, stats)
-    fdr = capped_fdr(model.pi0, eval_comparison_density_many(model.cd_model, u))
-    return select_discoveries(stats, u, fdr, model.null_spec.median(), threshold)
+    u, d = _fdr_inputs(model, stats)
+    return select_discoveries(stats, u, capped_fdr(model.pi0, d), model.null_spec.median(),
+                              threshold)
 
 
 def select_discoveries(stats, pvalues, fdr, median: float, threshold: float) -> DiscoveryReport:

@@ -58,6 +58,31 @@ class TestConsistency:
             assert np.array_equal(mat[i], basis_matrix(10, vi)[0])
 
 
+class TestFill:
+    def test_matches_column_stack_recurrence(self):
+        # The in-place fill performs the recurrence's operations in the same
+        # order as building each column and stacking them.
+        rng = np.random.Generator(np.random.Philox(13))
+        v = np.concatenate([[0.0, 0.5, 1.0], rng.random(997)])
+        x = 2.0 * v - 1.0
+        p_prev, p_cur, cols = np.ones_like(x), x.copy(), [x.copy()]
+        for k in range(1, M_MAX):
+            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+            cols.append(p_next)
+            p_prev, p_cur = p_cur, p_next
+        for m in range(1, M_MAX + 1):
+            expected = np.column_stack(cols[:m]) * np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+            assert np.array_equal(basis_matrix(m, v).view(np.uint64), expected.view(np.uint64))
+
+    def test_fills_out_view(self):
+        v = np.linspace(0.0, 1.0, 33)
+        buf = np.full((v.size + 1, 6), 7.0)
+        result = basis_matrix(6, v, out=buf[1:])
+        assert np.shares_memory(result, buf)
+        assert np.all(buf[0] == 7.0)
+        assert np.array_equal(buf[1:], basis_matrix(6, v))
+
+
 class TestOrthonormality:
     def test_gram_identity(self):
         # 64-point Gauss-Legendre is exact for polynomial degree <= 127,

@@ -6,7 +6,8 @@ import pytest
 from cdfdr.betafit import BetaFit
 from cdfdr.density import ComparisonDensityModel, CoefficientSet, eval_comparison_density_many
 from cdfdr.errors import DomainError, EstimationError
-from cdfdr.pi0 import estimate_pi0
+from cdfdr.legendre import basis_matrix
+from cdfdr.pi0 import _SCAN_CHUNK, estimate_pi0
 from cdfdr.pipeline import NullSpec, fit_cdfdr
 
 
@@ -21,6 +22,30 @@ def _unit_model():
 
 def _unit_density(u):
     return eval_comparison_density_many(_unit_model(), u)
+
+
+def _reference_path(u, dens, m):
+    """The scan over the whole N x m basis: lexsort, one cumsum, prefix rows."""
+    order = np.lexsort((u, dens))
+    prefix = np.cumsum(basis_matrix(m, u[order]), axis=0)
+    lambdas = 1.0 + 0.01 * np.arange(251)
+    counts = np.searchsorted(dens[order], lambdas, side="left")
+    deviances = np.full(lambdas.size, np.nan)
+    valid = counts > 0
+    theta = prefix[counts[valid] - 1] / counts[valid, None]
+    deviances[valid] = np.sum(theta ** 2, axis=1)
+    valid_dev = deviances[valid]
+    flat = bool(np.max(valid_dev) - np.min(valid_dev) <= 1e-12)
+    star = int(np.flatnonzero(valid)[0]) if flat else int(np.nanargmin(deviances))
+    return deviances, counts, float(lambdas[star]), float(counts[star]) / u.size, flat
+
+
+def _assert_matches_reference(u, dens, m):
+    path = estimate_pi0(u, dens, m=m)
+    deviances, counts, lambda_star, pi0_hat, flat = _reference_path(u, dens, m)
+    assert np.array_equal(path.deviances.view(np.uint64), deviances.view(np.uint64))
+    assert np.array_equal(path.n_lambda, counts)
+    assert (path.lambda_star, path.pi0_hat, path.flat) == (lambda_star, pi0_hat, flat)
 
 
 class TestAllNull:
@@ -112,6 +137,36 @@ class TestInvariants:
         # Tie-break toward the smallest lambda.
         earlier = path.deviances[:star]
         assert not np.any(earlier[~np.isnan(earlier)] <= path.deviances[star])
+
+
+class TestChunkedScan:
+    """The scan builds its basis in chunks; the result equals the whole-array scan bit for bit."""
+
+    @pytest.mark.parametrize("n", [_SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1,
+                                   2 * _SCAN_CHUNK + 7])
+    @pytest.mark.parametrize("m", [1, 10, 16])
+    def test_matches_whole_array_scan(self, n, m):
+        # Rounded values give ties in both sort keys.
+        rng = np.random.Generator(np.random.Philox(n + m))
+        u = np.round(np.concatenate([rng.random(n - n // 10), rng.beta(0.3, 1.0, n // 10)]), 4)
+        dens = np.round(np.where(u < 0.1, 4.0 - 25.0 * u, 0.8 + 0.4 * rng.random(n)), 3)
+        _assert_matches_reference(u, dens, m)
+
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_prefix_rows_on_chunk_boundaries(self, m):
+        # Density levels put 1, C, C + 1 and 2C cases below successive lambdas
+        # (C the chunk size), so the needed prefix rows are the first and the
+        # last row of a chunk.
+        n = 2 * _SCAN_CHUNK + 7
+        rng = np.random.Generator(np.random.Philox(97))
+        rank = rng.permutation(n)
+        dens = np.select(
+            [rank == 0, rank < _SCAN_CHUNK, rank == _SCAN_CHUNK, rank < 2 * _SCAN_CHUNK],
+            [1.05, 1.2, 1.5, 1.7], 3.0)
+        u = rng.random(n)
+        path = estimate_pi0(u, dens, m=m)
+        assert {1, _SCAN_CHUNK, _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK, n} <= set(path.n_lambda.tolist())
+        _assert_matches_reference(u, dens, m)
 
 
 class TestErrors:

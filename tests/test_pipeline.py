@@ -1,11 +1,14 @@
 """Pipeline orchestration: transforms, fitting, fdr evaluation, discoveries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+import cdfdr.betafit
+import cdfdr.density
 from cdfdr.betafit import BetaFit
 from cdfdr.density import (
     ComparisonDensityModel,
@@ -22,6 +25,7 @@ from cdfdr.errors import (
 from cdfdr.pi0 import DeviancePath
 from cdfdr.pipeline import (
     CdfrModel,
+    DiscoveryRecord,
     NullSpec,
     capped_fdr,
     discoveries,
@@ -300,6 +304,143 @@ class TestLocalFdr:
         low = fdr < 0.2
         assert np.all(low[d > 5.0])
         assert np.all(d[low] > 4.75)
+
+
+def _fit_mode(mode, stats):
+    """Model and fitted data for a pit, two_sided or precomputed fit of ``stats``."""
+    if mode == "precomputed":
+        data = to_pvalues(stats, NullSpec.standard_normal(), "two_sided")
+        return fit_cdfdr(data, NullSpec.precomputed()), data
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "step 2 \\(beta fit\\)")
+        return fit_cdfdr(stats, NullSpec.standard_normal(), mode=mode), stats
+
+
+def _fresh(model, query):
+    """u and floored d at ``query``, evaluated through the transform and the density."""
+    u = to_pvalues(query, model.null_spec, model.transform_mode)
+    return u, eval_comparison_density_many(model.cd_model, u)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _records(stats, u, fdr, threshold=0.2):
+    return [DiscoveryRecord(int(i), float(stats[i]), float(u[i]), float(fdr[i]))
+            for i in np.flatnonzero(fdr <= threshold)]
+
+
+@pytest.fixture
+def density_calls(monkeypatch):
+    """Counts calls into the smooth p-value map and the incomplete beta."""
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cdfdr.density, "smooth_pvalues")
+    counting(cdfdr.betafit, "beta_cdf_many")
+    return calls
+
+
+MODES = ["pit", "two_sided", "precomputed"]
+
+
+class TestStoredArrays:
+    """fdr and discoveries at the fitted statistics read the model's stored arrays."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fitted_data_matches_fresh_evaluation(self, mode):
+        model, data = _fit_mode(mode, _two_sided_mixture(67))
+        u, d = _fresh(model, data)
+        fdr = capped_fdr(model.pi0, d)
+        for query in (data, data.copy(), list(data)):
+            assert np.array_equal(_bits(local_fdr_many(model, query)), _bits(fdr))
+            assert np.array_equal(_bits(local_fdr_many(model, query, cap=False)),
+                                  _bits(model.pi0 / d))
+            report = discoveries(model, query)
+            assert report.n_discoveries > 0
+            assert repr(report.records) == repr(_records(data, u, fdr))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fitted_data_makes_no_density_calls(self, mode, density_calls):
+        model, data = _fit_mode(mode, _two_sided_mixture(71))
+        fitted = model.pvalues if mode == "precomputed" else model.stats
+        density_calls.clear()
+        local_fdr_many(model, fitted)
+        local_fdr_many(model, data.copy(), cap=False)
+        discoveries(model, fitted)
+        assert density_calls == []
+        local_fdr_many(model, fitted[::-1])
+        assert density_calls
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_permutation_takes_fresh_path(self, mode, density_calls):
+        model, data = _fit_mode(mode, _two_sided_mixture(73))
+        u, d = _fresh(model, data)
+        fdr = capped_fdr(model.pi0, d)
+        perm = np.random.Generator(np.random.Philox(5)).permutation(data.size)
+        density_calls.clear()
+        assert np.array_equal(_bits(local_fdr_many(model, data[perm])), _bits(fdr[perm]))
+        assert density_calls
+        report = discoveries(model, data[perm])
+        assert repr(report.records) == repr(_records(data[perm], u[perm], fdr[perm]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_signed_zero_takes_fresh_path(self, mode, density_calls):
+        # -0.0 equals 0.0 under ==, so only a bitwise comparison sends this
+        # query down the fresh path.
+        stats = _two_sided_mixture(79)
+        if mode == "precomputed":
+            data = to_pvalues(stats, NullSpec.standard_normal(), "two_sided")
+            data[3] = 0.0
+            model = fit_cdfdr(data, NullSpec.precomputed())
+        else:
+            stats[3] = 0.0
+            model, data = _fit_mode(mode, stats)
+        query = data.copy()
+        query[3] = -0.0
+        assert np.array_equal(query, data)
+        assert not np.array_equal(_bits(query), _bits(data))
+        u, d = _fresh(model, query)
+        density_calls.clear()
+        assert np.array_equal(_bits(local_fdr_many(model, query)),
+                              _bits(capped_fdr(model.pi0, d)))
+        assert density_calls
+        assert repr(discoveries(model, query).records) == repr(
+            _records(query, u, capped_fdr(model.pi0, d)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_query_still_raises(self, mode, bad):
+        model, data = _fit_mode(mode, _two_sided_mixture(83))
+        query = data.copy()
+        query[7] = bad
+        with pytest.raises(ConfigError):
+            local_fdr_many(model, query)
+        with pytest.raises(ConfigError):
+            discoveries(model, query)
+
+
+class TestTwoSidedBetaWarning:
+    def test_beta_below_one_warns_at_step_2(self):
+        with pytest.warns(UserWarning, match=r"^step 2 \(beta fit\).*alpha = .*beta = .*< 1"):
+            model = fit_cdfdr(_two_sided_mixture(89), NullSpec.standard_normal(),
+                              mode="two_sided")
+        assert model.beta_fit.beta < 1.0
+
+    def test_pit_fit_does_not_warn(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_cdfdr(_two_sided_mixture(89), NullSpec.standard_normal())
+        assert not [w for w in caught if str(w.message).startswith("step 2")]
 
 
 class TestNonnullDensity:
