@@ -18,13 +18,14 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
 
 from .betafit import smooth_pvalues
-from .density import assemble_comparison_density, clipped_measure, integrate_comparison_density
+from .density import assemble_comparison_density, clipped_measure
 from .errors import (
     CdfdrError,
     ConfigError,
@@ -63,18 +64,8 @@ def _float_text(values) -> list[str]:
     return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
 
 
-class _Column:
-    """A float column rendered to text once, for both the JSON report and the CSV."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.text = _float_text(self.values)
-
-
 def _default(obj):
-    """JSON form of columns and numpy arrays and scalars; numpy floats already encode as floats."""
-    if isinstance(obj, _Column):
-        obj = obj.values
+    """JSON form of numpy arrays and scalars; numpy floats already encode as floats."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -83,14 +74,15 @@ def _default(obj):
 def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=1, default=_default)``, nested ``len(pad)`` levels deep.
 
-    Dicts with string keys, lists of strings and columns are joined here;
-    everything else is left to ``json.dumps``.  ``json`` writes non-finite
-    floats as ``NaN``/``Infinity`` where ``repr`` writes ``nan``/``inf``, so a
-    column holding one is left to ``json.dumps`` too.
+    Dicts with string keys, lists of strings and 1-d float64 arrays are joined
+    here; everything else is left to ``json.dumps``.  ``json`` writes
+    non-finite floats as ``NaN``/``Infinity`` where ``repr`` writes
+    ``nan``/``inf``, so an array holding one is left to ``json.dumps`` too.
     """
     inner = pad + " "
-    if isinstance(value, _Column) and value.values.size and np.isfinite(value.values).all():
-        brackets, items = "[]", value.text
+    if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
+            and value.size and np.isfinite(value).all()):
+        brackets, items = "[]", _float_text(value)
     elif type(value) is list and set(map(type, value)) == {str}:
         brackets, items = "[]", map(encode_basestring_ascii, value)
     elif type(value) is dict and value and all(type(key) is str for key in value):
@@ -257,20 +249,19 @@ def _prepare_model(args) -> tuple[list[str], CdfrModel]:
     return ids, model
 
 
-def _curve_columns(model: CdfrModel, cases: dict) -> list[list[str]]:
-    """Text of the t, u, v, d_hat, fdr curves: the evaluation grid, then the cases."""
+def _curve_columns(model: CdfrModel) -> list[list[str]]:
+    """Text of the t, u, v, d_hat, fdr curves on the 401-point evaluation grid."""
     if model.stats is not None:
         t_grid = np.linspace(float(np.min(model.stats)), float(np.max(model.stats)), 401)
         u_grid = to_pvalues(t_grid, model.null_spec, model.transform_mode)
-        t_text = _float_text(t_grid) + cases["stat"].text
+        t_text = _float_text(t_grid)
     else:
         u_grid = np.linspace(0.0, 1.0, 403)[1:-1]
-        t_text = [""] * (u_grid.size + model.pvalues.size)
+        t_text = [""] * u_grid.size
     v_grid = smooth_pvalues(u_grid, model.beta_fit)
     d_grid = assemble_comparison_density(model.cd_model, u_grid, v_grid)
     fdr_grid = capped_fdr(model.pi0, d_grid)
-    grids = {"pvalue": u_grid, "smooth_pvalue": v_grid, "d_hat": d_grid, "fdr": fdr_grid}
-    return [t_text] + [_float_text(grid) + cases[key].text for key, grid in grids.items()]
+    return [t_text] + [_float_text(grid) for grid in (u_grid, v_grid, d_grid, fdr_grid)]
 
 
 def _config_echo(args, keys: list[str]) -> dict:
@@ -283,14 +274,6 @@ def cmd_fdr(args) -> int:
     coeffs = model.cd_model.coeffs
     path = model.deviance_path
     fdr = capped_fdr(model.pi0, model.d_hat)
-    cases = {
-        "id": list(ids),
-        "stat": None if model.stats is None else _Column(model.stats),
-        "pvalue": _Column(model.pvalues),
-        "smooth_pvalue": _Column(model.smooth),
-        "d_hat": _Column(model.d_hat),
-        "fdr": _Column(fdr),
-    }
     report_stats = model.pvalues if model.stats is None else model.stats
     disc = select_discoveries(report_stats, model.pvalues, fdr, model.null_spec.median(),
                               args.fdr_threshold)
@@ -339,15 +322,21 @@ def cmd_fdr(args) -> int:
                 for rec in disc.records
             ],
         },
-        "cases": cases,
+        "cases": {
+            "id": ids,
+            "stat": model.stats,
+            "pvalue": model.pvalues,
+            "smooth_pvalue": model.smooth,
+            "d_hat": model.d_hat,
+            "fdr": fdr,
+        },
         "diagnostics": {
             "clipped_measure": clipped_measure(model.cd_model),
-            "integral_d_hat": integrate_comparison_density(model.cd_model),
             "integral_f1": diag_f1,
         },
     }
     _write_json(args.out, report)
-    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_columns(model, cases))
+    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_columns(model))
     return 0
 
 
@@ -384,8 +373,7 @@ def cmd_simulate(args) -> int:
             replicates=args.replicates, seed=args.seed,
         )
     report = run_replicates(design, config)
-    curves = {key: _Column(getattr(report, key))
-              for key in ("grid", "true_fdr", "mean_fdr", "sd_fdr")}
+    curves = {key: getattr(report, key) for key in ("grid", "true_fdr", "mean_fdr", "sd_fdr")}
     payload = {
         "design": _config_echo(args, [
             "design", "mu", "pi0", "a", "n", "n_null",
@@ -404,7 +392,7 @@ def cmd_simulate(args) -> int:
         "failed_replicates": report.failed_replicates,
     }
     _write_json(args.out, payload)
-    _write_csv(args.curves, list(curves), [column.text for column in curves.values()])
+    _write_csv(args.curves, list(curves), list(map(_float_text, curves.values())))
     return 0
 
 
@@ -473,17 +461,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as the CLI prints its errors: its message, without source location."""
+    print(f"cdfdr: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"cdfdr: input error: {exc}", file=sys.stderr)
-        return 2
-    except CdfdrError as exc:
-        print(f"cdfdr: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            print(f"cdfdr: input error: {exc}", file=sys.stderr)
+            return 2
+        except CdfdrError as exc:
+            print(f"cdfdr: numerical failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

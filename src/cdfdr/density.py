@@ -107,7 +107,7 @@ def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.all(coeffs.theta_hat == 0.0):
         return np.ones_like(v)
-    return 1.0 + basis_matrix(coeffs.m, v) @ coeffs.theta_hat
+    return 1.0 + (basis_matrix(coeffs.m, v.ravel()) @ coeffs.theta_hat).reshape(v.shape)
 
 
 def comparison_density_raw_many(model: ComparisonDensityModel, u) -> np.ndarray:

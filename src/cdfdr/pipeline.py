@@ -17,7 +17,6 @@ import numpy as np
 from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
-    DEFAULT_FLOOR,
     assemble_comparison_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
@@ -221,8 +220,7 @@ def u_of_t_many(model: CdfrModel, t) -> np.ndarray:
 
 
 def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
-              grid_step: float = 0.01, mode: str = "pit",
-              floor: float = DEFAULT_FLOOR) -> CdfrModel:
+              grid_step: float = 0.01, mode: str = "pit") -> CdfrModel:
     """Run the five fitting steps in order and assemble the model.
 
     ``data`` holds statistics (transformed through ``null_spec``) or, with a
@@ -262,7 +260,7 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
         )
     v = step("step 3 (smooth p-values)", lambda: smooth_pvalues(u, fit))
     coeffs = step("step 4 (series density)", lambda: score_coefficients(v, m_density))
-    cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs, floor=floor)
+    cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
     d_hat = assemble_comparison_density(cd_model, u, v)
     path = step("step 5 (pi0 estimation)",
                 lambda: estimate_pi0(u, d_hat, m=m_mdc, grid_step=grid_step))

@@ -94,7 +94,6 @@ class EstimatorConfig:
     m_density: int = 6
     m_mdc: int = 10
     grid_step: float = 0.01
-    floor: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def _run_one(args) -> tuple[int, np.ndarray | None, float | None, str | None]:
         else:
             data, null_spec = gen_mixture_uniform(design, replicate), NullSpec.precomputed()
         model = fit_cdfdr(data, null_spec, m_density=config.m_density, m_mdc=config.m_mdc,
-                          grid_step=config.grid_step, floor=config.floor)
+                          grid_step=config.grid_step)
         fdr = local_fdr_many(model, grid)
         return replicate, fdr, model.pi0, None
     except CdfdrError as exc:

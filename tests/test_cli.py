@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfdr.cli import (
-    _Column,
     _default,
     _json_text,
     _parse_rows,
@@ -159,7 +158,6 @@ class TestFdrCommand:
         cases = report["cases"]
         for key in ("id", "stat", "pvalue", "smooth_pvalue", "d_hat", "fdr"):
             assert len(cases[key]) == stats.size
-        assert report["diagnostics"]["integral_d_hat"] == pytest.approx(1.0, abs=1e-4)
 
     def test_discoveries_follow_case_fdr(self, mixture_csv, tmp_path):
         csv_path, _ = mixture_csv
@@ -180,8 +178,9 @@ class TestFdrCommand:
         assert "\r" not in text
         lines = text.strip().split("\n")
         assert lines[0] == "t,u,v,d_hat,fdr"
-        assert len(lines) == 1 + 401 + stats.size
-        # Recomputing fdr from (pvalue, serialized parameters) must agree.
+        assert len(lines) == 1 + 401
+        # Recomputing fdr from (pvalue, serialized parameters) must agree, at
+        # both ends of the curve grid and at the last cases of the report.
         from cdfdr.betafit import BetaFit
         from cdfdr.density import (
             ComparisonDensityModel,
@@ -204,10 +203,13 @@ class TestFdrCommand:
         )
         model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
         pi0 = report["pi0"]["pi0_hat"]
-        for line in lines[1:50] + lines[-50:]:
-            _, u_text, _, _, fdr_text = line.split(",")
-            recomputed = min(1.0, pi0 / eval_comparison_density(model, float(u_text)))
-            assert recomputed == pytest.approx(float(fdr_text), abs=1e-9)
+        grid = [line.split(",") for line in lines[1:50] + lines[-50:]]
+        cases = report["cases"]
+        points = [(u, fdr) for _, u, _, _, fdr in grid]
+        points += zip(cases["pvalue"][-50:], cases["fdr"][-50:])
+        for u, fdr in points:
+            recomputed = min(1.0, pi0 / eval_comparison_density(model, float(u)))
+            assert recomputed == pytest.approx(float(fdr), abs=1e-9)
 
     def test_determinism_byte_identical(self, mixture_csv, tmp_path):
         csv_path, _ = mixture_csv
@@ -288,6 +290,19 @@ class TestFdrCommand:
             "--curves", str(tmp_path / "c.csv"),
         ])
         assert code == 2
+
+    def test_warning_prints_message_only(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.Philox(7))
+        signs = np.where(rng.random(500) < 0.5, -1.0, 1.0)
+        stats = np.concatenate([rng.normal(0.0, 1.0, 4500),
+                                signs * 3.0 + rng.normal(0.0, 1.0, 500) + rng.normal(0.0, 1.0, 500)])
+        path = tmp_path / "two_sided.csv"
+        _write_stats_csv(path, stats)
+        code, _, _ = self._run(path, tmp_path, ["--transform", "two-sided"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith("cdfdr: warning: step 2 (beta fit)")
+        assert "cli.py" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--null", "normal:nan,1"],
@@ -374,7 +389,7 @@ _scalars = (
 _floats = st.lists(st.floats(), max_size=6)
 _json_values = st.recursive(
     _scalars
-    | _floats.map(np.array) | _floats.map(_Column)
+    | _floats.map(np.array)
     | st.lists(st.text(alphabet="a\u00e9\u4e2d\"\\\n\x00", max_size=5), max_size=5),
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(st.text(max_size=4), children, max_size=4)),

@@ -429,6 +429,23 @@ class TestStoredArrays:
             discoveries(model, query)
 
 
+class TestQueryShape:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [(6, 1), (2, 3), (1, 6)])
+    def test_keeps_shape_and_values(self, mode, shape):
+        model, data = _fit_mode(mode, _two_sided_mixture(97))
+        flat = data[:6]
+        query = flat.reshape(shape)
+        for cap in (True, False):
+            out = local_fdr_many(model, query, cap=cap)
+            assert out.shape == shape
+            assert np.array_equal(_bits(out), _bits(local_fdr_many(model, flat, cap=cap)).reshape(shape))
+        u = to_pvalues(query, model.null_spec, model.transform_mode)
+        d = eval_comparison_density_many(model.cd_model, u)
+        assert d.shape == shape
+        assert np.array_equal(_bits(d), _bits(_fresh(model, flat)[1]).reshape(shape))
+
+
 class TestTwoSidedBetaWarning:
     def test_beta_below_one_warns_at_step_2(self):
         with pytest.warns(UserWarning, match=r"^step 2 \(beta fit\).*alpha = .*beta = .*< 1"):
