@@ -5,8 +5,9 @@ serialized with shortest round-trip precision (up to 17 significant digits),
 decimal point and LF line endings regardless of locale, and every file is
 written to a temporary name and renamed, so failures leave no partial files.
 
-Exit codes: 0 success, 2 input/configuration error, 3 numerical failure
-(message carries the pipeline step label).
+Exit codes: 0 success, 2 input/configuration error (an output file that
+cannot be written included), 3 numerical failure (message carries the
+pipeline step label).
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _json_text(value, pad: str = "") -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=directory)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=directory)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; give it the mode open() would.  The
@@ -107,9 +109,11 @@ def _atomic_write(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
         raise
 
 
@@ -135,7 +139,8 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     if column not in ("stat", "pvalue"):
         raise ConfigError(f"column must be 'stat' or 'pvalue', got {column!r}")
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot open input file {path!r}: {exc}") from exc
     with handle:

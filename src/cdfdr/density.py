@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 1e-3
+_CLIP_GRID = 4096  # midpoints on which clipped_measure counts the clipped set
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,12 @@ class CoefficientSet:
 class ComparisonDensityModel:
     """Assembled beta-preflattened comparison-density estimate.
 
-    Immutable after construction; evaluation is pure.  ``floor`` is the
-    positive clip applied at evaluation time only.
+    Immutable after construction; evaluation is pure and clips at
+    ``DEFAULT_FLOOR``.
     """
 
     fit: BetaFit
     coeffs: CoefficientSet
-    floor: float = DEFAULT_FLOOR
 
 
 def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
@@ -140,13 +140,13 @@ def comparison_density_raw_reflected_many(model: ComparisonDensityModel, w) -> n
 
 
 def assemble_comparison_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
-    """Floored density max(floor, f_B(u) d(v)) given v = ``smooth_pvalues(u, model.fit)``.
+    """Floored density max(DEFAULT_FLOOR, f_B(u) d(v)) given v = ``smooth_pvalues(u, model.fit)``.
 
     u is clamped as there; a fit that holds v needs no second incomplete beta.
     """
     uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
     fb = beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
-    return np.maximum(model.floor, fb * eval_smooth_density_many(model.coeffs, v))
+    return np.maximum(DEFAULT_FLOOR, fb * eval_smooth_density_many(model.coeffs, v))
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:
@@ -185,11 +185,11 @@ def integrate_comparison_density(model: ComparisonDensityModel) -> float:
     )
 
 
-def clipped_measure(model: ComparisonDensityModel, grid_size: int = 4096) -> float:
-    """Lebesgue measure of {u : raw density < floor}, on a midpoint grid.
+def clipped_measure(model: ComparisonDensityModel) -> float:
+    """Lebesgue measure of {u : raw density < DEFAULT_FLOOR}, on a midpoint grid.
 
-    Diagnostic-grade accuracy (resolution 1/grid_size); deterministic.
+    Diagnostic-grade accuracy (resolution 1/4096); deterministic.
     """
-    u = (np.arange(grid_size) + 0.5) / grid_size
+    u = (np.arange(_CLIP_GRID) + 0.5) / _CLIP_GRID
     raw = comparison_density_raw_many(model, u)
-    return float(np.mean(raw < model.floor))
+    return float(np.mean(raw < DEFAULT_FLOOR))

@@ -20,6 +20,8 @@ __all__ = ["DeviancePath", "estimate_pi0"]
 
 _FLAT_TOL = 1e-12
 
+_LAMBDA_MIN, _LAMBDA_MAX = 1.0, 3.5  # the density levels the scan covers
+
 # Rows of the basis the scan builds at a time, so its memory does not grow
 # with the number of p-values.
 _SCAN_CHUNK = 32_768
@@ -44,8 +46,7 @@ class DeviancePath:
     flat: bool
 
 
-def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
-                 lambda_min: float = 1.0, lambda_max: float = 3.5) -> DeviancePath:
+def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> DeviancePath:
     """Minimum-deviance estimate of the true-null proportion.
 
     ``density`` holds the floored comparison density at each p-value, as
@@ -56,7 +57,7 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
     """
     if not 1 <= int(m) <= M_MAX:
         raise DomainError(f"m must lie in [1, {M_MAX}], got {m}")
-    if not 0.0 < grid_step <= lambda_max - lambda_min:
+    if not 0.0 < grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
         raise DomainError(f"invalid grid step {grid_step!r}")
     u = np.asarray(pvalues, dtype=float).ravel()
     if u.size == 0:
@@ -70,8 +71,8 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01,
     # every deviance, invariant under permutation of the input.
     order = np.lexsort((u, dens))
 
-    n_grid = int(round((lambda_max - lambda_min) / grid_step)) + 1
-    lambdas = lambda_min + grid_step * np.arange(n_grid)
+    n_grid = int(round((_LAMBDA_MAX - _LAMBDA_MIN) / grid_step)) + 1
+    lambdas = _LAMBDA_MIN + grid_step * np.arange(n_grid)
     counts = np.searchsorted(dens[order], lambdas, side="left")
     deviances = np.full(n_grid, np.nan)
     n_lambda = counts.astype(int)

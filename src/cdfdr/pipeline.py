@@ -68,9 +68,9 @@ _QUANTILE_CLAMP = 1e-15
 class NullSpec:
     """Null model used for the rank-null transformation.
 
-    ``kind`` is one of ``standard_normal``, ``normal`` (with mu0/sigma0),
-    ``student_t`` (with df), or ``precomputed_pvalues`` (inputs are already
-    p-values and bypass the transform).
+    ``kind`` is one of ``normal`` (with mu0/sigma0), ``student_t`` (with
+    df), or ``precomputed_pvalues`` (inputs are already p-values and bypass
+    the transform).  :meth:`standard_normal` is ``normal(0.0, 1.0)``.
     """
 
     kind: str
@@ -79,7 +79,7 @@ class NullSpec:
     df: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("standard_normal", "normal", "student_t", "precomputed_pvalues"):
+        if self.kind not in ("normal", "student_t", "precomputed_pvalues"):
             raise ConfigError(f"unknown null kind {self.kind!r}")
         if not (math.isfinite(self.mu0) and math.isfinite(self.sigma0)):
             raise ConfigError(f"mu0 and sigma0 must be finite, got {self.mu0!r}, {self.sigma0!r}")
@@ -91,7 +91,7 @@ class NullSpec:
 
     @staticmethod
     def standard_normal() -> "NullSpec":
-        return NullSpec(kind="standard_normal")
+        return NullSpec.normal(0.0, 1.0)
 
     @staticmethod
     def normal(mu0: float, sigma0: float) -> "NullSpec":
@@ -106,8 +106,6 @@ class NullSpec:
         return NullSpec(kind="precomputed_pvalues")
 
     def pdf(self, t: float) -> float:
-        if self.kind == "standard_normal":
-            return normal_pdf(t)
         if self.kind == "normal":
             return normal_pdf((t - self.mu0) / self.sigma0) / self.sigma0
         if self.kind == "student_t":
@@ -128,8 +126,6 @@ class NullSpec:
             return student_t_cdf_many(t, self.df)
         if self.kind == "normal":
             return normal_cdf_many((np.asarray(t, dtype=float) - self.mu0) / self.sigma0)
-        if self.kind == "standard_normal":
-            return normal_cdf_many(t)
         raise ConfigError("precomputed_pvalues null has no distribution function")
 
 

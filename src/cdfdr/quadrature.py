@@ -26,11 +26,15 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=8)
-def _half_panel_points(depth: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+_ORDER = 32  # Gauss-Legendre points per panel
+_DEPTH = 256  # dyadic panels toward each endpoint; the innermost is (0, 2**-256]
+
+
+@lru_cache(maxsize=2)
+def _half_panel_points(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights covering (0, 1/2] with dyadic grading."""
     breaks = np.array([0.0] + [2.0 ** -k for k in range(depth, 0, -1)])
-    nodes, weights = gauss_legendre(order)
+    nodes, weights = gauss_legendre(_ORDER)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     halves = 0.5 * (breaks[1:] - breaks[:-1])
     points = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
@@ -39,8 +43,7 @@ def _half_panel_points(depth: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_unit(f: Callable[[np.ndarray], np.ndarray],
-                   f_reflected: Callable[[np.ndarray], np.ndarray] | None = None,
-                   *, order: int = 32, depth: int = 256) -> float:
+                   f_reflected: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Integrate f over (0, 1) with full grading toward both endpoints.
 
     ``f_reflected(w)`` must equal f(1 - w) for w in (0, 1/2], computed
@@ -51,14 +54,14 @@ def integrate_unit(f: Callable[[np.ndarray], np.ndarray],
 
     Evaluation is batched: each callable receives one array of all nodes.
     """
-    points, weights = _half_panel_points(depth, order)
+    points, weights = _half_panel_points(_DEPTH)
     total = float(np.sum(weights * np.asarray(f(points), dtype=float)))
     if f_reflected is None:
         # Only nodes with w >= 2**-53 keep 1 - w strictly below 1.0, so the
         # innermost panel is dropped; its mass (~(2**-53)**p for a (1-u)**-q
         # integrand, p = 1 - q) is the documented resolution limit here.
-        r_points, r_weights = _half_panel_points(min(depth, 53), order)
-        r_points, r_weights = r_points[order:], r_weights[order:]
+        r_points, r_weights = _half_panel_points(53)
+        r_points, r_weights = r_points[_ORDER:], r_weights[_ORDER:]
         total += float(np.sum(
             r_weights * np.asarray(f(1.0 - r_points), dtype=float)
         ))

@@ -83,6 +83,18 @@ class TestInputTable:
         with pytest.raises(InputError, match="row 1"):
             read_input_table(str(path), "stat")
 
+    @pytest.mark.parametrize("text,ids", [
+        ("id,stat\na,1.5\nb,-0.25\n", ["a", "b"]),
+        ("stat\n1.5\n-0.25\n", ["1", "2"]),
+    ], ids=["id_stat", "stat_only"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, ids):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        got_ids, values = read_input_table(str(path), "stat")
+        assert got_ids == ids
+        assert values.tolist() == [1.5, -0.25]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("id,zscore\na,1.0\n", encoding="utf-8")
@@ -281,6 +293,19 @@ class TestFdrCommand:
             main(["fdr", "--input", str(csv_path), "--column", "stat",
                   "--frobnicate", "--out", "x", "--curves", "y"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("target", ["out", "curves"])
+    def test_unwritable_output_exits_2(self, mixture_csv, tmp_path, capsys, target):
+        csv_path, _ = mixture_csv
+        paths = {"out": tmp_path / "r.json", "curves": tmp_path / "c.csv"}
+        paths[target] = tmp_path / "missing" / "x.out"
+        code = main(["fdr", "--input", str(csv_path), "--column", "stat",
+                     "--out", str(paths["out"]), "--curves", str(paths["curves"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cdfdr: input error: cannot write output file")
+        assert str(paths[target]) in err and ".cdfdr-" not in err
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".cdfdr-")]
 
     def test_bad_null_spec_exits_2(self, mixture_csv, tmp_path):
         csv_path, _ = mixture_csv

@@ -8,6 +8,7 @@ from scipy import integrate as sp_integrate
 
 from cdfdr.betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from cdfdr.density import (
+    DEFAULT_FLOOR,
     ComparisonDensityModel,
     CoefficientSet,
     clipped_measure,
@@ -37,10 +38,8 @@ def _manual_coeffs(theta_hat, n=1000):
     )
 
 
-def _manual_model(alpha, beta, theta_hat, floor=1e-3):
-    return ComparisonDensityModel(
-        fit=_manual_fit(alpha, beta), coeffs=_manual_coeffs(theta_hat), floor=floor
-    )
+def _manual_model(alpha, beta, theta_hat):
+    return ComparisonDensityModel(fit=_manual_fit(alpha, beta), coeffs=_manual_coeffs(theta_hat))
 
 
 class TestScoreCoefficients:
@@ -188,8 +187,8 @@ class TestComparisonDensityEval:
         # a set of positive measure; evaluation must clip at the floor.
         model = _manual_model(1.0, 1.0, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         values = eval_comparison_density_many(model, np.linspace(0.01, 0.99, 99))
-        assert np.min(values) == model.floor
-        assert np.all(values >= model.floor)
+        assert np.min(values) == DEFAULT_FLOOR
+        assert np.all(values >= DEFAULT_FLOOR)
         assert clipped_measure(model) > 0.1
 
     def test_clipped_measure_zero_for_positive_model(self):
@@ -259,4 +258,4 @@ class TestReconstructDensity:
         model = _manual_model(1.0, 1.0, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         for x in np.linspace(-4.0, 4.0, 17):
             assert reconstruct_density(normal_pdf, normal_cdf, model, x) >= \
-                model.floor * normal_pdf(x)
+                DEFAULT_FLOOR * normal_pdf(x)

@@ -127,6 +127,9 @@ class TestInvariants:
         assert path.lambdas[0] == 1.0
         assert path.lambdas[-1] == pytest.approx(3.5)
         assert np.all(np.diff(path.lambdas) > 0.0)
+        # The level range is the paper's, not a parameter.
+        with pytest.raises(TypeError):
+            estimate_pi0(u, _unit_density(u), lambda_max=4.0)
 
     def test_lambda_star_attains_minimum(self):
         rng = np.random.Generator(np.random.Philox(43))
@@ -189,6 +192,8 @@ class TestErrors:
             estimate_pi0(u, _unit_density(u), m=17)
         with pytest.raises(DomainError):
             estimate_pi0(u, _unit_density(u), grid_step=0.0)
+        with pytest.raises(DomainError):
+            estimate_pi0(u, _unit_density(u), grid_step=2.6)
 
     def test_density_length_must_match(self):
         u = np.full(100, 0.5)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 from scipy import stats as sp_stats
 
 import cdfdr.betafit
@@ -13,6 +14,7 @@ from cdfdr.betafit import BetaFit
 from cdfdr.density import (
     ComparisonDensityModel,
     CoefficientSet,
+    comparison_density_raw_many,
     eval_comparison_density,
     eval_comparison_density_many,
 )
@@ -37,6 +39,7 @@ from cdfdr.pipeline import (
     to_pvalues,
     u_of_t_many,
 )
+from cdfdr.special import normal_cdf_many
 
 
 def _two_sided_mixture(seed, n_null=4500, n_signal=500, mu=3.0):
@@ -79,6 +82,14 @@ class TestNullSpec:
                       lambda: NullSpec.student_t(math.inf)):
             with pytest.raises(ConfigError, match="finite"):
                 build()
+
+    def test_standard_normal_is_unit_normal(self):
+        assert NullSpec.standard_normal() == NullSpec.normal(0.0, 1.0)
+        with pytest.raises(ConfigError):
+            NullSpec(kind="standard_normal")
+        t = np.array([-0.0, 0.0, -37.5, -1e-300, 2.5, 40.0])
+        got = NullSpec.standard_normal().cdf_many(t)
+        assert np.array_equal(got.view(np.uint64), normal_cdf_many(t).view(np.uint64))
 
     def test_cdf_dispatch(self):
         assert NullSpec.standard_normal().cdf_many(np.array([0.0]))[0] == 0.5
@@ -495,6 +506,22 @@ class TestNonnullDensity:
         f1 = np.array([nonnull_density(model, zi) for zi in z])
         assert total == pytest.approx(np.trapezoid(f1, z), abs=5e-3)
         assert total >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("alpha,beta,theta", [
+        # f_B diverges at both endpoints.  The series is negative at both in
+        # the first model, so the raw density runs to -inf there; it is
+        # positive at both in the second, so the raw density runs to +inf.
+        (0.6, 0.6, [0.0, -0.6, 0.0, 0.0, 0.0, 0.0]),
+        (0.8, 0.5, [0.1, -0.05, 0.0, 0.02, 0.0, 0.0]),
+    ])
+    def test_integral_against_scipy_near_diverging_endpoints(self, alpha, beta, theta):
+        model = _manual_cdfr_model(0.9, theta, alpha=alpha, beta=beta)
+        oracle, _ = sp_integrate.quad(
+            lambda u: max(0.0, float(comparison_density_raw_many(
+                model.cd_model, np.array([u]))[0]) - 0.9),
+            0.0, 1.0, limit=200,
+        )
+        assert integrate_nonnull_density(model) == pytest.approx(oracle / 0.1, abs=1e-4)
 
     @pytest.mark.xfail(
         strict=True,
