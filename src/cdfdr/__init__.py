@@ -34,7 +34,6 @@ from .legendre import M_MAX, basis_matrix
 from .pi0 import DeviancePath, estimate_pi0
 from .pipeline import (
     CdfrModel,
-    DiscoveryRecord,
     DiscoveryReport,
     NullSpec,
     discoveries,

@@ -2,8 +2,9 @@
 
 Outputs are a structured JSON report plus plot-ready CSV curves.  Floats are
 serialized with shortest round-trip precision (up to 17 significant digits),
-decimal point and LF line endings regardless of locale, and every file is
-written to a temporary name and renamed, so failures leave no partial files.
+decimal point and LF line endings regardless of locale.  Both output files
+are written to temporary names and renamed only once both are written, so a
+failed run leaves neither a partial file nor one of the pair.
 
 Exit codes: 0 success, 2 input/configuration error (an output file that
 cannot be written included), 3 numerical failure (message carries the
@@ -38,9 +39,9 @@ from .pipeline import (
     CdfrModel,
     NullSpec,
     capped_fdr,
+    discoveries,
     fit_cdfdr,
     integrate_nonnull_density,
-    select_discoveries,
     t_to_z,
     to_pvalues,
 )
@@ -96,34 +97,38 @@ def _json_text(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+def _write_outputs(args, payload: dict, header: list[str], columns: list[list[str]]) -> None:
+    """Write ``payload`` as JSON to ``args.out`` and the CSV of the equal-length
+    text ``columns`` (one line per row) to ``args.curves``: both or neither.
+
+    Both texts go to temporary files beside their targets before either is
+    renamed into place; any failure removes every temporary file.
+    """
+    outputs = [(args.out, _json_text(payload) + "\n"),
+               (args.curves, "\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))]
+    # mkstemp creates files 0600; give them the mode open() would.  The umask
+    # can only be read by setting it, so set the strictest meanwhile.
+    umask = os.umask(0o077)
+    os.umask(umask)
+    tmps: list[str] = []
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=directory)
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would.  The
-        # umask can only be read by setting it, so set the strictest meanwhile.
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            if os.path.isdir(path):  # else it fails at its rename, after the other is in place
+                raise ConfigError(f"cannot write output file {path!r}: Is a directory")
+            fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=os.path.dirname(os.path.abspath(path)))
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
         raise
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, _json_text(payload) + "\n")
-
-
-def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
-    """Write one line per row of the equal-length text ``columns``."""
-    _atomic_write(path, "\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +285,8 @@ def cmd_fdr(args) -> int:
     path = model.deviance_path
     fdr = capped_fdr(model.pi0, model.d_hat)
     report_stats = model.pvalues if model.stats is None else model.stats
-    disc = select_discoveries(report_stats, model.pvalues, fdr, model.null_spec.median(),
-                              args.fdr_threshold)
+    disc = discoveries(model, report_stats, args.fdr_threshold)
+    hits = disc.indices
     diag_f1 = None if model.pi0 >= 1.0 else integrate_nonnull_density(model)
     report = {
         "config": _config_echo(args, [
@@ -317,14 +322,10 @@ def cmd_fdr(args) -> int:
             "n_right": disc.n_right,
             "indices": disc.indices,
             "cases": [
-                {
-                    "index": rec.index,
-                    "id": ids[rec.index],
-                    "stat": rec.statistic,
-                    "pvalue": rec.pvalue,
-                    "fdr": rec.fdr,
-                }
-                for rec in disc.records
+                {"index": i, "id": ids[i], "stat": stat, "pvalue": pvalue, "fdr": case_fdr}
+                for i, stat, pvalue, case_fdr in zip(
+                    hits, report_stats[hits].tolist(), model.pvalues[hits].tolist(),
+                    fdr[hits].tolist())
             ],
         },
         "cases": {
@@ -340,21 +341,18 @@ def cmd_fdr(args) -> int:
             "integral_f1": diag_f1,
         },
     }
-    _write_json(args.out, report)
-    _write_csv(args.curves, ["t", "u", "v", "d_hat", "fdr"], _curve_columns(model))
+    _write_outputs(args, report, ["t", "u", "v", "d_hat", "fdr"], _curve_columns(model))
     return 0
 
 
 def cmd_pi0(args) -> int:
     _, model = _prepare_model(args)
     path = model.deviance_path
-    _write_json(args.out, {"lambda_star": path.lambda_star, "pi0_hat": path.pi0_hat})
     keep = path.n_lambda > 0
-    _write_csv(args.curves, ["lambda", "D_lambda", "n_lambda"], [
-        _float_text(path.lambdas[keep]),
-        _float_text(path.deviances[keep]),
-        list(map(str, path.n_lambda[keep].tolist())),
-    ])
+    columns = [_float_text(path.lambdas[keep]), _float_text(path.deviances[keep]),
+               list(map(str, path.n_lambda[keep].tolist()))]
+    _write_outputs(args, {"lambda_star": path.lambda_star, "pi0_hat": path.pi0_hat},
+                   ["lambda", "D_lambda", "n_lambda"], columns)
     return 0
 
 
@@ -396,8 +394,7 @@ def cmd_simulate(args) -> int:
         "n_replicates": report.n_replicates,
         "failed_replicates": report.failed_replicates,
     }
-    _write_json(args.out, payload)
-    _write_csv(args.curves, list(curves), list(map(_float_text, curves.values())))
+    _write_outputs(args, payload, list(curves), list(map(_float_text, curves.values())))
     return 0
 
 

@@ -105,8 +105,6 @@ def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
     May be negative; the floor applies downstream.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.all(coeffs.theta_hat == 0.0):
-        return np.ones_like(v)
     return 1.0 + (basis_matrix(coeffs.m, v.ravel()) @ coeffs.theta_hat).reshape(v.shape)
 
 

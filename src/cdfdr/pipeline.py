@@ -30,7 +30,8 @@ from .errors import (
     InsufficientDataError,
     PipelineError,
 )
-from .pi0 import DeviancePath, estimate_pi0
+from .legendre import M_MAX
+from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
     normal_cdf_many,
@@ -43,7 +44,6 @@ from .special import (
 __all__ = [
     "NullSpec",
     "CdfrModel",
-    "DiscoveryRecord",
     "DiscoveryReport",
     "TRANSFORM_MODES",
     "t_to_z",
@@ -55,7 +55,6 @@ __all__ = [
     "nonnull_density",
     "integrate_nonnull_density",
     "discoveries",
-    "select_discoveries",
 ]
 
 TRANSFORM_MODES = ("pit", "two_sided")
@@ -130,23 +129,21 @@ class NullSpec:
 
 
 @dataclass(frozen=True)
-class DiscoveryRecord:
-    index: int
-    statistic: float
-    pvalue: float
-    fdr: float
-
-
-@dataclass(frozen=True)
 class DiscoveryReport:
-    """Cases whose estimated local fdr falls at or below the threshold."""
+    """Cases whose estimated local fdr falls at or below the threshold: their
+    positions in the query, ascending, and how many lie left of the null median."""
 
     threshold: float
-    n_discoveries: int
-    n_left: int
-    n_right: int
     indices: list[int]
-    records: list[DiscoveryRecord]
+    n_left: int
+
+    @property
+    def n_discoveries(self) -> int:
+        return len(self.indices)
+
+    @property
+    def n_right(self) -> int:
+        return len(self.indices) - self.n_left
 
 
 @dataclass(frozen=True)
@@ -215,6 +212,17 @@ def u_of_t_many(model: CdfrModel, t) -> np.ndarray:
     return to_pvalues(t, model.null_spec, model.transform_mode)
 
 
+def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
+    """ConfigError unless both series lengths lie in [1, M_MAX] and the pi0 grid
+    step is finite and in (0, 2.5], the width of the scanned density range."""
+    for name, m in (("m_density", m_density), ("m_mdc", m_mdc)):
+        if not 1 <= m <= M_MAX:
+            raise ConfigError(f"{name} must lie in [1, {M_MAX}], got {m!r}")
+    span = _LAMBDA_MAX - _LAMBDA_MIN
+    if not 0.0 < grid_step <= span:
+        raise ConfigError(f"grid_step must lie in (0, {span}], got {grid_step!r}")
+
+
 def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
               grid_step: float = 0.01, mode: str = "pit") -> CdfrModel:
     """Run the five fitting steps in order and assemble the model.
@@ -225,6 +233,7 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
     """
     if mode not in TRANSFORM_MODES:
         raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
+    _check_tuning(m_density, m_mdc, grid_step)
     data = np.asarray(data, dtype=float).ravel()
     if data.size < 100:
         raise InsufficientDataError(
@@ -349,15 +358,7 @@ def integrate_nonnull_density(model: CdfrModel) -> float:
 
 
 def discoveries(model: CdfrModel, stats, threshold: float = 0.2) -> DiscoveryReport:
-    """Cases with estimated fdr at or below the threshold (:func:`select_discoveries`)."""
-    stats = np.asarray(stats, dtype=float).ravel()
-    u, d = _fdr_inputs(model, stats)
-    return select_discoveries(stats, u, capped_fdr(model.pi0, d), model.null_spec.median(),
-                              threshold)
-
-
-def select_discoveries(stats, pvalues, fdr, median: float, threshold: float) -> DiscoveryReport:
-    """The discovery rule on per-case arrays: fdr at or below the threshold.
+    """Cases with estimated fdr at or below the threshold.
 
     The left/right split is by the statistic relative to the null median
     (left is strictly below); for precomputed p-values the statistics are
@@ -365,15 +366,8 @@ def select_discoveries(stats, pvalues, fdr, median: float, threshold: float) -> 
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
-    hits = np.flatnonzero(fdr <= threshold)
-    records = [DiscoveryRecord(int(i), float(stats[i]), float(pvalues[i]), float(fdr[i]))
-               for i in hits]
-    n_left = int(np.sum(stats[hits] < median))
-    return DiscoveryReport(
-        threshold=float(threshold),
-        n_discoveries=int(hits.size),
-        n_left=n_left,
-        n_right=int(hits.size) - n_left,
-        indices=hits.tolist(),
-        records=records,
-    )
+    stats = np.asarray(stats, dtype=float).ravel()
+    _, d = _fdr_inputs(model, stats)
+    hits = np.flatnonzero(capped_fdr(model.pi0, d) <= threshold)
+    return DiscoveryReport(threshold=float(threshold), indices=hits.tolist(),
+                           n_left=int(np.sum(stats[hits] < model.null_spec.median())))

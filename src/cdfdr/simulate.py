@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CdfdrError, ConfigError, SimulationError
-from .pipeline import NullSpec, fit_cdfdr, local_fdr_many
+from .pipeline import NullSpec, _check_tuning, fit_cdfdr, local_fdr_many
 from .special import normal_pdf
 
 __all__ = [
@@ -94,6 +94,9 @@ class EstimatorConfig:
     m_density: int = 6
     m_mdc: int = 10
     grid_step: float = 0.01
+
+    def __post_init__(self):
+        _check_tuning(self.m_density, self.m_mdc, self.grid_step)
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,6 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
             raw = list(pool.map(_run_one, tasks))
     else:
         raw = [_run_one(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
 
     curves, pi0s, failed = [], [], []
     for replicate, fdr, pi0, err in raw:

@@ -374,7 +374,8 @@ _COMMANDS = {
 }
 
 
-def _run_command(name, mixture_csv, tmp_path):
+def _command_argv(name, mixture_csv, tmp_path):
+    """Arguments of command ``name`` up to its output paths, and its field kinds."""
     argv, fields = _COMMANDS[name]
     csv_path, stats = mixture_csv
     if "--column" in argv:
@@ -383,6 +384,11 @@ def _run_command(name, mixture_csv, tmp_path):
             rng = np.random.Generator(np.random.Philox(305))
             _write_stats_csv(csv_path, rng.random(stats.size) ** 1.5, column="pvalue")
         argv = argv + ["--input", str(csv_path)]
+    return argv, fields
+
+
+def _run_command(name, mixture_csv, tmp_path):
+    argv, fields = _command_argv(name, mixture_csv, tmp_path)
     out, curves = tmp_path / "out.json", tmp_path / "curves.csv"
     assert main(argv + ["--out", str(out), "--curves", str(curves)]) == 0
     return out, curves, fields
@@ -406,6 +412,26 @@ def test_outputs_take_umask(name, umask, mixture_csv, tmp_path):
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("earlier", [None, "an earlier run's report\n"],
+                         ids=["no-earlier-out", "earlier-out"])
+@pytest.mark.parametrize("name", ["fdr-stat", "pi0", "simulate-mixnorm"])
+def test_failed_curves_write_leaves_out_as_it_was(name, earlier, mixture_csv, tmp_path, capsys):
+    argv, _ = _command_argv(name, mixture_csv, tmp_path)
+    out = tmp_path / "out.json"
+    if earlier is not None:
+        out.write_text(earlier)
+    # A path in a missing directory, and a path that is a directory.
+    for curves in (tmp_path / "missing" / "curves.csv", tmp_path):
+        assert main(argv + ["--out", str(out), "--curves", str(curves)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdfdr: input error: cannot write output file {str(curves)!r}")
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == earlier
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".cdfdr-")]
+
+
 _scalars = (
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
     | st.text(max_size=6) | st.floats().map(np.float64)
@@ -426,6 +452,28 @@ _json_values = st.recursive(
 @given(st.dictionaries(st.text(max_size=4), _json_values, max_size=6))
 def test_json_writer_matches_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=1, default=_default)
+
+
+@pytest.mark.parametrize("flags", [
+    ["fdr", "--lambda-step", "0"],
+    ["fdr", "--lambda-step", "nan"],
+    ["fdr", "--m-density", "17"],
+    ["fdr", "--m-mdc", "0"],
+    ["pi0", "--lambda-step", "2.6"],
+    ["simulate", "--lambda-step", "0"],
+], ids=lambda flags: "".join(flags))
+def test_out_of_range_tuning_exits_2(flags, mixture_csv, tmp_path, capsys):
+    command, *tuning = flags
+    if command == "simulate":
+        argv = ["simulate", "--design", "mixunif", "--pi0", "0.9", "--a", "0.05",
+                "--replicates", "2", "--n", "2000"]
+    else:
+        argv = [command, "--input", str(mixture_csv[0]), "--column", "stat"]
+    out = tmp_path / "out.json"
+    code = main(argv + tuning + ["--out", str(out), "--curves", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("cdfdr: input error: ")
+    assert not out.exists()
 
 
 class TestPi0Command:

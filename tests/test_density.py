@@ -144,6 +144,11 @@ class TestSmoothDensityEval:
         assert eval_smooth_density_many(coeffs, v).tolist() == [1.0] * 21
         assert eval_smooth_density_many(coeffs, 0.3).tolist() == [1.0]
 
+    def test_rejects_points_outside_unit_interval(self):
+        for theta in (np.zeros(6), [0.0, 0.0, -0.16, 0.0, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                eval_smooth_density_many(_manual_coeffs(theta), [2.0, -5.0])
+
     def test_expression_study_series(self):
         # Single surviving third coefficient of -0.16.
         coeffs = _manual_coeffs([0.0, 0.0, -0.16, 0.0, 0.0, 0.0])

@@ -1,5 +1,6 @@
 """Pipeline orchestration: transforms, fitting, fdr evaluation, discoveries."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,7 +28,6 @@ from cdfdr.errors import (
 from cdfdr.pi0 import DeviancePath
 from cdfdr.pipeline import (
     CdfrModel,
-    DiscoveryRecord,
     NullSpec,
     capped_fdr,
     discoveries,
@@ -205,6 +205,18 @@ class TestFitCdfdr:
         with pytest.raises(PipelineError, match="step 2"):
             fit_cdfdr(np.zeros(200), NullSpec.standard_normal())
 
+    @pytest.mark.parametrize("tuning", [
+        {"m_density": 17}, {"m_density": 0}, {"m_mdc": 0}, {"m_mdc": 17},
+        {"grid_step": 0.0}, {"grid_step": -0.01}, {"grid_step": 2.6},
+        {"grid_step": math.nan}, {"grid_step": math.inf},
+    ], ids=lambda tuning: "-".join(f"{k}={v}" for k, v in tuning.items()))
+    def test_out_of_range_tuning_is_a_config_error(self, tuning):
+        # Checked before any work: even a sample too small to fit reports it.
+        for data in (_two_sided_mixture(23), np.zeros(5)):
+            with pytest.raises(ConfigError) as info:
+                fit_cdfdr(data, NullSpec.standard_normal(), **tuning)
+            assert not isinstance(info.value, PipelineError)
+
     def test_determinism(self):
         stats = _two_sided_mixture(7)
         m1 = fit_cdfdr(stats, NullSpec.standard_normal())
@@ -337,9 +349,18 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def _records(stats, u, fdr, threshold=0.2):
-    return [DiscoveryRecord(int(i), float(stats[i]), float(u[i]), float(fdr[i]))
-            for i in np.flatnonzero(fdr <= threshold)]
+def _assert_report(report, stats, fdr, median):
+    """``report`` names exactly the cases with fdr at or below its threshold,
+    split at ``median`` by their statistics (left is strictly below)."""
+    hits = np.flatnonzero(fdr <= report.threshold)
+    assert report.indices == hits.tolist()
+    n_left = int(np.sum(np.asarray(stats)[hits] < median))
+    assert (report.n_discoveries, report.n_left, report.n_right) == (
+        hits.size, n_left, hits.size - n_left)
+
+
+def _median(mode):
+    return 0.5 if mode == "precomputed" else 0.0
 
 
 @pytest.fixture
@@ -370,7 +391,7 @@ class TestStoredArrays:
     @pytest.mark.parametrize("mode", MODES)
     def test_fitted_data_matches_fresh_evaluation(self, mode):
         model, data = _fit_mode(mode, _two_sided_mixture(67))
-        u, d = _fresh(model, data)
+        _, d = _fresh(model, data)
         fdr = capped_fdr(model.pi0, d)
         for query in (data, data.copy(), list(data)):
             assert np.array_equal(_bits(local_fdr_many(model, query)), _bits(fdr))
@@ -378,7 +399,7 @@ class TestStoredArrays:
                                   _bits(model.pi0 / d))
             report = discoveries(model, query)
             assert report.n_discoveries > 0
-            assert repr(report.records) == repr(_records(data, u, fdr))
+            _assert_report(report, data, fdr, _median(mode))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fitted_data_makes_no_density_calls(self, mode, density_calls):
@@ -395,14 +416,13 @@ class TestStoredArrays:
     @pytest.mark.parametrize("mode", MODES)
     def test_permutation_takes_fresh_path(self, mode, density_calls):
         model, data = _fit_mode(mode, _two_sided_mixture(73))
-        u, d = _fresh(model, data)
+        _, d = _fresh(model, data)
         fdr = capped_fdr(model.pi0, d)
         perm = np.random.Generator(np.random.Philox(5)).permutation(data.size)
         density_calls.clear()
         assert np.array_equal(_bits(local_fdr_many(model, data[perm])), _bits(fdr[perm]))
         assert density_calls
-        report = discoveries(model, data[perm])
-        assert repr(report.records) == repr(_records(data[perm], u[perm], fdr[perm]))
+        _assert_report(discoveries(model, data[perm]), data[perm], fdr[perm], _median(mode))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_signed_zero_takes_fresh_path(self, mode, density_calls):
@@ -420,13 +440,12 @@ class TestStoredArrays:
         query[3] = -0.0
         assert np.array_equal(query, data)
         assert not np.array_equal(_bits(query), _bits(data))
-        u, d = _fresh(model, query)
+        _, d = _fresh(model, query)
         density_calls.clear()
         assert np.array_equal(_bits(local_fdr_many(model, query)),
                               _bits(capped_fdr(model.pi0, d)))
         assert density_calls
-        assert repr(discoveries(model, query).records) == repr(
-            _records(query, u, capped_fdr(model.pi0, d)))
+        _assert_report(discoveries(model, query), query, capped_fdr(model.pi0, d), _median(mode))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -557,14 +576,9 @@ class TestDiscoveries:
         stats = _two_sided_mixture(53)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         report = discoveries(model, stats)
-        assert report.n_discoveries == report.n_left + report.n_right
-        assert report.n_discoveries == len(report.indices) == len(report.records)
-        for rec in report.records:
-            assert rec.fdr <= report.threshold
-            if rec.statistic < 0.0:
-                assert rec.index in report.indices
-        lefts = [r for r in report.records if r.statistic < 0.0]
-        assert len(lefts) == report.n_left
+        assert [f.name for f in dataclasses.fields(report)] == ["threshold", "indices", "n_left"]
+        assert 0 < report.n_left < report.n_discoveries
+        _assert_report(report, stats, local_fdr_many(model, stats), 0.0)
 
     def test_discovers_planted_signal(self):
         stats = _two_sided_mixture(59, mu=4.0)

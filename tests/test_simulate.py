@@ -7,6 +7,7 @@ import pytest
 
 from cdfdr.errors import CdfdrError, ConfigError, SimulationError
 from cdfdr.simulate import (
+    EstimatorConfig,
     MixtureNormalDesign,
     MixtureUniformDesign,
     gen_mixture_normal,
@@ -41,6 +42,13 @@ class TestDesignValidation:
             MixtureUniformDesign(pi0=0.9, a=0.0)
         with pytest.raises(ConfigError):
             MixtureUniformDesign(pi0=0.9, a=1.0)
+
+    @pytest.mark.parametrize("tuning", [
+        {"m_density": 17}, {"m_mdc": 0}, {"grid_step": 0.0}, {"grid_step": math.nan},
+    ], ids=["m_density-17", "m_mdc-0", "grid_step-0", "grid_step-nan"])
+    def test_estimator_config(self, tuning):
+        with pytest.raises(ConfigError):
+            EstimatorConfig(**tuning)
 
 
 class TestGenMixtureNormal:
