@@ -77,6 +77,11 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
     theta_tilde[j] is the exact mean of S_j over the input; coefficients with
     theta^2 <= 2 ln(n)/n are zeroed (natural logarithm).
     """
+    return _score_with_basis(smooth_pvalues, m)[0]
+
+
+def _score_with_basis(smooth_pvalues, m: int) -> tuple[CoefficientSet, np.ndarray]:
+    """:func:`score_coefficients` and the N x m basis on v it averaged."""
     if not 1 <= int(m) <= M_MAX:
         raise DomainError(f"m must lie in [1, {M_MAX}], got {m}")
     v = np.asarray(smooth_pvalues, dtype=float).ravel()
@@ -85,7 +90,8 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
     if v.size < 10:
         raise InsufficientDataError(f"need at least 10 values, got {v.size}")
     n = int(v.size)
-    theta_tilde = basis_matrix(int(m), v).mean(axis=0)
+    basis = basis_matrix(int(m), v)
+    theta_tilde = basis.mean(axis=0)
     threshold = 2.0 * math.log(n) / n
     theta_hat = np.where(theta_tilde ** 2 > threshold, theta_tilde, 0.0)
     theta_tilde.setflags(write=False)
@@ -96,7 +102,19 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
         theta_hat=theta_hat,
         n=n,
         threshold=threshold,
-    )
+    ), basis
+
+
+def _fit_series(fit: BetaFit, u, v, m: int) -> tuple[ComparisonDensityModel, np.ndarray]:
+    """Step 4 on the fitted sample: the model and its floored density at each u.
+
+    ``v`` is ``smooth_pvalues(u, fit)``.  One N x m basis on v serves both the
+    coefficients and the series at v, bit for bit what
+    :func:`score_coefficients` and :func:`assemble_comparison_density` give.
+    """
+    coeffs, basis = _score_with_basis(v, m)
+    model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
+    return model, _floored(model, u, 1.0 + basis @ coeffs.theta_hat)
 
 
 def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
@@ -142,9 +160,14 @@ def assemble_comparison_density(model: ComparisonDensityModel, u, v) -> np.ndarr
 
     u is clamped as there; a fit that holds v needs no second incomplete beta.
     """
+    return _floored(model, u, eval_smooth_density_many(model.coeffs, v))
+
+
+def _floored(model: ComparisonDensityModel, u, series) -> np.ndarray:
+    """max(DEFAULT_FLOOR, f_B(u) * series), u clamped as in :func:`smooth_pvalues`."""
     uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
     fb = beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
-    return np.maximum(DEFAULT_FLOOR, fb * eval_smooth_density_many(model.coeffs, v))
+    return np.maximum(DEFAULT_FLOOR, fb * series)
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:

@@ -21,6 +21,9 @@ __all__ = ["DeviancePath", "estimate_pi0"]
 _FLAT_TOL = 1e-12
 
 _LAMBDA_MIN, _LAMBDA_MAX = 1.0, 3.5  # the density levels the scan covers
+# The finest grid step: 25,001 levels.  The scan's arrays grow with the number
+# of levels, and a finer step than the data's density levels buys nothing.
+_STEP_MIN = 1e-4
 
 # Rows of the basis the scan builds at a time, so its memory does not grow
 # with the number of p-values.
@@ -50,14 +53,15 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     """Minimum-deviance estimate of the true-null proportion.
 
     ``density`` holds the floored comparison density at each p-value, as
-    fitted on these same p-values (``CdfrModel.d_hat``).  Ties at the
+    fitted on these same p-values (``CdfrModel.d_hat``); it must be finite.
+    ``grid_step`` lies in [1e-4, 2.5].  Ties at the
     minimum break toward the smallest lambda (most conservative null set);
     the scan is performed in ascending lambda order, so the result is
     deterministic bit for bit.
     """
     if not 1 <= int(m) <= M_MAX:
         raise DomainError(f"m must lie in [1, {M_MAX}], got {m}")
-    if not 0.0 < grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
+    if not _STEP_MIN <= grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
         raise DomainError(f"invalid grid step {grid_step!r}")
     u = np.asarray(pvalues, dtype=float).ravel()
     if u.size == 0:
@@ -65,15 +69,26 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     dens = np.asarray(density, dtype=float).ravel()
     if dens.size != u.size:
         raise DomainError(f"density has {dens.size} values for {u.size} p-values")
+    finite = np.isfinite(dens)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DomainError(f"density must be finite, got {float(dens[bad])!r} at index {bad}")
     n = int(u.size)
 
     # Canonical (density, p-value) ordering makes the prefix sums, and hence
-    # every deviance, invariant under permutation of the input.
-    order = np.lexsort((u, dens))
+    # every deviance, invariant under permutation of the input.  Only runs of
+    # tied densities need the p-value as a second key.
+    order = np.argsort(dens)
+    sorted_dens = dens[order]
+    tied = np.flatnonzero(sorted_dens[1:] == sorted_dens[:-1])
+    if tied.size:
+        runs = np.union1d(tied, tied + 1)
+        members = order[runs]
+        order[runs] = members[np.lexsort((u[members], dens[members]))]
 
     n_grid = int(round((_LAMBDA_MAX - _LAMBDA_MIN) / grid_step)) + 1
     lambdas = _LAMBDA_MIN + grid_step * np.arange(n_grid)
-    counts = np.searchsorted(dens[order], lambdas, side="left")
+    counts = np.searchsorted(sorted_dens, lambdas, side="left")
     deviances = np.full(n_grid, np.nan)
     n_lambda = counts.astype(int)
     valid = counts > 0

@@ -17,11 +17,10 @@ import numpy as np
 from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
-    assemble_comparison_density,
+    _fit_series,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
     eval_comparison_density_many,
-    score_coefficients,
 )
 from .errors import (
     CdfdrError,
@@ -31,7 +30,7 @@ from .errors import (
     PipelineError,
 )
 from .legendre import M_MAX
-from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, DeviancePath, estimate_pi0
+from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
     normal_cdf_many,
@@ -214,13 +213,14 @@ def u_of_t_many(model: CdfrModel, t) -> np.ndarray:
 
 def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
     """ConfigError unless both series lengths lie in [1, M_MAX] and the pi0 grid
-    step is finite and in (0, 2.5], the width of the scanned density range."""
+    step lies in [1e-4, 2.5]: no finer than the scan's finest step, no wider
+    than the scanned density range."""
     for name, m in (("m_density", m_density), ("m_mdc", m_mdc)):
         if not 1 <= m <= M_MAX:
             raise ConfigError(f"{name} must lie in [1, {M_MAX}], got {m!r}")
     span = _LAMBDA_MAX - _LAMBDA_MIN
-    if not 0.0 < grid_step <= span:
-        raise ConfigError(f"grid_step must lie in (0, {span}], got {grid_step!r}")
+    if not _STEP_MIN <= grid_step <= span:
+        raise ConfigError(f"grid_step must lie in [{_STEP_MIN}, {span}], got {grid_step!r}")
 
 
 def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
@@ -264,9 +264,7 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
             stacklevel=2,
         )
     v = step("step 3 (smooth p-values)", lambda: smooth_pvalues(u, fit))
-    coeffs = step("step 4 (series density)", lambda: score_coefficients(v, m_density))
-    cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
-    d_hat = assemble_comparison_density(cd_model, u, v)
+    cd_model, d_hat = step("step 4 (series density)", lambda: _fit_series(fit, u, v, m_density))
     path = step("step 5 (pi0 estimation)",
                 lambda: estimate_pi0(u, d_hat, m=m_mdc, grid_step=grid_step))
 

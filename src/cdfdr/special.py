@@ -47,12 +47,24 @@ _CF_FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
-# libm's erfc, log and exp applied element by element; numpy's own log and
-# exp differ from libm's in the last bit on some inputs, which would change
-# the quantiles and every output downstream of them.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-_log = np.frompyfunc(math.log, 1, 1)
-_exp = np.frompyfunc(math.exp, 1, 1)
+# Lanes the per-case kernels process at a time: the continued fraction's
+# working arrays and the libm maps' Python floats for one block stay in cache.
+# Each lane's arithmetic is independent of the block size.
+_BLOCK = 16_384
+
+
+def _libm_map(f, x: np.ndarray) -> np.ndarray:
+    """The ``math`` function ``f`` (libm's erfc, log or exp) at each element of x.
+
+    numpy's own log and exp differ from libm's in the last bit on some inputs,
+    which would change the quantiles and every output downstream of them.
+    """
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        out[start:start + block.size] = np.fromiter(map(f, block.tolist()), float, block.size)
+    return out.reshape(x.shape)
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -91,7 +103,7 @@ def normal_cdf_many(z) -> np.ndarray:
     behavior; callers that need strict positivity must clamp).
     """
     z = _finite_1d("z", z)
-    return 0.5 * _erfc(-z / _SQRT2).astype(float)
+    return 0.5 * _libm_map(math.erfc, -z / _SQRT2)
 
 
 def normal_cdf(z: float) -> float:
@@ -147,8 +159,8 @@ def normal_quantile_many(p) -> np.ndarray:
     low = p < _ACKLAM_P_LOW
     high = p > 1.0 - _ACKLAM_P_LOW
     centre = ~(low | high)
-    x[low] = _acklam_tail(np.sqrt(-2.0 * _log(p[low]).astype(float)))
-    x[high] = -_acklam_tail(np.sqrt(-2.0 * _log(1.0 - p[high]).astype(float)))
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, p[low])))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, 1.0 - p[high])))
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p[centre] - 0.5
     r = q * q
@@ -159,7 +171,7 @@ def normal_quantile_many(p) -> np.ndarray:
     newton = x * x < 1400.0
     xn = x[newton]
     err = normal_cdf_many(xn) - p[newton]
-    x[newton] = xn - err * _SQRT_2PI * _exp(0.5 * xn * xn).astype(float)
+    x[newton] = xn - err * _SQRT_2PI * _libm_map(math.exp, 0.5 * xn * xn)
     return x
 
 
@@ -249,45 +261,64 @@ def log_beta(alpha: float, beta: float) -> float:
 def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Lentz continued fraction for I_x(a,b), valid for x below the pivot.
 
-    Each lane freezes at its own convergence: from then on both of its
-    factors are exactly 1.0, so a value never depends on which other points
-    share the batch (a one-element call and a batch agree bit for bit).
+    Runs over blocks of ``_BLOCK`` lanes in preallocated buffers; a block
+    stops once all of its lanes have frozen.  Each lane freezes at its own
+    convergence: from then on both of its factors are exactly 1.0, so a value
+    never depends on which other points share the batch or the block (a
+    one-element call and a batch agree bit for bit).
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for m in range(1, _CF_MAX_ITER + 1):
-        frozen = ~active
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        even = d * c
-        np.copyto(even, 1.0, where=frozen)
-        h *= even
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        np.copyto(delta, 1.0, where=frozen)
-        h *= delta
-        # A frozen lane's delta is exactly 1.0, so the test keeps it frozen.
-        active = np.abs(delta - 1.0) >= _CF_EPS
-        if not np.any(active):
-            break
-    return h
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    width = min(flat.size, _BLOCK)
+    buffers = np.empty((4, width))
+    masks = np.empty((3, width), dtype=bool)
+    for start in range(0, flat.size, _BLOCK):
+        xb = flat[start:start + _BLOCK]
+        h = out[start:start + xb.size]
+        c, d, aa, factor = buffers[:, :xb.size]
+        active, frozen, tiny = masks[:, :xb.size]
+        c.fill(1.0)
+        np.multiply(xb, qab, out=d)
+        np.divide(d, qap, out=d)
+        np.subtract(1.0, d, out=d)
+        _clamp_tiny(d, factor, tiny)
+        np.divide(1.0, d, out=d)
+        h[...] = d
+        active.fill(True)
+        for m in range(1, _CF_MAX_ITER + 1):
+            np.logical_not(active, out=frozen)
+            m2 = 2 * m
+            # The even step, then the odd: aa = num x / den, d = 1 / (1 + aa d),
+            # c = 1 + aa / c, h *= d c, each operation in that order.
+            for num, den in ((m * (b - m), (qam + m2) * (a + m2)),
+                             (-(a + m) * (qab + m), (a + m2) * (qap + m2))):
+                np.multiply(xb, num, out=aa)
+                np.divide(aa, den, out=aa)
+                np.multiply(aa, d, out=d)
+                np.add(d, 1.0, out=d)
+                _clamp_tiny(d, factor, tiny)
+                np.divide(aa, c, out=c)
+                np.add(c, 1.0, out=c)
+                _clamp_tiny(c, factor, tiny)
+                np.divide(1.0, d, out=d)
+                np.multiply(d, c, out=factor)
+                np.copyto(factor, 1.0, where=frozen)
+                h *= factor
+            # A frozen lane's odd-step factor is exactly 1.0, so the test keeps it frozen.
+            np.subtract(factor, 1.0, out=factor)
+            np.greater_equal(np.abs(factor, out=factor), _CF_EPS, out=active)
+            if not active.any():
+                break
+    return out.reshape(x.shape)
+
+
+def _clamp_tiny(y: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:
+    """Replace the values of magnitude below ``_CF_FPMIN`` by ``_CF_FPMIN``, in place."""
+    np.less(np.abs(y, out=scratch), _CF_FPMIN, out=mask)
+    np.copyto(y, _CF_FPMIN, where=mask)
 
 
 def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,

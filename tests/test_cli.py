@@ -454,6 +454,13 @@ def test_json_writer_matches_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=1, default=_default)
 
 
+def _tuning_argv(command, csv_path):
+    if command == "simulate":
+        return ["simulate", "--design", "mixunif", "--pi0", "0.9", "--a", "0.05",
+                "--replicates", "2", "--n", "2000"]
+    return [command, "--input", str(csv_path), "--column", "stat"]
+
+
 @pytest.mark.parametrize("flags", [
     ["fdr", "--lambda-step", "0"],
     ["fdr", "--lambda-step", "nan"],
@@ -461,19 +468,27 @@ def test_json_writer_matches_stdlib(payload):
     ["fdr", "--m-mdc", "0"],
     ["pi0", "--lambda-step", "2.6"],
     ["simulate", "--lambda-step", "0"],
+    ["fdr", "--lambda-step", "1e-5"],
+    ["pi0", "--lambda-step", "1e-5"],
+    ["simulate", "--lambda-step", "1e-5"],
 ], ids=lambda flags: "".join(flags))
 def test_out_of_range_tuning_exits_2(flags, mixture_csv, tmp_path, capsys):
     command, *tuning = flags
-    if command == "simulate":
-        argv = ["simulate", "--design", "mixunif", "--pi0", "0.9", "--a", "0.05",
-                "--replicates", "2", "--n", "2000"]
-    else:
-        argv = [command, "--input", str(mixture_csv[0]), "--column", "stat"]
     out = tmp_path / "out.json"
-    code = main(argv + tuning + ["--out", str(out), "--curves", str(tmp_path / "c.csv")])
+    code = main(_tuning_argv(command, mixture_csv[0]) + tuning
+                + ["--out", str(out), "--curves", str(tmp_path / "c.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("cdfdr: input error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fdr", "pi0", "simulate"])
+def test_finest_grid_step_runs(command, mixture_csv, tmp_path):
+    out = tmp_path / "out.json"
+    code = main(_tuning_argv(command, mixture_csv[0]) + ["--lambda-step", "1e-4"]
+                + ["--out", str(out), "--curves", str(tmp_path / "c.csv")])
+    assert code == 0
+    assert out.exists()
 
 
 class TestPi0Command:

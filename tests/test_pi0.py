@@ -1,5 +1,7 @@
 """Minimum-deviance pi0: null behavior, recovery, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,19 @@ class TestChunkedScan:
         dens = np.round(np.where(u < 0.1, 4.0 - 25.0 * u, 0.8 + 0.4 * rng.random(n)), 3)
         _assert_matches_reference(u, dens, m)
 
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_runs_of_tied_densities(self, m):
+        # Long runs of equal densities, -0.0 beside 0.0 in the density and in
+        # the p-values, between distinct levels: the canonical order within a
+        # run decides the order of the prefix sums.
+        n = _SCAN_CHUNK + 5000
+        rng = np.random.Generator(np.random.Philox(211 + m))
+        u = np.where(rng.random(n) < 0.05, rng.choice([-0.0, 0.0], n), np.round(rng.random(n), 3))
+        levels = np.array([-0.0, 0.0, 1.005, 1.5, 2.25, 3.0])
+        dens = np.where(rng.random(n) < 0.6, rng.choice(levels, n), 0.5 + 3.0 * rng.random(n))
+        assert np.any(np.signbit(dens[dens == 0.0])) and not np.all(np.signbit(dens[dens == 0.0]))
+        _assert_matches_reference(u, dens, m)
+
     @pytest.mark.parametrize("m", [1, 16])
     def test_prefix_rows_on_chunk_boundaries(self, m):
         # Density levels put 1, C, C + 1 and 2C cases below successive lambdas
@@ -194,6 +209,21 @@ class TestErrors:
             estimate_pi0(u, _unit_density(u), grid_step=0.0)
         with pytest.raises(DomainError):
             estimate_pi0(u, _unit_density(u), grid_step=2.6)
+        # The finest step is 1e-4 (25,001 levels); the scan's arrays grow with the levels.
+        with pytest.raises(DomainError):
+            estimate_pi0(u, _unit_density(u), grid_step=1e-5)
+        assert estimate_pi0(u, _unit_density(u), grid_step=1e-4).lambdas.size == 25_001
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, bad):
+        # Such cases would sit in no candidate set (NaN, +inf) or in all of
+        # them (-inf), and move pi0 without a word.
+        rng = np.random.Generator(np.random.Philox(53))
+        u = rng.random(5000)
+        dens = _unit_density(u)
+        dens[::10] = bad
+        with pytest.raises(DomainError, match=r"density must be finite, got .* at index 0"):
+            estimate_pi0(u, dens)
 
     def test_density_length_must_match(self):
         u = np.full(100, 0.5)

@@ -208,7 +208,7 @@ class TestFitCdfdr:
     @pytest.mark.parametrize("tuning", [
         {"m_density": 17}, {"m_density": 0}, {"m_mdc": 0}, {"m_mdc": 17},
         {"grid_step": 0.0}, {"grid_step": -0.01}, {"grid_step": 2.6},
-        {"grid_step": math.nan}, {"grid_step": math.inf},
+        {"grid_step": math.nan}, {"grid_step": math.inf}, {"grid_step": 1e-5},
     ], ids=lambda tuning: "-".join(f"{k}={v}" for k, v in tuning.items()))
     def test_out_of_range_tuning_is_a_config_error(self, tuning):
         # Checked before any work: even a sample too small to fit reports it.

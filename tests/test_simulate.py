@@ -45,7 +45,8 @@ class TestDesignValidation:
 
     @pytest.mark.parametrize("tuning", [
         {"m_density": 17}, {"m_mdc": 0}, {"grid_step": 0.0}, {"grid_step": math.nan},
-    ], ids=["m_density-17", "m_mdc-0", "grid_step-0", "grid_step-nan"])
+        {"grid_step": 1e-5},
+    ], ids=["m_density-17", "m_mdc-0", "grid_step-0", "grid_step-nan", "grid_step-1e-5"])
     def test_estimator_config(self, tuning):
         with pytest.raises(ConfigError):
             EstimatorConfig(**tuning)
