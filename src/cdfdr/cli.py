@@ -22,7 +22,8 @@ import sys
 import tempfile
 import warnings
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,10 @@ __all__ = ["main"]
 
 _INPUT_ERRORS = (InputError, ConfigError, InsufficientDataError, DegenerateSampleError)
 
+# Items of a float array or string list that report.json formats at a time,
+# so the text held while it is written does not grow with the number of cases.
+_JSON_BLOCK = 65_536
+
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -73,28 +78,37 @@ def _default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=1, default=_default)``, nested ``len(pad)`` levels deep.
+def _json_text(value, pad: str = ""):
+    """The text of ``json.dumps(value, indent=1, default=_default)`` in pieces,
+    nested ``len(pad)`` levels deep.
 
-    Dicts with string keys, lists of strings and 1-d float64 arrays are joined
-    here; everything else is left to ``json.dumps``.  ``json`` writes
-    non-finite floats as ``NaN``/``Infinity`` where ``repr`` writes
-    ``nan``/``inf``, so an array holding one is left to ``json.dumps`` too.
+    Dicts with string keys, lists of strings and 1-d float64 arrays are written
+    here, an array or list :data:`_JSON_BLOCK` items at a time; everything else
+    is left to ``json.dumps``.  ``json`` writes non-finite floats as
+    ``NaN``/``Infinity`` where ``repr`` writes ``nan``/``inf``, so an array
+    holding one is left to ``json.dumps`` too.
     """
     inner = pad + " "
     if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
             and value.size and np.isfinite(value).all()):
-        brackets, items = "[]", _float_text(value)
+        encode = _float_text
     elif type(value) is list and set(map(type, value)) == {str}:
-        brackets, items = "[]", map(encode_basestring_ascii, value)
+        encode = partial(map, encode_basestring_ascii)
     elif type(value) is dict and value and all(type(key) is str for key in value):
-        brackets, items = "{}", (
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()
-        )
+        sep = "{\n" + inner
+        for key, item in value.items():
+            yield f"{sep}{encode_basestring_ascii(key)}: "
+            yield from _json_text(item, inner)
+            sep = ",\n" + inner
+        yield f"\n{pad}}}"
+        return
     else:
-        return json.dumps(value, indent=1, default=_default).replace("\n", "\n" + pad)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+        yield json.dumps(value, indent=1, default=_default).replace("\n", "\n" + pad)
+        return
+    sep = ",\n" + inner
+    for start in range(0, len(value), _JSON_BLOCK):
+        yield (sep if start else "[\n" + inner) + sep.join(encode(value[start:start + _JSON_BLOCK]))
+    yield f"\n{pad}]"
 
 
 def _write_outputs(args, payload: dict, header: list[str], columns: list[list[str]]) -> None:
@@ -102,23 +116,25 @@ def _write_outputs(args, payload: dict, header: list[str], columns: list[list[st
     text ``columns`` (one line per row) to ``args.curves``: both or neither.
 
     Both texts go to temporary files beside their targets before either is
-    renamed into place; any failure removes every temporary file.
+    renamed into place; any failure removes every temporary file.  The JSON
+    text is written as :func:`_json_text` yields it, so it is never held whole.
     """
-    outputs = [(args.out, _json_text(payload) + "\n"),
-               (args.curves, "\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))]
+    outputs = [(args.out, chain(_json_text(payload), "\n")),
+               (args.curves, ["\n".join([",".join(header), *map(",".join, zip(*columns)), ""])])]
     # mkstemp creates files 0600; give them the mode open() would.  The umask
     # can only be read by setting it, so set the strictest meanwhile.
     umask = os.umask(0o077)
     os.umask(umask)
     tmps: list[str] = []
     try:
-        for path, text in outputs:
+        for path, _ in outputs:
             if os.path.isdir(path):  # else it fails at its rename, after the other is in place
                 raise ConfigError(f"cannot write output file {path!r}: Is a directory")
+        for path, pieces in outputs:
             fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=os.path.dirname(os.path.abspath(path)))
             tmps.append(tmp)
             with os.fdopen(fd, "w", newline="") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
             os.chmod(tmp, 0o666 & ~umask)
         for tmp, (path, _) in zip(tmps, outputs):
             os.replace(tmp, path)
@@ -159,55 +175,36 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
             raise InputError(
                 f"{path!r} has no {column!r} column (header: {header})"
             )
-        rows = list(reader)
-    value_idx = header.index(column)
-    id_idx = header.index("id") if "id" in header else None
-    # Whole columns at once; a blank, ragged or bad row sends the table to
-    # _parse_rows, which skips blank rows and names the first bad one.
-    try:
-        if set(map(len, rows)) != {len(header)}:
-            raise ValueError("ragged or blank rows")
-        values = np.fromiter(map(float, map(itemgetter(value_idx), rows)), float, len(rows))
-        valid = np.isfinite(values).all() and (
-            column != "pvalue" or (values.min() >= 0.0 and values.max() <= 1.0))
-    except ValueError:
-        valid = False
-    if not valid:
-        return _parse_rows(path, rows, header, column)
-    if id_idx is None:
-        return list(map(str, range(1, len(rows) + 1))), values
-    return list(map(str.strip, map(itemgetter(id_idx), rows))), values
+        return _parse_rows(path, reader, header, column)
 
 
-def _parse_rows(path: str, rows: list[list[str]], header: list[str], column: str
-                ) -> tuple[list[str], np.ndarray]:
-    """Row-by-row form of :func:`read_input_table` after its header checks."""
+def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[str], np.ndarray]:
+    """Ids and values of the data ``rows`` (lists of cells) below ``header``.
+
+    A blank row is skipped but keeps its row number; the first bad row raises.
+    """
+    width = len(header)
     value_idx = header.index(column)
     id_idx = header.index("id") if "id" in header else None
+    check_range = column == "pvalue"
     ids: list[str] = []
     values: list[float] = []
     for row_number, row in enumerate(rows, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise InputError(
-                f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-            )
-        cell = row[value_idx].strip()
-        if not cell:
+        # Only a row of the wrong width or with an empty value can be blank.
+        if len(row) != width or not (cell := row[value_idx].strip()):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != width:
+                raise InputError(f"row {row_number}: expected {width} fields, got {len(row)}")
             raise InputError(f"row {row_number}: missing {column} value")
         try:
             value = float(cell)
         except ValueError:
-            raise InputError(
-                f"row {row_number}: {column} value {cell!r} is not a number"
-            )
+            raise InputError(f"row {row_number}: {column} value {cell!r} is not a number")
         if not math.isfinite(value):
             raise InputError(f"row {row_number}: {column} value {cell!r} is not finite")
-        if column == "pvalue" and not 0.0 <= value <= 1.0:
-            raise InputError(
-                f"row {row_number}: p-value {value!r} outside [0, 1]"
-            )
+        if check_range and not 0.0 <= value <= 1.0:
+            raise InputError(f"row {row_number}: p-value {value!r} outside [0, 1]")
         ids.append(row[id_idx].strip() if id_idx is not None else str(row_number))
         values.append(value)
     if not values:

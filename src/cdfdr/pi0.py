@@ -82,7 +82,9 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     sorted_dens = dens[order]
     tied = np.flatnonzero(sorted_dens[1:] == sorted_dens[:-1])
     if tied.size:
-        runs = np.union1d(tied, tied + 1)
+        in_run = np.zeros(n, dtype=bool)
+        in_run[tied] = in_run[tied + 1] = True
+        runs = np.flatnonzero(in_run)
         members = order[runs]
         order[runs] = members[np.lexsort((u[members], dens[members]))]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +238,7 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
     n_workers = resolve_workers(workers)
     tasks = [(design, config, grid, r) for r in range(design.replicates)]
     if n_workers > 1 and design.replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only this path needs it
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             raw = list(pool.map(_run_one, tasks))
     else:

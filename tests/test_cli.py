@@ -3,16 +3,23 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdfdr.cli
 from cdfdr.cli import (
+    _JSON_BLOCK,
     _default,
     _json_text,
     _parse_rows,
+    _write_outputs,
     main,
     parse_null_spec,
     read_input_table,
@@ -95,6 +102,22 @@ class TestInputTable:
         assert got_ids == ids
         assert values.tolist() == [1.5, -0.25]
 
+    def test_whitespace_row_is_skipped_and_keeps_its_number(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("x,stat\n1,0.5\n , \n2,0.7\n", encoding="utf-8")
+        ids, values = read_input_table(str(path), "stat")
+        assert ids == ["1", "3"]
+        assert values.tolist() == [0.5, 0.7]
+        path.write_text("id,stat\na,0.5\n , \nb,NA\n", encoding="utf-8")
+        with pytest.raises(InputError, match="row 3: stat value 'NA' is not a number"):
+            read_input_table(str(path), "stat")
+
+    def test_blank_value_beside_an_id_cites_row(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("id,stat\na,1.0\nb, \n", encoding="utf-8")
+        with pytest.raises(InputError, match="row 2: missing stat value"):
+            read_input_table(str(path), "stat")
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("id,zscore\na,1.0\n", encoding="utf-8")
@@ -103,7 +126,8 @@ class TestInputTable:
 
 
 class TestBulkIngestion:
-    """The whole-column path of read_input_table against the row-by-row parser."""
+    """read_input_table, which parses the rows as the csv reader yields them,
+    against _parse_rows on the same lines split at commas."""
 
     cell = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
         ["0", "+1", "-2.5e-3", "1E3", "1_000", ".5", "5."])
@@ -451,7 +475,52 @@ _json_values = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.text(max_size=4), _json_values, max_size=6))
 def test_json_writer_matches_stdlib(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=1, default=_default)
+    assert "".join(_json_text(payload)) == json.dumps(payload, indent=1, default=_default)
+
+
+@pytest.mark.parametrize("items", [
+    np.linspace(-1.0, 1.0, 2 * _JSON_BLOCK + 1),
+    [f"c{i}\u00e9" for i in range(2 * _JSON_BLOCK + 1)],
+], ids=["floats", "strings"])
+def test_json_writer_matches_stdlib_across_blocks(items):
+    payload = {"outer": {"items": items, "after": [1]}}
+    assert "".join(_json_text(payload)) == json.dumps(payload, indent=1, default=_default)
+
+
+def test_report_is_streamed(tmp_path):
+    """The text held while report.json is written stays well below its size."""
+    n = 300_000
+    rng = np.random.default_rng(7)
+    payload = {"cases": {"id": [f"c{i:06d}" for i in range(n)],
+                         **{key: rng.random(n) for key in ("stat", "pvalue", "smooth_pvalue",
+                                                           "d_hat", "fdr")}}}
+    args = SimpleNamespace(out=str(tmp_path / "report.json"), curves=str(tmp_path / "curves.csv"))
+    tracemalloc.start()
+    try:
+        _write_outputs(args, payload, ["x"], [["1.0"]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(args.out) / 4
+
+
+def test_fdr_run_leaves_slow_imports_alone(tmp_path):
+    """A fresh `cdfdr fdr` run on tied densities imports neither the process
+    pool (only parallel simulations use it) nor numpy.ma."""
+    rng = np.random.Generator(np.random.Philox(17))
+    stats = np.round(np.concatenate([rng.normal(0, 1, 900), rng.normal(3, 1, 100)]), 1)
+    csv_path = tmp_path / "ties.csv"
+    _write_stats_csv(csv_path, stats)
+    argv = ["fdr", "--input", str(csv_path), "--column", "stat",
+            "--out", str(tmp_path / "out.json"), "--curves", str(tmp_path / "curves.csv")]
+    code = ("import sys\nimport cdfdr.cli\ncode = cdfdr.cli.main(sys.argv[1:])\n"
+            "print(code, sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cdfdr.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "0 []\n"
 
 
 def _tuning_argv(command, csv_path):
