@@ -12,7 +12,6 @@ from .density import (
     CoefficientSet,
     ComparisonDensityModel,
     clipped_measure,
-    eval_comparison_density,
     eval_comparison_density_many,
     eval_smooth_density_many,
     integrate_comparison_density,
@@ -57,20 +56,15 @@ from .simulate import (
     true_fdr_mixture_uniform,
 )
 from .special import (
-    beta_cdf,
     beta_cdf_many,
-    beta_pdf,
     beta_pdf_many,
     digamma,
     log_gamma,
-    normal_cdf,
     normal_cdf_many,
-    normal_pdf,
-    normal_quantile,
+    normal_pdf_many,
     normal_quantile_many,
-    student_t_cdf,
     student_t_cdf_many,
-    student_t_pdf,
+    student_t_pdf_many,
 )
 
 __version__ = "0.1.0"

@@ -155,7 +155,8 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     """Read the id (optional) and value columns from a headered CSV.
 
     Every value must parse as a finite number; p-values must lie in [0, 1].
-    Violations raise :class:`InputError` citing the data row number.
+    Violations raise :class:`InputError` citing the data row number, and a file
+    that is not UTF-8 or not parseable as CSV raises one naming the file.
     """
     if column not in ("stat", "pvalue"):
         raise ConfigError(f"column must be 'stat' or 'pvalue', got {column!r}")
@@ -167,15 +168,17 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path!r} is empty (header row required)")
-        header = [h.strip() for h in header]
-        if column not in header:
-            raise InputError(
-                f"{path!r} has no {column!r} column (header: {header})"
-            )
-        return _parse_rows(path, reader, header, column)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path!r} is empty (header row required)")
+            header = [h.strip() for h in header]
+            if column not in header:
+                raise InputError(
+                    f"{path!r} has no {column!r} column (header: {header})"
+                )
+            return _parse_rows(path, reader, header, column)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"cannot read {path!r} as UTF-8 CSV: {exc}") from exc
 
 
 def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[str], np.ndarray]:

@@ -27,7 +27,6 @@ __all__ = [
     "score_coefficients",
     "eval_smooth_density_many",
     "assemble_comparison_density",
-    "eval_comparison_density",
     "eval_comparison_density_many",
     "comparison_density_raw_many",
     "comparison_density_raw_reflected_many",
@@ -171,31 +170,26 @@ def _floored(model: ComparisonDensityModel, u, series) -> np.ndarray:
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:
-    """Floored assembled density at each u; u is clamped to the fit's range."""
+    """Floored assembled density at each u, strictly positive by the floor policy.
+
+    u is clamped to the fit's range (the beta fit's 1e-10 clamp), so an
+    endpoint evaluates at its clamped point.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
     return assemble_comparison_density(model, u, smooth_pvalues(u, model.fit))
 
 
-def eval_comparison_density(model: ComparisonDensityModel, u: float) -> float:
-    """Assembled comparison-density estimate at a single p-value.
+def reconstruct_density(null_pdf, null_cdf, model: ComparisonDensityModel, x) -> np.ndarray:
+    """Density reconstruction f(x) = f0(x) * d(F0(x)) on the statistic scale, at each x.
 
-    Endpoints evaluate at the clamped point (same 1e-10 clamp as the beta
-    fit); the result is strictly positive by the floor policy.
+    ``null_pdf``/``null_cdf`` are the array density and distribution function
+    of the pre-whitening model (such as ``NullSpec.pdf_many`` and
+    ``NullSpec.cdf_many``); any distribution with a valid CDF works.  The
+    result has the shape of the query, with at least one dimension.
     """
-    return float(eval_comparison_density_many(model, np.array([float(u)]))[0])
-
-
-def reconstruct_density(null_pdf, null_cdf, model: ComparisonDensityModel, x: float) -> float:
-    """Density reconstruction f(x) = f0(x) * d(F0(x)) on the statistic scale.
-
-    ``null_pdf``/``null_cdf`` are the scalar density and distribution function
-    of the pre-whitening model; any distribution with a valid CDF works.
-    """
-    f0 = float(null_pdf(x))
-    u = float(null_cdf(x))
-    return f0 * eval_comparison_density(model, u)
+    return null_pdf(x) * eval_comparison_density_many(model, null_cdf(x))
 
 
 def integrate_comparison_density(model: ComparisonDensityModel) -> float:

@@ -34,10 +34,10 @@ from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
     normal_cdf_many,
-    normal_pdf,
+    normal_pdf_many,
     normal_quantile_many,
     student_t_cdf_many,
-    student_t_pdf,
+    student_t_pdf_many,
 )
 
 __all__ = [
@@ -103,13 +103,16 @@ class NullSpec:
     def precomputed() -> "NullSpec":
         return NullSpec(kind="precomputed_pvalues")
 
-    def pdf(self, t: float) -> float:
-        if self.kind == "normal":
-            return normal_pdf((t - self.mu0) / self.sigma0) / self.sigma0
+    def pdf_many(self, t) -> np.ndarray:
+        """Null density at each t, as an array of at least one dimension."""
         if self.kind == "student_t":
-            return student_t_pdf(t, self.df)
+            return student_t_pdf_many(t, self.df)
+        if self.kind == "normal":
+            z = (np.asarray(t, dtype=float) - self.mu0) / self.sigma0
+            return normal_pdf_many(z) / self.sigma0
         # Uniform reference density on the p-value scale.
-        return 1.0 if 0.0 <= t <= 1.0 else 0.0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return ((t >= 0.0) & (t <= 1.0)).astype(float)
 
     def median(self) -> float:
         if self.kind == "normal":
@@ -318,18 +321,19 @@ def capped_fdr(pi0: float, d_hat) -> np.ndarray:
     return np.minimum(pi0 / d_hat, 1.0)
 
 
-def nonnull_density(model: CdfrModel, t: float) -> float:
-    """Reconstructed density of the non-null cases at statistic t.
+def nonnull_density(model: CdfrModel, t) -> np.ndarray:
+    """Reconstructed density of the non-null cases at each statistic t.
 
     Weights the null density by the estimated comparison-density excess over
-    pi0, clipped at zero.  Requires pi0 strictly below 1.
+    pi0, clipped at zero.  Requires pi0 strictly below 1.  The result has the
+    shape of the query, with at least one dimension.
     """
     if not model.pi0 < 1.0:
         raise EstimationError(
             "nonnull density undefined when pi0 = 1 (no estimated signal)"
         )
-    d = float(eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))[0])
-    return max(0.0, d - model.pi0) * model.null_spec.pdf(t) / (1.0 - model.pi0)
+    d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+    return np.maximum(0.0, d - model.pi0) * model.null_spec.pdf_many(t) / (1.0 - model.pi0)
 
 
 def integrate_nonnull_density(model: CdfrModel) -> float:

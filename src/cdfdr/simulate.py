@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CdfdrError, ConfigError, SimulationError
 from .pipeline import NullSpec, _check_tuning, fit_cdfdr, local_fdr_many
-from .special import normal_pdf
+from .special import normal_pdf_many
 
 __all__ = [
     "MixtureNormalDesign",
@@ -133,15 +133,15 @@ def gen_mixture_normal(design: MixtureNormalDesign, replicate: int = 0) -> np.nd
     return stats
 
 
-def true_fdr_mixture_normal(z: float, pi0: float, mu: float) -> float:
-    """Closed-form fdr of the marginalized mixture.
+def true_fdr_mixture_normal(z, pi0: float, mu: float) -> np.ndarray:
+    """Closed-form fdr of the marginalized mixture at each z.
 
     Marginalizing the mean draw, non-null statistics are N(mu, 2), so
     f(z) = pi0 phi(z) + (1 - pi0) phi((z - mu)/sqrt 2)/sqrt 2.
     """
-    z = float(z)
-    null_part = pi0 * normal_pdf(z)
-    alt_part = (1.0 - pi0) * normal_pdf((z - mu) / math.sqrt(2.0)) / math.sqrt(2.0)
+    z = np.asarray(z, dtype=float)
+    null_part = pi0 * normal_pdf_many(z)
+    alt_part = (1.0 - pi0) * normal_pdf_many((z - mu) / math.sqrt(2.0)) / math.sqrt(2.0)
     return null_part / (null_part + alt_part)
 
 
@@ -153,17 +153,17 @@ def gen_mixture_uniform(design: MixtureUniformDesign, replicate: int = 0) -> np.
     return np.where(is_null, u, design.a * u)
 
 
-def true_fdr_mixture_uniform(u: float, pi0: float, a: float) -> float:
-    """Closed-form fdr of the uniform mixture.
+def true_fdr_mixture_uniform(u, pi0: float, a: float) -> np.ndarray:
+    """Closed-form fdr of the uniform mixture at each u.
 
     The mixture density is pi0 + (1 - pi0)/a on [0, a] and pi0 on (a, 1],
     so fdr(u) = pi0 / f(u), which is exactly 1 outside the signal region.
     """
-    if not 0.0 < u < 1.0:
-        raise ConfigError(f"u must lie in (0, 1), got {u!r}")
-    if u <= a:
-        return pi0 / (pi0 + (1.0 - pi0) / a)
-    return 1.0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    outside = ~((u > 0.0) & (u < 1.0))
+    if outside.any():
+        raise ConfigError(f"u must lie in (0, 1), got {float(u[outside][0])!r}")
+    return np.where(u <= a, pi0 / (pi0 + (1.0 - pi0) / a), 1.0)
 
 
 def normal_grid() -> np.ndarray:
@@ -224,14 +224,10 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
     if isinstance(design, MixtureNormalDesign):
         grid = normal_grid()
         n_tail = None
-        truth = np.array([
-            true_fdr_mixture_normal(z, design.pi0, design.mu) for z in grid
-        ])
+        truth = true_fdr_mixture_normal(grid, design.pi0, design.mu)
     elif isinstance(design, MixtureUniformDesign):
         grid, n_tail = uniform_grid(design.a)
-        truth = np.array([
-            true_fdr_mixture_uniform(u, design.pi0, design.a) for u in grid
-        ])
+        truth = true_fdr_mixture_uniform(grid, design.pi0, design.a)
     else:
         raise ConfigError(f"unknown design type {type(design).__name__}")
 

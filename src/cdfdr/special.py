@@ -1,11 +1,10 @@
 """Numerically stable elementary statistical functions.
 
-The ``*_many`` kernels are the implementation: each takes a float array (a
+The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
-dimension.  The scalar distribution functions are one-line wrappers over
-them, so a scalar call and the same element of a batch agree bit for bit.
-The gamma family and the densities ``normal_pdf`` and ``student_t_pdf`` are
-scalar only.
+dimension, and an element's value does not depend on the rest of its batch.
+The gamma family serves the scalar Newton fit of the beta shapes and stays
+scalar.
 
 No probability clamping happens here: these primitives are exact over their
 domains, and callers clamp at their own named clamp points.
@@ -20,21 +19,16 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "normal_cdf",
     "normal_cdf_many",
-    "normal_pdf",
-    "normal_quantile",
+    "normal_pdf_many",
     "normal_quantile_many",
-    "student_t_cdf",
     "student_t_cdf_many",
-    "student_t_pdf",
+    "student_t_pdf_many",
     "log_gamma",
     "digamma",
     "trigamma",
     "log_beta",
-    "beta_pdf",
     "beta_pdf_many",
-    "beta_cdf",
     "beta_cdf_many",
 ]
 
@@ -54,7 +48,7 @@ _BLOCK = 16_384
 
 
 def _libm_map(f, x: np.ndarray) -> np.ndarray:
-    """The ``math`` function ``f`` (libm's erfc, log or exp) at each element of x.
+    """The ``math`` function ``f`` (libm's erfc, log, log1p or exp) at each element of x.
 
     numpy's own log and exp differ from libm's in the last bit on some inputs,
     which would change the quantiles and every output downstream of them.
@@ -65,13 +59,6 @@ def _libm_map(f, x: np.ndarray) -> np.ndarray:
         block = flat[start:start + _BLOCK]
         out[start:start + block.size] = np.fromiter(map(f, block.tolist()), float, block.size)
     return out.reshape(x.shape)
-
-
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def _finite_1d(name: str, x) -> np.ndarray:
@@ -106,15 +93,10 @@ def normal_cdf_many(z) -> np.ndarray:
     return 0.5 * _libm_map(math.erfc, -z / _SQRT2)
 
 
-def normal_cdf(z: float) -> float:
-    """Scalar :func:`normal_cdf_many`."""
-    return float(normal_cdf_many(z)[0])
-
-
-def normal_pdf(z: float) -> float:
-    """Standard normal density phi(z)."""
-    z = _require_finite("z", z)
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+def normal_pdf_many(z) -> np.ndarray:
+    """Standard normal density phi(z) at each z."""
+    z = _finite_1d("z", z)
+    return _INV_SQRT_2PI * _libm_map(math.exp, -0.5 * z * z)
 
 
 # Coefficients of Acklam's rational approximation to the normal quantile.
@@ -173,11 +155,6 @@ def normal_quantile_many(p) -> np.ndarray:
     err = normal_cdf_many(xn) - p[newton]
     x[newton] = xn - err * _SQRT_2PI * _libm_map(math.exp, 0.5 * xn * xn)
     return x
-
-
-def normal_quantile(p: float) -> float:
-    """Scalar :func:`normal_quantile_many`."""
-    return float(normal_quantile_many(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +366,6 @@ def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
     return out
 
 
-def beta_pdf(u: float, alpha: float, beta: float) -> float:
-    """Scalar :func:`beta_pdf_many`, the pre-flattening density."""
-    return float(beta_pdf_many(u, alpha, beta)[0])
-
-
 def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
     """Beta distribution function F_B(u; alpha, beta) = I_u(alpha, beta) at each u.
 
@@ -404,14 +376,17 @@ def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
     return _betainc_with_complement(alpha, beta, u, 1.0 - u)
 
 
-def beta_cdf(u: float, alpha: float, beta: float) -> float:
-    """Scalar :func:`beta_cdf_many`."""
-    return float(beta_cdf_many(u, alpha, beta)[0])
-
-
 # ---------------------------------------------------------------------------
 # Student t
 # ---------------------------------------------------------------------------
+
+def _check_df(df) -> float:
+    """``df`` as a float, which must be finite and positive."""
+    df = float(df)
+    if not (math.isfinite(df) and df > 0.0):
+        raise DomainError(f"df must be positive, got {df!r}")
+    return df
+
 
 def student_t_cdf_many(t, df: float) -> np.ndarray:
     """Student-t distribution function at each t; monotone in t, any real df > 0.
@@ -421,9 +396,7 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     keeps full relative accuracy at every scale (~1e-13, the accuracy of the
     continued fraction).
     """
-    df = float(df)
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"df must be positive, got {df!r}")
+    df = _check_df(df)
     t = _finite_1d("t", t)
     t2 = t * t
     y = df / (df + t2)
@@ -432,17 +405,10 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     return np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    """Scalar :func:`student_t_cdf_many`."""
-    return float(student_t_cdf_many(t, df)[0])
-
-
-def student_t_pdf(t: float, df: float) -> float:
-    """Student-t density with df degrees of freedom."""
-    t = _require_finite("t", t)
-    df = float(df)
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"df must be positive, got {df!r}")
+def student_t_pdf_many(t, df: float) -> np.ndarray:
+    """Student-t density with df degrees of freedom at each t."""
+    df = _check_df(df)
+    t = _finite_1d("t", t)
     ln_c = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) \
         - 0.5 * math.log(df * math.pi)
-    return math.exp(ln_c - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+    return _libm_map(math.exp, ln_c - 0.5 * (df + 1.0) * _libm_map(math.log1p, t * t / df))

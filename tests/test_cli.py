@@ -221,7 +221,7 @@ class TestFdrCommand:
         from cdfdr.density import (
             ComparisonDensityModel,
             CoefficientSet,
-            eval_comparison_density,
+            eval_comparison_density_many,
         )
 
         fit = BetaFit(
@@ -244,7 +244,7 @@ class TestFdrCommand:
         points = [(u, fdr) for _, u, _, _, fdr in grid]
         points += zip(cases["pvalue"][-50:], cases["fdr"][-50:])
         for u, fdr in points:
-            recomputed = min(1.0, pi0 / eval_comparison_density(model, float(u)))
+            recomputed = min(1.0, pi0 / eval_comparison_density_many(model, float(u))[0])
             assert recomputed == pytest.approx(float(fdr), abs=1e-9)
 
     def test_determinism_byte_identical(self, mixture_csv, tmp_path):
@@ -298,6 +298,24 @@ class TestFdrCommand:
         ])
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fdr", "pi0"])
+    @pytest.mark.parametrize("content", [
+        # An id holding the Latin-1 byte 0xE9, which is not UTF-8.
+        b"id,stat\n1,0.5\ncaf\xe9,1.5\n",
+        # A cell longer than csv's default field_size_limit of 131,072 characters.
+        b"id,stat\n1,0.5\n" + b"x" * 131_073 + b",1.5\n",
+    ], ids=["not_utf8", "field_over_limit"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+        code = main([command, "--input", str(path), "--column", "stat",
+                     "--out", str(out), "--curves", str(curves)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cdfdr: input error: ") and str(path) in err
+        assert not out.exists() and not curves.exists()
 
     def test_numerical_failure_exits_3_with_step(self, tmp_path, capsys):
         path = tmp_path / "const.csv"

@@ -13,7 +13,6 @@ from cdfdr.density import (
     CoefficientSet,
     clipped_measure,
     comparison_density_raw_many,
-    eval_comparison_density,
     eval_comparison_density_many,
     eval_smooth_density_many,
     integrate_comparison_density,
@@ -22,7 +21,7 @@ from cdfdr.density import (
 )
 from cdfdr.errors import DomainError, InsufficientDataError
 from cdfdr.legendre import basis_matrix
-from cdfdr.special import beta_cdf, normal_cdf, normal_pdf
+from cdfdr.special import beta_cdf_many, normal_cdf_many, normal_pdf_many
 
 
 def _manual_fit(alpha, beta):
@@ -176,16 +175,17 @@ class TestComparisonDensityEval:
         # normalizer 0.68 and exponents -0.19/-0.18.
         model = _manual_model(0.81, 0.82, [0.0, 0.0, 0.0, 0.0, 0.0, 0.057])
         for u in np.arange(0.1, 0.95, 0.1):
-            v = beta_cdf(u, 0.81, 0.82)
+            v = beta_cdf_many(u, 0.81, 0.82)[0]
             display = 0.68 * (1.0 + 0.057 * basis_matrix(6, v)[0, 5]) \
                 * u ** (-0.19) * (1.0 - u) ** (-0.18)
-            assert eval_comparison_density(model, u) == pytest.approx(display, abs=1e-2)
+            assert eval_comparison_density_many(model, u)[0] == pytest.approx(display, abs=1e-2)
 
     def test_endpoints_evaluate_at_clamp(self):
         model = _manual_model(0.81, 0.82, np.zeros(6))
-        assert eval_comparison_density(model, 0.0) == eval_comparison_density(model, 1e-10)
-        assert eval_comparison_density(model, 1.0) == eval_comparison_density(model, 1.0 - 1e-10)
-        assert eval_comparison_density(model, 0.0) > 0.0
+        d = [eval_comparison_density_many(model, u)[0] for u in (0.0, 1e-10, 1.0, 1.0 - 1e-10)]
+        assert d[0] == d[1]
+        assert d[2] == d[3]
+        assert d[0] > 0.0
 
     def test_floor_applied(self):
         # A large negative first coefficient drives the series negative over
@@ -230,9 +230,9 @@ class TestComparisonDensityEval:
     def test_domain_validation(self):
         model = _manual_model(1.0, 1.0, np.zeros(6))
         with pytest.raises(DomainError):
-            eval_comparison_density(model, -0.2)
+            eval_comparison_density_many(model, -0.2)
         with pytest.raises(DomainError):
-            eval_comparison_density(model, 1.2)
+            eval_comparison_density_many(model, 1.2)
         with pytest.raises(DomainError):
             comparison_density_raw_many(model, np.array([0.0]))
 
@@ -240,27 +240,27 @@ class TestComparisonDensityEval:
 class TestReconstructDensity:
     def test_identity_reconstruction(self):
         model = _manual_model(1.0, 1.0, np.zeros(6))
-        for x in np.linspace(-3.0, 3.0, 13):
-            assert reconstruct_density(normal_pdf, normal_cdf, model, x) == \
-                pytest.approx(normal_pdf(x), rel=1e-12)
+        x = np.linspace(-3.0, 3.0, 13)
+        assert reconstruct_density(normal_pdf_many, normal_cdf_many, model, x) == \
+            pytest.approx(normal_pdf_many(x), rel=1e-12)
 
     def test_skewed_sample_normalization(self):
         # Standard-normal pre-whitening of a skewed sample; the x-space
         # integral of the reconstruction must still be ~1.
         rng = np.random.Generator(np.random.Philox(41))
         x = np.concatenate([rng.normal(0, 1, 6000), rng.normal(1.2, 1.4, 2000)])
-        u = np.array([normal_cdf(xi) for xi in x])
+        u = normal_cdf_many(x)
         fit = fit_beta_mle(u)
         coeffs = score_coefficients(smooth_pvalues(u, fit), 6)
         model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
         total, _ = sp_integrate.quad(
-            lambda t: reconstruct_density(normal_pdf, normal_cdf, model, t),
+            lambda t: reconstruct_density(normal_pdf_many, normal_cdf_many, model, t)[0],
             -12.0, 12.0, limit=300,
         )
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_floor_lower_bound(self):
         model = _manual_model(1.0, 1.0, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        for x in np.linspace(-4.0, 4.0, 17):
-            assert reconstruct_density(normal_pdf, normal_cdf, model, x) >= \
-                DEFAULT_FLOOR * normal_pdf(x)
+        x = np.linspace(-4.0, 4.0, 17)
+        assert np.all(reconstruct_density(normal_pdf_many, normal_cdf_many, model, x)
+                      >= DEFAULT_FLOOR * normal_pdf_many(x))

@@ -16,8 +16,8 @@ from cdfdr.density import (
     ComparisonDensityModel,
     CoefficientSet,
     comparison_density_raw_many,
-    eval_comparison_density,
     eval_comparison_density_many,
+    reconstruct_density,
 )
 from cdfdr.errors import (
     ConfigError,
@@ -115,7 +115,7 @@ class TestNullSpec:
     def test_pdf_normal_scaling(self):
         spec = NullSpec.normal(1.0, 2.0)
         base = NullSpec.standard_normal()
-        assert spec.pdf(1.0) == pytest.approx(base.pdf(0.0) / 2.0, rel=1e-12)
+        assert spec.pdf_many(1.0)[0] == pytest.approx(base.pdf_many(0.0)[0] / 2.0, rel=1e-12)
 
 
 class TestTtoZ:
@@ -286,7 +286,7 @@ class TestLocalFdr:
         # pi0 = 1 and an assembled density of 5 gives fdr 0.2.
         model = _manual_cdfr_model(1.0, [0.0, 4.0 / math.sqrt(5.0), 0.0, 0.0, 0.0, 0.0])
         # At u -> 1 the series factor approaches 1 + theta * S_2(1) = 5.
-        d = eval_comparison_density(model.cd_model, 1.0)
+        d = eval_comparison_density_many(model.cd_model, 1.0)[0]
         assert d == pytest.approx(5.0, abs=1e-6)
         assert local_fdr_many(model, 1.0)[0] == pytest.approx(0.2, abs=1e-6)
 
@@ -475,6 +475,28 @@ class TestQueryShape:
         assert d.shape == shape
         assert np.array_equal(_bits(d), _bits(_fresh(model, flat)[1]).reshape(shape))
 
+    @pytest.mark.parametrize("spec", [
+        NullSpec.normal(1.0, 2.0), NullSpec.student_t(7.0), NullSpec.precomputed(),
+    ], ids=["normal", "student_t", "precomputed"])
+    @pytest.mark.parametrize("shape", [(6, 1), (2, 3), (1, 6)])
+    def test_densities_keep_shape_and_values(self, spec, shape):
+        # nonnull_density, reconstruct_density and NullSpec.pdf_many return the
+        # query's shape, each equal bit for bit to the flat call reshaped.
+        stats = _two_sided_mixture(101)
+        if spec.kind == "precomputed_pvalues":
+            stats = to_pvalues(stats, NullSpec.standard_normal(), "two_sided")
+        model = fit_cdfdr(stats, spec)
+        assert model.pi0 < 1.0
+        flat = stats[:6]
+        query = flat.reshape(shape)
+        cdf = spec.cdf_many if spec.kind != "precomputed_pvalues" else np.atleast_1d
+        for density in (lambda q: nonnull_density(model, q),
+                        lambda q: reconstruct_density(spec.pdf_many, cdf, model.cd_model, q),
+                        spec.pdf_many):
+            out = density(query)
+            assert out.shape == shape
+            assert np.array_equal(_bits(out), _bits(density(flat)).reshape(shape))
+
 
 class TestTwoSidedBetaWarning:
     def test_beta_below_one_warns_at_step_2(self):
@@ -503,14 +525,14 @@ class TestNonnullDensity:
         # d = 1 everywhere... weight max(0, 1 - 0.97) > 0; shrink pi0 above d
         model_high = _manual_cdfr_model(0.97, [0.0, -0.5, 0.0, 0.0, 0.0, 0.0])
         # near v = 0.5, S_2 < 0 so d > 1 > pi0; at the endpoints d < pi0.
-        assert nonnull_density(model_high, 1e-6) == 0.0
+        assert nonnull_density(model_high, 1e-6)[0] == 0.0
 
     def test_mass_concentrates_in_tails(self):
         stats = _two_sided_mixture(31)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         assert model.pi0 < 1.0
         z = np.linspace(-8.0, 8.0, 1601)
-        f1 = np.array([nonnull_density(model, zi) for zi in z])
+        f1 = nonnull_density(model, z)
         inner = np.trapezoid(np.where(np.abs(z) <= 2.0, f1, 0.0), z)
         outer = np.trapezoid(np.where(np.abs(z) > 2.0, f1, 0.0), z)
         assert outer > inner
@@ -522,7 +544,7 @@ class TestNonnullDensity:
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         total = integrate_nonnull_density(model)
         z = np.linspace(-10.0, 10.0, 4001)
-        f1 = np.array([nonnull_density(model, zi) for zi in z])
+        f1 = nonnull_density(model, z)
         assert total == pytest.approx(np.trapezoid(f1, z), abs=5e-3)
         assert total >= 1.0 - 1e-9
 
@@ -625,7 +647,5 @@ class TestUofT:
     def test_pit_matches_null_cdf(self):
         stats = _two_sided_mixture(61)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
-        from cdfdr.special import normal_cdf
-
         t = np.array([-2.0, 0.0, 1.5])
-        assert u_of_t_many(model, t).tolist() == [normal_cdf(ti) for ti in t]
+        assert u_of_t_many(model, t).tolist() == [normal_cdf_many(ti)[0] for ti in t]

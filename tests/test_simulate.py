@@ -97,25 +97,32 @@ class TestTrueFdrMixtureNormal:
     def test_direct_formula_at_zero(self):
         # Even at mu=0 the fdr is not pi0: the non-null component has
         # variance 2, so the densities differ at the origin.
-        assert true_fdr_mixture_normal(0.0, 0.9, 0.0) == pytest.approx(
+        assert true_fdr_mixture_normal(0.0, 0.9, 0.0)[0] == pytest.approx(
             0.9271557635940506, rel=1e-12
         )
 
     def test_tail_limit(self):
-        assert true_fdr_mixture_normal(8.0, 0.9, 3.0) < 1e-4
-        assert true_fdr_mixture_normal(12.0, 0.9, 1.0) < 1e-2
+        assert true_fdr_mixture_normal(8.0, 0.9, 3.0)[0] < 1e-4
+        assert true_fdr_mixture_normal(12.0, 0.9, 1.0)[0] < 1e-2
 
     def test_symmetry_at_mu_zero(self):
-        for z in (0.5, 1.7, 3.3):
-            assert true_fdr_mixture_normal(z, 0.9, 0.0) == pytest.approx(
-                true_fdr_mixture_normal(-z, 0.9, 0.0), rel=1e-12
-            )
+        z = np.array([0.5, 1.7, 3.3])
+        assert true_fdr_mixture_normal(z, 0.9, 0.0) == pytest.approx(
+            true_fdr_mixture_normal(-z, 0.9, 0.0), rel=1e-12
+        )
+
+    def test_array_matches_one_element_calls(self):
+        z = np.linspace(-12.0, 12.0, 4801)
+        for pi0, mu in ((0.9, 2.0), (0.5, -1.0), (1.0, 0.0)):
+            batch = true_fdr_mixture_normal(z, pi0, mu)
+            assert batch.shape == z.shape
+            assert batch.tolist() == [true_fdr_mixture_normal(zi, pi0, mu)[0] for zi in z]
 
     def test_monte_carlo_classifier(self):
         # Brute-force verification: bin z, compare the empirical fraction of
         # nulls per bin with the exactly bin-integrated closed form (the
         # pointwise fdr is recovered as bins shrink).
-        from cdfdr.special import normal_cdf
+        from cdfdr.special import normal_cdf_many
 
         rng = replicate_rng(900, 7)
         n = 1_000_000
@@ -130,17 +137,17 @@ class TestTrueFdrMixtureNormal:
             if mask.sum() < 5000:
                 continue
             empirical = is_null[mask].mean()
-            null_mass = pi0 * (normal_cdf(hi) - normal_cdf(lo))
-            alt_mass = (1.0 - pi0) * (
-                normal_cdf((hi - mu) / sqrt2) - normal_cdf((lo - mu) / sqrt2)
-            )
+            null_cdf = normal_cdf_many([lo, hi])
+            alt_cdf = normal_cdf_many([(lo - mu) / sqrt2, (hi - mu) / sqrt2])
+            null_mass = pi0 * (null_cdf[1] - null_cdf[0])
+            alt_mass = (1.0 - pi0) * (alt_cdf[1] - alt_cdf[0])
             assert empirical == pytest.approx(
                 null_mass / (null_mass + alt_mass), abs=0.01
             )
         # In a narrow bin the empirical rate matches the pointwise formula.
         mask = np.abs(z - 1.0) < 0.05
         assert is_null[mask].mean() == pytest.approx(
-            true_fdr_mixture_normal(1.0, pi0, mu), abs=0.01
+            true_fdr_mixture_normal(1.0, pi0, mu)[0], abs=0.01
         )
 
 
@@ -168,16 +175,16 @@ class TestGenMixtureUniform:
 
 class TestTrueFdrMixtureUniform:
     def test_signal_region_closed_form(self):
-        assert true_fdr_mixture_uniform(0.01, 0.9, 0.02) == pytest.approx(
+        assert true_fdr_mixture_uniform(0.01, 0.9, 0.02)[0] == pytest.approx(
             0.9 / 5.9, rel=1e-12
         )
-        assert true_fdr_mixture_uniform(0.001, 0.99, 0.002) == pytest.approx(
+        assert true_fdr_mixture_uniform(0.001, 0.99, 0.002)[0] == pytest.approx(
             0.99 / 5.99, rel=1e-12
         )
 
     def test_null_region_is_one(self):
-        for u in (0.03, 0.5, 0.999):
-            assert true_fdr_mixture_uniform(u, 0.9, 0.02) == 1.0
+        u = np.array([0.03, 0.5, 0.999])
+        assert true_fdr_mixture_uniform(u, 0.9, 0.02).tolist() == [1.0, 1.0, 1.0]
 
     def test_monte_carlo_classifier(self):
         rng = replicate_rng(901, 7)
@@ -192,6 +199,9 @@ class TestTrueFdrMixtureUniform:
     def test_domain(self):
         with pytest.raises(ConfigError):
             true_fdr_mixture_uniform(0.0, 0.9, 0.02)
+        for bad in (1.0, -0.1, math.nan):
+            with pytest.raises(ConfigError):
+                true_fdr_mixture_uniform([0.01, 0.5, bad], 0.9, 0.02)
 
 
 class TestGrids:

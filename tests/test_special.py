@@ -26,19 +26,15 @@ from cdfdr.special import (
     _BLOCK,
     _betacf_many,
     _libm_map,
-    beta_cdf,
     beta_cdf_many,
-    beta_pdf,
     beta_pdf_many,
     digamma,
     log_gamma,
-    normal_cdf,
     normal_cdf_many,
-    normal_quantile,
+    normal_pdf_many,
     normal_quantile_many,
-    student_t_cdf,
     student_t_cdf_many,
-    student_t_pdf,
+    student_t_pdf_many,
     trigamma,
 )
 
@@ -102,54 +98,54 @@ BETA_CDF_REF = [
 
 class TestNormalCdf:
     def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
+        assert normal_cdf_many(0.0)[0] == 0.5
 
     def test_derived_quantile_point(self):
-        assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        assert normal_cdf_many(1.959964)[0] == pytest.approx(0.975, abs=1e-6)
 
     @pytest.mark.parametrize("z,ref", sorted(NORMAL_CDF_REF.items()))
     def test_reference_grid(self, z, ref):
-        assert normal_cdf(z) == pytest.approx(ref, rel=1e-12)
+        assert normal_cdf_many(z)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_far_tail_positive(self):
         # Subnormal but positive at -38; exact underflow starts near -39,
         # which is the documented behavior.
-        assert normal_cdf(-38.0) > 0.0
+        assert normal_cdf_many(-38.0)[0] > 0.0
 
     def test_nondecreasing_on_grid(self):
         grid = np.linspace(-12.0, 12.0, 10_000)
-        values = np.array([normal_cdf(z) for z in grid])
+        values = normal_cdf_many(grid)
         assert np.all(np.diff(values) >= 0.0)
         assert values[0] <= 1e-9 and values[-1] >= 1.0 - 1e-9
 
     def test_nonfinite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                normal_cdf(bad)
+                normal_cdf_many(bad)
             with pytest.raises(DomainError):
                 normal_cdf_many([0.3, bad])
 
 
 class TestNormalQuantile:
     def test_median(self):
-        assert normal_quantile(0.5) == 0.0
+        assert normal_quantile_many(0.5)[0] == 0.0
 
     def test_derived_point(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-        assert normal_quantile(0.975) == pytest.approx(1.9599639845400542355, rel=1e-13)
+        assert normal_quantile_many(0.975)[0] == pytest.approx(1.959964, abs=1e-6)
+        assert normal_quantile_many(0.975)[0] == pytest.approx(1.9599639845400542355, rel=1e-13)
 
     def test_round_trip_through_cdf(self):
         for p in [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.99, 1 - 1e-9]:
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-9)
+            assert normal_cdf_many(normal_quantile_many(p))[0] == pytest.approx(p, abs=1e-9)
 
     def test_inverse_identity_on_grid(self):
         for x in np.linspace(-6.0, 6.0, 121):
-            assert normal_quantile(normal_cdf(x)) == pytest.approx(x, abs=1e-8)
+            assert normal_quantile_many(normal_cdf_many(x))[0] == pytest.approx(x, abs=1e-8)
 
     def test_boundaries_rejected(self):
         for p in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(DomainError):
-                normal_quantile(p)
+                normal_quantile_many(p)
             with pytest.raises(DomainError):
                 normal_quantile_many([0.3, p])
 
@@ -157,39 +153,42 @@ class TestNormalQuantile:
 class TestStudentT:
     def test_symmetry_at_zero(self):
         for df in (0.5, 1.0, 3.0, 100.0):
-            assert student_t_cdf(0.0, df) == 0.5
+            assert student_t_cdf_many(0.0, df)[0] == 0.5
 
     def test_cauchy_closed_form(self):
         # df=1 is the Cauchy law: F(t) = 1/2 + atan(t)/pi.
-        assert student_t_cdf(1.0, 1.0) == pytest.approx(0.75, rel=1e-12)
+        assert student_t_cdf_many(1.0, 1.0)[0] == pytest.approx(0.75, rel=1e-12)
         for t in (-4.0, -0.7, 0.3, 2.0, 9.0):
-            assert student_t_cdf(t, 1.0) == pytest.approx(
+            assert student_t_cdf_many(t, 1.0)[0] == pytest.approx(
                 0.5 + math.atan(t) / math.pi, rel=1e-12
             )
 
     def test_integration_oracle_point(self):
-        assert student_t_cdf(2.0, 100.0) == pytest.approx(0.975903, abs=1e-5)
+        assert student_t_cdf_many(2.0, 100.0)[0] == pytest.approx(0.975903, abs=1e-5)
 
     @pytest.mark.parametrize("t,df,ref", STUDENT_T_CDF_REF)
     def test_reference_grid(self, t, df, ref):
-        assert student_t_cdf(t, df) == pytest.approx(ref, rel=1e-10)
+        assert student_t_cdf_many(t, df)[0] == pytest.approx(ref, rel=1e-10)
 
     def test_monotone_and_limits(self):
         grid = np.concatenate([[-1e10], np.linspace(-40, 40, 10_000), [1e10]])
-        values = np.array([student_t_cdf(t, 1.0) for t in grid])
+        values = student_t_cdf_many(grid, 1.0)
         assert np.all(np.diff(values) >= 0.0)
         assert values[0] <= 1e-9 and values[-1] >= 1.0 - 1e-9
 
     def test_bad_df_rejected(self):
         for df in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
-                student_t_cdf(1.0, df)
+                student_t_cdf_many(1.0, df)
+            with pytest.raises(DomainError):
+                student_t_pdf_many(1.0, df)
 
     def test_pdf_matches_numeric_derivative(self):
         for t, df in [(0.0, 5.0), (1.3, 5.0), (-2.0, 12.0)]:
             h = 1e-6
-            numeric = (student_t_cdf(t + h, df) - student_t_cdf(t - h, df)) / (2 * h)
-            assert student_t_pdf(t, df) == pytest.approx(numeric, rel=1e-7)
+            lower, upper = student_t_cdf_many([t - h, t + h], df)
+            numeric = (upper - lower) / (2 * h)
+            assert student_t_pdf_many(t, df)[0] == pytest.approx(numeric, rel=1e-7)
 
 
 class TestGammaFamily:
@@ -226,8 +225,8 @@ class TestGammaFamily:
 class TestBetaDistribution:
     def test_uniform_case(self):
         for u in np.linspace(0.0, 1.0, 11):
-            assert beta_pdf(u, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert beta_cdf(0.5, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+            assert beta_pdf_many(u, 1.0, 1.0)[0] == pytest.approx(1.0, rel=1e-14)
+        assert beta_cdf_many(0.5, 1.0, 1.0)[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_prostate_preflattener_display(self):
         # The published assembled estimate writes the normalizer as 0.68 and
@@ -238,16 +237,16 @@ class TestBetaDistribution:
         assert math.exp(-ln_b) == pytest.approx(0.68, abs=0.005)
         for u in np.arange(0.1, 0.95, 0.1):
             display = 0.68 * u ** (-0.19) * (1.0 - u) ** (-0.18)
-            assert beta_pdf(u, 0.81, 0.82) == pytest.approx(display, abs=1e-2)
+            assert beta_pdf_many(u, 0.81, 0.82)[0] == pytest.approx(display, abs=1e-2)
 
     @pytest.mark.parametrize("x,a,b,ref", BETA_CDF_REF)
     def test_cdf_reference(self, x, a, b, ref):
-        assert beta_cdf(x, a, b) == pytest.approx(ref, rel=1e-12)
+        assert beta_cdf_many(x, a, b)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_cdf_endpoints_and_monotonicity(self):
         for a, b in [(0.3, 0.7), (1.0, 1.0), (2.0, 5.0), (0.81, 0.82)]:
-            assert beta_cdf(0.0, a, b) == 0.0
-            assert beta_cdf(1.0, a, b) == 1.0
+            assert beta_cdf_many(0.0, a, b)[0] == 0.0
+            assert beta_cdf_many(1.0, a, b)[0] == 1.0
             grid = np.linspace(0.0, 1.0, 10_000)
             values = beta_cdf_many(grid, a, b)
             assert np.all(np.diff(values) >= 0.0)
@@ -257,13 +256,13 @@ class TestBetaDistribution:
             assert np.all(np.diff(values)[interior] > 0.0)
 
     def test_pdf_boundary_sentinels(self):
-        assert beta_pdf(0.0, 0.5, 2.0) == math.inf
-        assert beta_pdf(1.0, 2.0, 0.5) == math.inf
-        assert beta_pdf(0.0, 2.0, 0.5) == 0.0
-        assert beta_pdf(0.0, 1.0, 3.0) == pytest.approx(3.0, rel=1e-12)
+        assert beta_pdf_many(0.0, 0.5, 2.0)[0] == math.inf
+        assert beta_pdf_many(1.0, 2.0, 0.5)[0] == math.inf
+        assert beta_pdf_many(0.0, 2.0, 0.5)[0] == 0.0
+        assert beta_pdf_many(0.0, 1.0, 3.0)[0] == pytest.approx(3.0, rel=1e-12)
         # CDF never returns the infinity sentinel.
-        assert beta_cdf(0.0, 0.5, 0.5) == 0.0
-        assert beta_cdf(1.0, 0.5, 0.5) == 1.0
+        assert beta_cdf_many(0.0, 0.5, 0.5)[0] == 0.0
+        assert beta_cdf_many(1.0, 0.5, 0.5)[0] == 1.0
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.8, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.8, 1.0, 2.0, 5.0])
@@ -279,7 +278,7 @@ class TestBetaDistribution:
     def test_pdf_integral_against_scipy_quad(self):
         # Independent adaptive-quadrature oracle on a singular case.
         val, err = sp_integrate.quad(
-            lambda u: beta_pdf(u, 0.3, 0.8), 0.0, 1.0, points=[0.0], limit=200
+            lambda u: beta_pdf_many(u, 0.3, 0.8)[0], 0.0, 1.0, points=[0.0], limit=200
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -288,7 +287,7 @@ class TestBetaDistribution:
         u = rng.random(64)
         vec = beta_cdf_many(u, 0.81, 0.82)
         for i in range(u.size):
-            assert beta_cdf(u[i], 0.81, 0.82) == vec[i]
+            assert beta_cdf_many(u[i], 0.81, 0.82)[0] == vec[i]
 
     def test_incomplete_beta_symmetry(self):
         # I_x(a,b) = 1 - I_{1-x}(b,a)
@@ -299,13 +298,13 @@ class TestBetaDistribution:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            beta_pdf(-0.1, 1.0, 1.0)
+            beta_pdf_many(-0.1, 1.0, 1.0)
         with pytest.raises(DomainError):
-            beta_cdf(1.1, 1.0, 1.0)
+            beta_cdf_many(1.1, 1.0, 1.0)
         with pytest.raises(DomainError):
-            beta_pdf(0.5, 0.0, 1.0)
+            beta_pdf_many(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
-            beta_cdf(0.5, 1.0, -2.0)
+            beta_cdf_many(0.5, 1.0, -2.0)
 
 
 def _math_normal_cdf(z):
@@ -333,6 +332,17 @@ def _math_normal_quantile(p):
         err = _math_normal_cdf(x) - p
         x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
     return x
+
+
+def _math_normal_pdf(z):
+    """Reference phi(z), one Python float at a time through math.exp."""
+    return 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
+
+
+def _math_student_t_pdf(t, df):
+    """Reference t density, one Python float at a time through math.exp and math.log1p."""
+    ln_c = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    return math.exp(ln_c - 0.5 * (df + 1.0) * math.log1p(t * t / df))
 
 
 def _with_neighbours(points):
@@ -373,6 +383,26 @@ class TestNormalKernels:
         assert np.any(values == 0.0) and values[z > -38.0].min() > 0.0
         self._assert_bitwise(normal_cdf_many, _math_normal_cdf, z)
 
+    def test_pdf_on_seeded_grid(self):
+        # numpy's own exp moves about 4% of these densities by an ulp.
+        rng = np.random.Generator(np.random.Philox(31))
+        z = np.concatenate([rng.normal(0.0, 3.0, 20_000), np.linspace(-40.0, 40.0, 4001)])
+        self._assert_bitwise(normal_pdf_many, _math_normal_pdf, z)
+
+    @pytest.mark.parametrize("df", [1.0, 3.5, 30.0, 1e4])
+    def test_student_t_pdf_on_seeded_grid(self, df):
+        rng = np.random.Generator(np.random.Philox(37))
+        t = np.concatenate([rng.standard_t(df, 20_000), np.linspace(-1e3, 1e3, 4001)])
+        self._assert_bitwise(lambda x: student_t_pdf_many(x, df),
+                             lambda x: _math_student_t_pdf(x, df), t)
+
+    def test_pdf_rejects_nonfinite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                normal_pdf_many([0.3, bad])
+            with pytest.raises(DomainError):
+                student_t_pdf_many([0.3, bad], 5.0)
+
     def test_against_scipy(self):
         z = np.linspace(-37.0, 8.5, 100_001)
         np.testing.assert_allclose(normal_cdf_many(z), sp_special.ndtr(z), rtol=1e-12, atol=0)
@@ -395,14 +425,16 @@ _shape = st.floats(0.05, 50.0)
        p=st.lists(_open_unit, min_size=1, max_size=12),
        u=st.lists(_unit, min_size=1, max_size=12),
        alpha=_shape, beta=_shape, df=st.floats(0.5, 300.0))
-def test_scalar_wrappers_equal_kernels(z, p, u, alpha, beta, df):
-    # Each scalar function is its array kernel at one element, bit for bit,
-    # whatever else shares the batch.
-    assert [normal_cdf(x) for x in z] == normal_cdf_many(z).tolist()
-    assert [normal_quantile(x) for x in p] == normal_quantile_many(p).tolist()
-    assert [student_t_cdf(x, df) for x in z] == student_t_cdf_many(z, df).tolist()
-    assert [beta_cdf(x, alpha, beta) for x in u] == beta_cdf_many(u, alpha, beta).tolist()
-    assert [beta_pdf(x, alpha, beta) for x in u] == beta_pdf_many(u, alpha, beta).tolist()
+def test_kernels_are_batch_independent(z, p, u, alpha, beta, df):
+    # Each kernel at a one-element array is the same element of a batch, bit
+    # for bit, whatever else shares the batch.
+    kernels = [
+        (normal_cdf_many, z), (normal_quantile_many, p), (normal_pdf_many, z),
+        (lambda x: student_t_cdf_many(x, df), z), (lambda x: student_t_pdf_many(x, df), z),
+        (lambda x: beta_cdf_many(x, alpha, beta), u), (lambda x: beta_pdf_many(x, alpha, beta), u),
+    ]
+    for kernel, xs in kernels:
+        assert [kernel(np.array([x]))[0] for x in xs] == kernel(np.array(xs)).tolist()
 
 
 def _whole_array_betacf(a, b, x):
