@@ -119,10 +119,14 @@ def _fit_series(fit: BetaFit, u, v, m: int) -> tuple[ComparisonDensityModel, np.
 def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
     """Series density 1 + sum_j theta_hat[j] S_j(v) at each point of v.
 
-    May be negative; the floor applies downstream.
+    May be negative; the floor applies downstream.  A one-point query is
+    padded to two rows, because numpy takes a one-row matrix-vector product
+    down another path, with other rounding, than the product for a batch.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    return 1.0 + (basis_matrix(coeffs.m, v.ravel()) @ coeffs.theta_hat).reshape(v.shape)
+    rows = v.ravel() if v.size != 1 else np.repeat(v.ravel(), 2)
+    series = basis_matrix(coeffs.m, rows) @ coeffs.theta_hat
+    return 1.0 + series[:v.size].reshape(v.shape)
 
 
 def comparison_density_raw_many(model: ComparisonDensityModel, u) -> np.ndarray:

@@ -137,12 +137,23 @@ def true_fdr_mixture_normal(z, pi0: float, mu: float) -> np.ndarray:
     """Closed-form fdr of the marginalized mixture at each z.
 
     Marginalizing the mean draw, non-null statistics are N(mu, 2), so
-    f(z) = pi0 phi(z) + (1 - pi0) phi((z - mu)/sqrt 2)/sqrt 2.
+    f(z) = pi0 phi(z) + (1 - pi0) phi((z - mu)/sqrt 2)/sqrt 2.  Where both
+    parts underflow to 0 (|z| beyond about 38), the ratio is taken in log space.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     null_part = pi0 * normal_pdf_many(z)
     alt_part = (1.0 - pi0) * normal_pdf_many((z - mu) / math.sqrt(2.0)) / math.sqrt(2.0)
-    return null_part / (null_part + alt_part)
+    total = null_part + alt_part
+    under = total == 0.0
+    fdr = null_part / np.where(under, 1.0, total)
+    if under.any():
+        zu = z[under]
+        # log(alt_part / null_part) from the log densities; -inf at pi0 = 1, +inf at 0.
+        with np.errstate(divide="ignore"):
+            log_odds = np.log1p(-pi0) - np.log(pi0 * math.sqrt(2.0)) \
+                + 0.5 * zu * zu - 0.25 * (zu - mu) ** 2
+        fdr[under] = np.exp(-np.logaddexp(0.0, log_odds))
+    return fdr
 
 
 def gen_mixture_uniform(design: MixtureUniformDesign, replicate: int = 0) -> np.ndarray:

@@ -147,8 +147,8 @@ class TestInvariants:
 class TestChunkedScan:
     """The scan builds its basis in chunks; the result equals the whole-array scan bit for bit."""
 
-    @pytest.mark.parametrize("n", [_SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1,
-                                   2 * _SCAN_CHUNK + 7])
+    @pytest.mark.parametrize("n", [4 * _SCAN_CHUNK - 1, 4 * _SCAN_CHUNK, 4 * _SCAN_CHUNK + 1,
+                                   8 * _SCAN_CHUNK + 7])
     @pytest.mark.parametrize("m", [1, 10, 16])
     def test_matches_whole_array_scan(self, n, m):
         # Rounded values give ties in both sort keys.
@@ -223,6 +223,17 @@ class TestErrors:
         dens = _unit_density(u)
         dens[::10] = bad
         with pytest.raises(DomainError, match=r"density must be finite, got .* at index 0"):
+            estimate_pi0(u, dens)
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan, math.inf])
+    def test_pvalue_after_last_scanned_row_rejected(self, bad):
+        # The case's density sits above every level, so it sorts after the
+        # last row the scan reads and its basis row is never built.
+        rng = np.random.Generator(np.random.Philox(59))
+        u = rng.random(3 * _SCAN_CHUNK)
+        dens = _unit_density(u)
+        u[7], dens[7] = bad, 4.0
+        with pytest.raises(DomainError, match="p-values must lie in"):
             estimate_pi0(u, dens)
 
     def test_density_length_must_match(self):

@@ -1,11 +1,14 @@
 """Pipeline orchestration: transforms, fitting, fdr evaluation, discoveries."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import stats as sp_stats
 
@@ -383,6 +386,39 @@ def density_calls(monkeypatch):
 
 
 MODES = ["pit", "two_sided", "precomputed"]
+
+
+@functools.lru_cache(maxsize=None)
+def _signal_fit():
+    """A pit fit on 20,000 cases, 10% of them shifted by 2."""
+    rng = np.random.Generator(np.random.Philox(83))
+    z = np.concatenate([rng.normal(0.0, 1.0, 18_000), rng.normal(2.0, 1.0, 2_000)])
+    return fit_cdfdr(z, NullSpec.standard_normal())
+
+
+class TestBatchIndependence:
+    """A one-element query gives the same bits as that point in a batch: the
+    one-row series product is padded to the batch's matrix-vector path."""
+
+    def test_fdr_on_a_fine_grid(self):
+        model = _signal_fit()
+        z = np.linspace(-8.0, 8.0, 1601)
+        batch = local_fdr_many(model, z, cap=False)
+        assert [local_fdr_many(model, z[i:i + 1], cap=False)[0] for i in range(z.size)] \
+            == batch.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20),
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_density_and_fdr(self, z, u):
+        model = _signal_fit()
+        for x in (z, u):
+            dens = eval_comparison_density_many(model.cd_model, np.clip(x, 0.0, 1.0))
+            assert [eval_comparison_density_many(model.cd_model, [min(max(xi, 0.0), 1.0)])[0]
+                    for xi in x] == dens.tolist()
+        for cap in (True, False):
+            fdr = local_fdr_many(model, np.array(z), cap=cap)
+            assert [local_fdr_many(model, np.array([zi]), cap=cap)[0] for zi in z] == fdr.tolist()
 
 
 class TestStoredArrays:

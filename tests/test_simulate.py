@@ -1,6 +1,7 @@
 """Simulation harness: generators, closed-form oracles, replicate aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cdfdr.simulate import (
     true_fdr_mixture_uniform,
     uniform_grid,
 )
+from cdfdr.special import normal_pdf_many
 
 # 99%-level Kolmogorov-Smirnov critical constant (K such that
 # P(sqrt(n) D_n > K) = 0.01 asymptotically).
@@ -110,6 +112,27 @@ class TestTrueFdrMixtureNormal:
         assert true_fdr_mixture_normal(z, 0.9, 0.0) == pytest.approx(
             true_fdr_mixture_normal(-z, 0.9, 0.0), rel=1e-12
         )
+
+    def test_where_both_densities_underflow(self):
+        # At |z| = 60 both parts underflow to 0; the ratio is taken in log
+        # space there, where the non-null part (variance 2) dominates.
+        z = np.array([-60.0, -40.0, 40.0, 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fdr = true_fdr_mixture_normal(z, 0.9, 2.0)
+            assert fdr.tolist() == [0.0, 0.0, 0.0, 0.0]
+            # A single component gives its own limit.
+            assert true_fdr_mixture_normal(z, 1.0, 2.0).tolist() == [1.0] * 4
+            assert true_fdr_mixture_normal(z, 0.0, 2.0).tolist() == [0.0] * 4
+            # Far from mu the null part dominates: the limit is 1.
+            assert true_fdr_mixture_normal(40.0, 0.9, -40.0).tolist() == [1.0]
+
+    def test_direct_ratio_where_densities_are_positive(self):
+        # Out to |z| = 50, where the null part has underflowed but the other has not.
+        z = np.linspace(-50.0, 50.0, 10_001)
+        null = 0.9 * normal_pdf_many(z)
+        alt = (1.0 - 0.9) * normal_pdf_many((z - 2.0) / math.sqrt(2.0)) / math.sqrt(2.0)
+        assert np.array_equal(true_fdr_mixture_normal(z, 0.9, 2.0), null / (null + alt))
 
     def test_array_matches_one_element_calls(self):
         z = np.linspace(-12.0, 12.0, 4801)
