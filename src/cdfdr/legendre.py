@@ -3,9 +3,7 @@
 The series basis is S_j(v) = sqrt(2j+1) * P_j(2v - 1) with P_j the classical
 Legendre polynomial, evaluated by the three-term recurrence.  The S_j are
 orthonormal on [0, 1], have zero mean for j >= 1, and satisfy
-max |S_j| = sqrt(2j+1), attained at the endpoints.  The basis is filled
-``_ROWS`` rows at a time, so a block and its recurrence stay in L2 cache;
-each value depends only on its own point.
+max |S_j| = sqrt(2j+1), attained at the endpoints.
 """
 
 from __future__ import annotations
@@ -20,11 +18,6 @@ __all__ = ["M_MAX", "basis_matrix"]
 # without inviting overfitting.
 M_MAX = 16
 
-_SCALE = np.sqrt(2.0 * np.arange(1, M_MAX + 1) + 1.0)  # sqrt(2j+1), j = 1..M_MAX
-# Rows filled at a time: the block (1 MB at M_MAX) and the recurrence's three
-# columns stay in a 2 MB L2 cache.
-_ROWS = 8192
-
 
 def _check_order(m: int) -> int:
     m = int(m)
@@ -36,9 +29,10 @@ def _check_order(m: int) -> int:
 def basis_matrix(m: int, v, out=None) -> np.ndarray:
     """Evaluate S_1..S_m at each point of ``v``; returns shape (len(v), m).
 
-    Fills the rows of ``out`` (a new array when None, else a float
-    (len(v), m) array or view, such as a chunk of a caller's buffer)
-    ``_ROWS`` at a time; see :func:`_fill_rows`.
+    One recurrence pass in x = 2v - 1 writes the classical P_j into the
+    columns of ``out`` (a new array when None, else a float (len(v), m) array
+    or view, such as a chunk of a caller's buffer), scaled by sqrt(2j+1) at
+    the end.
     """
     m = _check_order(m)
     v = np.asarray(v, dtype=float)
@@ -48,19 +42,6 @@ def basis_matrix(m: int, v, out=None) -> np.ndarray:
         raise DomainError("evaluation points must lie in [0, 1]")
     if out is None:
         out = np.empty((v.size, m))
-    for start in range(0, v.size, _ROWS):
-        _fill_rows(v[start:start + _ROWS], out[start:start + _ROWS])
-    return out
-
-
-def _fill_rows(v: np.ndarray, out: np.ndarray) -> None:
-    """S_1..S_m at each point of ``v``, already checked, into ``out`` of shape (len(v), m).
-
-    One recurrence pass in x = 2v - 1 writes the classical P_j into the
-    columns of ``out``, scaled by sqrt(2j+1) at the end.  Each value depends
-    only on its own point, so the row blocks a caller fills are immaterial.
-    """
-    m = out.shape[1]
     x = 2.0 * v - 1.0
     out[:, 0] = x
     p_prev, p_cur = 1.0, x
@@ -72,4 +53,5 @@ def _fill_rows(v: np.ndarray, out: np.ndarray) -> None:
         p_next /= k + 1
         out[:, k] = p_next
         p_prev, p_cur = p_cur, p_next
-    out *= _SCALE[:m]
+    out *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+    return out

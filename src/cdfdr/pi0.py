@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, InsufficientDataError
-from .legendre import M_MAX, _fill_rows
+from .legendre import M_MAX, basis_matrix
 
 __all__ = ["DeviancePath", "estimate_pi0"]
 
@@ -25,10 +25,9 @@ _LAMBDA_MIN, _LAMBDA_MAX = 1.0, 3.5  # the density levels the scan covers
 # of levels, and a finer step than the data's density levels buys nothing.
 _STEP_MIN = 1e-4
 
-# Rows of the basis the scan builds at a time: a chunk stays in L2 cache
-# through its cumulative sum, and the scan's memory does not grow with the
-# number of p-values.
-_SCAN_CHUNK = 8192
+# Rows of the basis the scan builds at a time, so its memory does not grow
+# with the number of p-values.
+_SCAN_CHUNK = 32_768
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class DeviancePath:
 def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> DeviancePath:
     """Minimum-deviance estimate of the true-null proportion.
 
-    ``pvalues`` must lie in [0, 1].  ``density`` holds the floored comparison
-    density at each p-value, as fitted on these same p-values
-    (``CdfrModel.d_hat``); it must be finite.
+    ``density`` holds the floored comparison density at each p-value, as
+    fitted on these same p-values (``CdfrModel.d_hat``); it must be finite.
     ``grid_step`` lies in [1e-4, 2.5].  Ties at the
     minimum break toward the smallest lambda (most conservative null set);
     the scan is performed in ascending lambda order, so the result is
@@ -75,8 +73,6 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     if not finite.all():
         bad = int(np.argmin(finite))
         raise DomainError(f"density must be finite, got {float(dens[bad])!r} at index {bad}")
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise DomainError("p-values must lie in [0, 1]")
     n = int(u.size)
 
     # Canonical (density, p-value) ordering makes the prefix sums, and hence
@@ -98,9 +94,11 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     deviances = np.full(n_grid, np.nan)
     n_lambda = counts.astype(int)
     valid = counts > 0
+    # Built before the empty-set check: the basis rejects p-values outside [0, 1].
+    prefix = _prefix_rows(int(m), u, order, counts[valid] - 1)
     if not np.any(valid):
         raise EstimationError("every lambda grid point produced an empty null set")
-    theta = _prefix_rows(int(m), u, order, counts[valid] - 1) / counts[valid, None]
+    theta = prefix / counts[valid, None]
     deviances[valid] = np.sum(theta ** 2, axis=1)
 
     valid_dev = deviances[valid]
@@ -127,21 +125,20 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
 
 
 def _prefix_rows(m: int, u: np.ndarray, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (ascending, not empty) of ``np.cumsum(basis_matrix(m, u[order]), axis=0)``.
+    """Rows ``rows`` (ascending) of ``np.cumsum(basis_matrix(m, u[order]), axis=0)``.
 
     The basis is built one chunk at a time below a carry row that holds the
     sum so far, so a cumsum down the chunk adds in the same sequence as the
-    cumsum over all N rows and every row is bit-identical to it.  No row
-    after the last one asked for is built, and u is not checked here.
+    cumsum over all N rows and every row is bit-identical to it.
     """
-    n = int(rows[-1]) + 1
+    n = order.size
     out = np.empty((rows.size, m))
     buf = np.empty((min(n, _SCAN_CHUNK) + 1, m))
     buf[0] = -0.0  # -0.0 + x is x for every x, signed zeros included
     for start in range(0, n, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n)
         block = buf[: stop - start + 1]
-        _fill_rows(u[order[start:stop]], block[1:])
+        basis_matrix(m, u[order[start:stop]], out=block[1:])
         np.cumsum(block, axis=0, out=block)
         lo, hi = np.searchsorted(rows, (start, stop))
         out[lo:hi] = block[rows[lo:hi] - start + 1]

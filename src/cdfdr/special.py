@@ -3,11 +3,9 @@
 The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
 dimension, and an element's value does not depend on the rest of its batch.
-The per-case kernels (the normal CDF and quantile, the libm maps and the
-incomplete beta's continued fraction) run over blocks of ``_BLOCK`` lanes,
-so their temporaries stay in cache; the continued fraction also retires its
-converged lanes, so its later steps run over the live lanes only.
-The gamma family serves the scalar Newton fit of the beta shapes and stays
+The incomplete beta's continued fraction runs over blocks of ``_BLOCK``
+lanes and retires its converged lanes, so its later steps run over the
+live lanes only.  The gamma family serves the scalar Newton fit of the beta shapes and stays
 scalar.
 
 No probability clamping happens here: these primitives are exact over their
@@ -46,37 +44,23 @@ _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
 # Lanes the per-case kernels process at a time: the continued fraction's
-# working arrays, the quantile's temporaries and the libm maps' Python floats
-# for one block stay in cache.  Each lane's arithmetic is independent of the
-# block size.
+# working arrays and the libm maps' Python floats for one block stay in cache.
+# Each lane's arithmetic is independent of the block size.
 _BLOCK = 16_384
-# The fewest live lanes a continued-fraction block packs; below this, the
-# copies cost more than the steps they save, and frozen lanes are only masked.
-_PACK_MIN = 1024
 
 
-def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
-    """``kernel``, an elementwise map of a 1-d float array, over x in blocks of
-    ``_BLOCK`` lanes; the result has x's shape."""
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK):
-        out[start:start + _BLOCK] = kernel(flat[start:start + _BLOCK])
-    return out.reshape(x.shape)
-
-
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """The ``math`` function ``f`` (libm's erfc, log, log1p or exp) at each element of 1-d x.
+def _libm_map(f, x: np.ndarray) -> np.ndarray:
+    """The ``math`` function ``f`` (libm's erfc, log, log1p or exp) at each element of x.
 
     numpy's own log and exp differ from libm's in the last bit on some inputs,
     which would change the quantiles and every output downstream of them.
     """
-    return np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-def _libm_map(f, x: np.ndarray) -> np.ndarray:
-    """:func:`_libm` over an array of any shape, a block at a time."""
-    return _blockwise(lambda block: _libm(f, block), x)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        out[start:start + block.size] = np.fromiter(map(f, block.tolist()), float, block.size)
+    return out.reshape(x.shape)
 
 
 def _finite_1d(name: str, x) -> np.ndarray:
@@ -107,12 +91,8 @@ def normal_cdf_many(z) -> np.ndarray:
     is subnormal and underflows to exactly 0.0 near z = -39 (documented
     behavior; callers that need strict positivity must clamp).
     """
-    return _blockwise(_phi, _finite_1d("z", z))
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Phi at each element of a 1-d block, unchecked."""
-    return 0.5 * _libm(math.erfc, -z / _SQRT2)
+    z = _finite_1d("z", z)
+    return 0.5 * _libm_map(math.erfc, -z / _SQRT2)
 
 
 def normal_pdf_many(z) -> np.ndarray:
@@ -159,17 +139,12 @@ def normal_quantile_many(p) -> np.ndarray:
     p = _finite_1d("p", p)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
-    return _blockwise(_quantile, p)
-
-
-def _quantile(p: np.ndarray) -> np.ndarray:
-    """The normal quantile at each element of a 1-d block inside (0, 1), unchecked."""
     x = np.empty_like(p)
     low = p < _ACKLAM_P_LOW
     high = p > 1.0 - _ACKLAM_P_LOW
     centre = ~(low | high)
-    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm(math.log, p[low])))
-    x[high] = -_acklam_tail(np.sqrt(-2.0 * _libm(math.log, 1.0 - p[high])))
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, p[low])))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, 1.0 - p[high])))
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p[centre] - 0.5
     r = q * q
@@ -179,8 +154,8 @@ def _quantile(p: np.ndarray) -> np.ndarray:
     # i.e. p below ~1e-306, far outside any clamped caller input).
     newton = x * x < 1400.0
     xn = x[newton]
-    err = _phi(xn) - p[newton]
-    x[newton] = xn - err * _SQRT_2PI * _libm(math.exp, 0.5 * xn * xn)
+    err = normal_cdf_many(xn) - p[newton]
+    x[newton] = xn - err * _SQRT_2PI * _libm_map(math.exp, 0.5 * xn * xn)
     return x
 
 
@@ -269,11 +244,11 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     freezes at its own convergence: from then on both of its factors are
     exactly 1.0, so a value never depends on which other points share the
     batch or the block (a one-element call and a batch agree bit for bit).
-    Once a quarter of a block's live lanes have frozen, and at least
-    ``_PACK_MIN`` lanes are live, the frozen lanes' values are written out and
-    the live lanes are packed to the front of the buffers with their output
-    positions, so later steps skip the converged lanes.  A block stops once
-    all of its lanes have frozen or after ``_CF_MAX_ITER`` steps.
+    Once a quarter of a block's live lanes have frozen, the frozen lanes'
+    values are written out and the live lanes are packed to the front of the
+    buffers with their output positions, so later steps skip the converged
+    lanes.  A block stops once all of its lanes have frozen or after
+    ``_CF_MAX_ITER`` steps.
     """
     qab = a + b
     qap = a + 1.0
@@ -325,7 +300,7 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
             n_active = np.count_nonzero(active)
             if n_active == 0:
                 break
-            if live >= _PACK_MIN and 4 * (live - n_active) >= live:
+            if 4 * (live - n_active) >= live:
                 # Write out every lane (a live lane's value is rewritten later),
                 # then gather the live lanes to the front, in their order.
                 block_out[position] = h

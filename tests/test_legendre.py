@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdfdr.errors import DomainError
-from cdfdr.legendre import _ROWS, M_MAX, basis_matrix
+from cdfdr.legendre import M_MAX, basis_matrix
 from cdfdr.quadrature import gauss_legendre
 
 
@@ -58,40 +58,21 @@ class TestConsistency:
             assert np.array_equal(mat[i], basis_matrix(10, vi)[0])
 
 
-def _column_stack_basis(m, v):
-    """Reference basis over the whole array: each column of the recurrence
-    built in turn, stacked, then scaled."""
-    x = 2.0 * v - 1.0
-    p_prev, p_cur, cols = np.ones_like(x), x.copy(), [x.copy()]
-    for k in range(1, m):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        cols.append(p_next)
-        p_prev, p_cur = p_cur, p_next
-    return np.column_stack(cols) * np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
-
-
 class TestFill:
     def test_matches_column_stack_recurrence(self):
         # The in-place fill performs the recurrence's operations in the same
         # order as building each column and stacking them.
         rng = np.random.Generator(np.random.Philox(13))
         v = np.concatenate([[0.0, 0.5, 1.0], rng.random(997)])
+        x = 2.0 * v - 1.0
+        p_prev, p_cur, cols = np.ones_like(x), x.copy(), [x.copy()]
+        for k in range(1, M_MAX):
+            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+            cols.append(p_next)
+            p_prev, p_cur = p_cur, p_next
         for m in range(1, M_MAX + 1):
-            expected = _column_stack_basis(m, v)
+            expected = np.column_stack(cols[:m]) * np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
             assert np.array_equal(basis_matrix(m, v).view(np.uint64), expected.view(np.uint64))
-
-    @pytest.mark.parametrize("n", [_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 7])
-    @pytest.mark.parametrize("m", [1, 6, M_MAX])
-    def test_row_blocks_match_whole_array(self, n, m):
-        # Rows are filled _ROWS at a time; the result is the whole-array basis
-        # bit for bit, into a new array and into a caller's view alike.
-        rng = np.random.Generator(np.random.Philox(n + m))
-        v = np.concatenate([[0.0, 1.0], rng.random(n - 2)])
-        expected = _column_stack_basis(m, v).view(np.uint64)
-        assert np.array_equal(basis_matrix(m, v).view(np.uint64), expected)
-        buf = np.empty((n + 1, m))
-        basis_matrix(m, v, out=buf[1:])
-        assert np.array_equal(buf[1:].view(np.uint64), expected)
 
     def test_fills_out_view(self):
         v = np.linspace(0.0, 1.0, 33)

@@ -25,7 +25,6 @@ from cdfdr.special import (
     _ACKLAM_D,
     _BLOCK,
     _CF_MAX_ITER,
-    _PACK_MIN,
     _betacf_many,
     _libm_map,
     beta_cdf_many,
@@ -479,34 +478,6 @@ def _whole_array_betacf(a, b, x):
     return h
 
 
-def _whole_array_quantile(p):
-    """Reference normal quantile over the whole array at once, as
-    ``normal_quantile_many`` computed it before it ran in blocks."""
-    libm = _whole_array_libm
-    x = np.empty_like(p)
-    low = p < 0.02425
-    high = p > 1.0 - 0.02425
-    centre = ~(low | high)
-    c, d = _ACKLAM_C, _ACKLAM_D
-
-    def tail(q):
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-    x[low] = tail(np.sqrt(-2.0 * libm(math.log, p[low])))
-    x[high] = -tail(np.sqrt(-2.0 * libm(math.log, 1.0 - p[high])))
-    a, b = _ACKLAM_A, _ACKLAM_B
-    q = p[centre] - 0.5
-    r = q * q
-    x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    newton = x * x < 1400.0
-    xn = x[newton]
-    err = 0.5 * libm(math.erfc, -xn / math.sqrt(2.0)) - p[newton]
-    x[newton] = xn - err * math.sqrt(2.0 * math.pi) * libm(math.exp, 0.5 * xn * xn)
-    return x
-
-
 def _whole_array_libm(f, x):
     """Reference libm map: ``f`` on every element at once through frompyfunc."""
     return np.frompyfunc(f, 1, 1)(x).astype(float)
@@ -540,23 +511,23 @@ class TestBlockedKernels:
         _assert_same_bits(_betacf_many(50.0, 0.5, x), _whole_array_betacf(50.0, 0.5, x))
         _assert_same_bits(_betacf_many(50.0, 0.5, x.T), _whole_array_betacf(50.0, 0.5, x.T))
 
-    @pytest.mark.parametrize("n", [_PACK_MIN - 1, _PACK_MIN, _PACK_MIN + 1])
-    def test_continued_fraction_around_pack_minimum(self, n):
-        # Blocks below _PACK_MIN lanes only mask their frozen lanes; from
-        # _PACK_MIN on they pack the live lanes, several times over as lanes
-        # converge from the first step to the last.
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025])
+    def test_continued_fraction_packs(self, n):
+        # A block packs its live lanes each time a quarter of them have
+        # frozen, several times over as lanes converge from the first step
+        # to the last.
         rng = np.random.Generator(np.random.Philox(n + 3))
         x = rng.random(n) ** 3 * 51.0 / 52.5
         _assert_same_bits(_betacf_many(50.0, 0.5, x), _whole_array_betacf(50.0, 0.5, x))
 
-    @pytest.mark.parametrize("n", [3 * _PACK_MIN, _BLOCK + 5])
+    @pytest.mark.parametrize("n", [3072, _BLOCK + 5])
     @pytest.mark.parametrize("x0", [0.3, 1e-12])
     def test_continued_fraction_lanes_freezing_together(self, n, x0):
         # Equal points freeze at the same step, so no step packs.
         x = np.full(n, x0)
         _assert_same_bits(_betacf_many(2.5, 0.7, x), _whole_array_betacf(2.5, 0.7, x))
 
-    @pytest.mark.parametrize("n", [3 * _PACK_MIN, _BLOCK + 5])
+    @pytest.mark.parametrize("n", [3072, _BLOCK + 5])
     def test_continued_fraction_lanes_at_max_iterations(self, n):
         # At a = b = 1e6, points within 1e-6 of the pivot (relatively) do not
         # converge in _CF_MAX_ITER steps; they are mixed with points that
@@ -568,23 +539,6 @@ class TestBlockedKernels:
         x = np.where(slow, pivot * (1.0 - 1e-6 * rng.random(n)), pivot * 0.9 * rng.random(n))
         assert _CF_MAX_ITER == 500  # the reference runs 500 steps
         _assert_same_bits(_betacf_many(a, b, x), _whole_array_betacf(a, b, x))
-
-    @pytest.mark.parametrize("n", _BLOCK_SIZES)
-    def test_normal_quantile(self, n):
-        rng = np.random.Generator(np.random.Philox(n + 7))
-        p = np.concatenate([rng.random(n - n // 4), np.geomspace(1e-300, 0.5, n // 8),
-                            1.0 - np.geomspace(1e-15, 0.5, n // 4 - n // 8)])
-        rng.shuffle(p)
-        _assert_same_bits(normal_quantile_many(p), _whole_array_quantile(p))
-        _assert_same_bits(normal_quantile_many(p.reshape(1, n)), _whole_array_quantile(p)[None])
-
-    @pytest.mark.parametrize("n", _BLOCK_SIZES)
-    def test_normal_cdf(self, n):
-        rng = np.random.Generator(np.random.Philox(n + 11))
-        z = rng.normal(0.0, 12.0, n)
-        expected = 0.5 * _whole_array_libm(math.erfc, -z / math.sqrt(2.0))
-        _assert_same_bits(normal_cdf_many(z), expected)
-        _assert_same_bits(normal_cdf_many(z.reshape(n, 1)), expected[:, None])
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("f", [math.erfc, math.log, math.exp], ids=lambda f: f.__name__)
