@@ -3,9 +3,13 @@
 The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
 dimension, and an element's value does not depend on the rest of its batch.
-The incomplete beta's continued fraction runs over blocks of ``_BLOCK``
-lanes and retires its converged lanes, so its later steps run over the
-live lanes only.  The gamma family serves the scalar Newton fit of the beta shapes and stays
+The normal distribution function (Cody's rational approximation) and the
+incomplete beta's continued fraction run over blocks of ``_BLOCK`` lanes; the
+continued fraction retires its converged lanes, so its later steps run over
+the live lanes only.  Every elementary function is a numpy ufunc on the whole
+array: the exp of a normal tail or density takes an exactly split square, and
+the t density's exponent is compensated, so that neither rounds its argument.
+The gamma family serves the scalar Newton fit of the beta shapes and stays
 scalar.
 
 No probability clamping happens here: these primitives are exact over their
@@ -34,7 +38,6 @@ __all__ = [
     "beta_cdf_many",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / _SQRT_2PI
 
@@ -43,24 +46,10 @@ _CF_FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
-# Lanes the per-case kernels process at a time: the continued fraction's
-# working arrays and the libm maps' Python floats for one block stay in cache.
-# Each lane's arithmetic is independent of the block size.
+# Lanes the blocked kernels process at a time: the working arrays of the
+# continued fraction and of the normal distribution function for one block
+# stay in cache.  Each lane's arithmetic is independent of the block size.
 _BLOCK = 16_384
-
-
-def _libm_map(f, x: np.ndarray) -> np.ndarray:
-    """The ``math`` function ``f`` (libm's erfc, log, log1p or exp) at each element of x.
-
-    numpy's own log and exp differ from libm's in the last bit on some inputs,
-    which would change the quantiles and every output downstream of them.
-    """
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        out[start:start + block.size] = np.fromiter(map(f, block.tolist()), float, block.size)
-    return out.reshape(x.shape)
 
 
 def _finite_1d(name: str, x) -> np.ndarray:
@@ -83,22 +72,158 @@ def _unit_1d(name: str, x) -> np.ndarray:
 # Normal distribution
 # ---------------------------------------------------------------------------
 
+# Cody's ANORM (ACM TOMS 715, 1993): Phi(z) by three rational branches in |z|,
+# split at _ANORM_CENTRE and sqrt(32).  Cody's centre split, 0.66291, is moved
+# to qnorm(3/4), as in R's pnorm: above it every tail value Phi(-|z|) is below
+# 1/4, so its error counts at most a quarter in ulps of 1 - Phi(-|z|), and
+# below it the compensated centre stays within 0.57 ulp.
+_ANORM_CENTRE = 0.67448975
+_ANORM_ROOT32 = 5.656854249492381
+# Centre: Phi(z) - 1/2 = z N(s) / D(s), s = z^2, with D monic of degree 4.
+# _ANORM_S holds (N(s) - c D(s)) / s, c = 1/sqrt(2 pi), from s^3 down: each
+# coefficient is Cody's A_i - c B_i, rounded from its exact value.  The
+# constant term of N - c D (-1e-12, i.e. Cody's A_3/B_3 less c) is dropped,
+# so that Phi(z) - 1/2 = c z + z^3 S(s) with S = _ANORM_S / D.
+_ANORM_B = (
+    47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
+    45507.789335026729956,
+)
+_ANORM_S = (
+    -0.3332599424832252, -16.595853630431048, -228.37875105824858, -3025.8302088905934,
+)
+# c = _INV_SQRT_2PI + _C_LO.
+_C_LO = -2.49232720227773e-17
+# _ANORM_CENTRE < |z| <= sqrt(32): Phi(-|z|) = exp(-z^2/2) C(|z|) / D(|z|).
+_ANORM_C = (
+    0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
+    597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326,
+    11602.651437647350124, 9842.7148383839780218, 1.0765576773720192317e-8,
+)
+_ANORM_D = (
+    22.266688044328115691, 235.38790178262499861, 1519.3775994075548050,
+    6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+    38912.003286093271411, 19685.429676859990727,
+)
+# |z| > sqrt(32): Phi(-|z|) = exp(-z^2/2) (c - w P(w) / Q(w)) / |z|, w = 1/z^2.
+_ANORM_P = (
+    0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
+    0.001421619193227893466, 2.9112874951168792e-5, 0.02307344176494017303,
+)
+_ANORM_Q = (
+    1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+    0.00378239633202758244, 7.29751555083966205e-5,
+)
+# Beyond this |z|, Phi(-|z|) and phi(z) are exactly 0.0 (below 2^-1074).
+_Z_ZERO_TAIL = 40.0
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _two_product(a, b):
+    """``(p, err)`` with p = fl(a b) and a b = p + err exactly (Dekker).
+
+    Each factor is cut into 26-bit Veltkamp halves, whose products are exact.
+    """
+    prod = a * b
+    split = _VELTKAMP * a
+    a_head = split - (split - a)
+    a_rest = a - a_head
+    split = _VELTKAMP * b
+    b_head = split - (split - b)
+    b_rest = b - b_head
+    return prod, ((a_head * b_head - prod) + a_head * b_rest + a_rest * b_head) + a_rest * b_rest
+
+
+def _exp_half_square(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-y^2/2) as ``(e, l)``: exp(-y^2/2) = e (1 - l) to a relative 2e-27.
+
+    y^2 = sq + err exactly (a two-product), so that the one rounded exp,
+    e = exp(-sq/2), is of an exact argument; l = err/2 is below 2^-53 y^2/2.
+    """
+    sq, err = _two_product(y, y)
+    return np.exp(-0.5 * sq), 0.5 * err
+
+
+def _anorm_centre(z: np.ndarray) -> np.ndarray:
+    """Phi(z) for |z| <= _ANORM_CENTRE, to about half an ulp.
+
+    c z is formed exactly as a two-product and 1/2 + c z as a two-sum, so
+    only the small z^3 S(z^2) term and the last addition round.
+    """
+    b, e = _ANORM_B, _ANORM_S
+    s = z * z
+    den = (((s + b[0]) * s + b[1]) * s + b[2]) * s + b[3]
+    tail = (((e[0] * s + e[1]) * s + e[2]) * s + e[3]) / den
+    prod, prod_err = _two_product(z, _INV_SQRT_2PI)
+    total = 0.5 + prod
+    return total + (((0.5 - total) + prod) + (prod_err + z * (_C_LO + s * tail)))
+
+
+def _anorm_tail(y: np.ndarray) -> np.ndarray:
+    """Phi(-y) for y > _ANORM_CENTRE."""
+    c, d, p, q = _ANORM_C, _ANORM_D, _ANORM_P, _ANORM_Q
+    num = c[8] * y
+    den = y.copy()
+    for i in range(7):
+        num += c[i]
+        num *= y
+        den += d[i]
+        den *= y
+    num += c[7]
+    den += d[7]
+    ratio = np.divide(num, den, out=num)
+    far = np.flatnonzero(y > _ANORM_ROOT32)
+    if far.size:
+        yf = y[far]
+        w = 1.0 / (yf * yf)
+        num = p[5] * w
+        den = w.copy()
+        for i in range(4):
+            num += p[i]
+            num *= w
+            den += q[i]
+            den *= w
+        ratio[far] = (_INV_SQRT_2PI - w * (num + p[4]) / (den + q[4])) / yf
+    e, low = _exp_half_square(y)
+    lower = np.multiply(e, ratio, out=e)
+    return lower - lower * low
+
+
 def normal_cdf_many(z) -> np.ndarray:
     """Standard normal distribution function Phi(z) at each z.
 
-    Computed as ``erfc(-z/sqrt(2))/2``; the complementary error function keeps
-    full relative accuracy in the lower tail.  Below roughly z = -38 the value
-    is subnormal and underflows to exactly 0.0 near z = -39 (documented
-    behavior; callers that need strict positivity must clamp).
+    Cody's ANORM in z itself, over blocks of ``_BLOCK`` lanes.  Measured
+    against mpmath on 10,000 points a branch, it is within 0.57 ulp for
+    |z| <= 0.6745, within 5.3 ulp below that and within 1.5 ulp above it
+    (there the value is 1 - Phi(-z), so the error is small in absolute terms
+    only): within 8 ulp over [-38, 8.5].  Where a one-ulp step of z moves Phi
+    by less than the tails' error (about 0.67 < |z| < 2), Phi can fall by an
+    ulp from one float to the next.  Below z = -37.52 the value is
+    subnormal, and at z <= -38.48529 it is exactly 0.0 (callers that need
+    strict positivity must clamp).
     """
     z = _finite_1d("z", z)
-    return 0.5 * _libm_map(math.erfc, -z / _SQRT2)
+    flat = z.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        zb = flat[start:start + _BLOCK]
+        ob = out[start:start + zb.size]
+        y = np.minimum(np.abs(zb), _Z_ZERO_TAIL)
+        centre = np.flatnonzero(y <= _ANORM_CENTRE)
+        tail = np.flatnonzero(y > _ANORM_CENTRE)
+        ob[centre] = _anorm_centre(zb[centre])
+        value = _anorm_tail(y[tail])
+        np.subtract(1.0, value, out=value, where=zb[tail] > 0.0)
+        ob[tail] = value
+    return out.reshape(z.shape)
 
 
 def normal_pdf_many(z) -> np.ndarray:
-    """Standard normal density phi(z) at each z."""
+    """Standard normal density phi(z) at each z, through the exact split of z^2."""
     z = _finite_1d("z", z)
-    return _INV_SQRT_2PI * _libm_map(math.exp, -0.5 * z * z)
+    e, low = _exp_half_square(np.minimum(np.abs(z), _Z_ZERO_TAIL))
+    # c e as a two-product, so that only the last addition rounds.
+    prod, prod_err = _two_product(e, _INV_SQRT_2PI)
+    return prod + (prod_err + prod * (_C_LO / _INV_SQRT_2PI - low))
 
 
 # Coefficients of Acklam's rational approximation to the normal quantile.
@@ -132,9 +257,10 @@ def normal_quantile_many(p) -> np.ndarray:
     """Inverse of :func:`normal_cdf_many` on the open interval (0, 1).
 
     Acklam's rational approximation (relative error ~1e-9; one branch for each
-    tail and one for the centre) refined by one Newton step against
-    :func:`normal_cdf_many`, which brings the result to near machine
-    precision.  ``p`` equal to 0 or 1 is a domain error; callers clamp first.
+    tail and one for the centre) refined by one Halley step against
+    :func:`normal_cdf_many`, which brings the result to within the rounding
+    of Phi(x) - p (within an ulp in the lower tail).  ``p`` equal to 0 or 1 is a
+    domain error; callers clamp first.
     """
     p = _finite_1d("p", p)
     if not np.all((p > 0.0) & (p < 1.0)):
@@ -143,19 +269,20 @@ def normal_quantile_many(p) -> np.ndarray:
     low = p < _ACKLAM_P_LOW
     high = p > 1.0 - _ACKLAM_P_LOW
     centre = ~(low | high)
-    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, p[low])))
-    x[high] = -_acklam_tail(np.sqrt(-2.0 * _libm_map(math.log, 1.0 - p[high])))
+    x[low] = _acklam_tail(np.sqrt(-2.0 * np.log(p[low])))
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p[centre] - 0.5
     r = q * q
     x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    # One Newton step; skipped where exp(x^2/2) would overflow (|x| > ~37.4,
-    # i.e. p below ~1e-306, far outside any clamped caller input).
-    newton = x * x < 1400.0
-    xn = x[newton]
-    err = normal_cdf_many(xn) - p[newton]
-    x[newton] = xn - err * _SQRT_2PI * _libm_map(math.exp, 0.5 * xn * xn)
+    # One Halley step, x - d/(1 + x d/2) with d = (Phi(x) - p)/phi(x); skipped
+    # where exp(x^2/2) would overflow (|x| > ~37.4, i.e. p below ~1e-306, far
+    # outside any clamped caller input).
+    refine = x * x < 1400.0
+    xr = x[refine]
+    step = (normal_cdf_many(xr) - p[refine]) * _SQRT_2PI * np.exp(0.5 * xr * xr)
+    x[refine] = xr - step / (1.0 + 0.5 * xr * step)
     return x
 
 
@@ -429,10 +556,45 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     return np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
 
 
+# Odd-order terms of log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) ~ sum_k C_k a^-(2k+1),
+# C_k = (2^-n - 2) B_(n+1) / (n (n+1)) with n = 2k + 1 (Bernoulli numbers B).
+_T_SCALE_SERIES = (
+    -0.125, 0.005208333333333333, -0.0015625, 0.0011858258928571428,
+    -0.001681857638888889, 0.0038341175426136365, -0.012819730318509616,
+    0.059100405375162764, -0.359287374159869,
+)
+_HALF_LOG_2PI = 0.9189385332046728
+
+
+def _log_t_scale(df: float) -> float:
+    """log of the t density at 0, log Gamma((df+1)/2) - log Gamma(df/2) - log(df pi)/2.
+
+    From df = 16 on, by the asymptotic series in 1/a (a = df/2), which stays
+    within an ulp; the difference of two ``lgamma`` values of size a log a
+    would lose about a log a / 2^53 to cancellation (9e4 ulp at df = 1e4).
+    """
+    if df < 16.0:
+        return math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    inv = 2.0 / df
+    inv2 = inv * inv
+    acc = 0.0
+    for coeff in reversed(_T_SCALE_SERIES):
+        acc = acc * inv2 + coeff
+    return acc * inv - _HALF_LOG_2PI
+
+
 def student_t_pdf_many(t, df: float) -> np.ndarray:
     """Student-t density with df degrees of freedom at each t."""
     df = _check_df(df)
     t = _finite_1d("t", t)
-    ln_c = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) \
-        - 0.5 * math.log(df * math.pi)
-    return _libm_map(math.exp, ln_c - 0.5 * (df + 1.0) * _libm_map(math.log1p, t * t / df))
+    # The exponent log c - (df + 1)/2 log1p(t^2/df) as a two-product and a
+    # two-sum, so that its rounding error is carried past the exp.
+    scale = _log_t_scale(df)
+    # log1p is capped where (df + 1)/2 log1p(...) > 1000: the density is 0 there.
+    half = 0.5 * (df + 1.0)
+    prod, prod_err = _two_product(half, np.minimum(np.log1p(t * t / df), 1000.0 / half))
+    expo = scale - prod
+    kept = expo - scale
+    expo_err = ((scale - (expo - kept)) - (prod + kept)) - prod_err
+    value = np.exp(expo)
+    return value + value * expo_err

@@ -7,6 +7,7 @@ the property tests at the end.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,14 +20,11 @@ from scipy import stats as sp_stats
 from cdfdr.errors import DomainError
 from cdfdr.quadrature import integrate_unit
 from cdfdr.special import (
-    _ACKLAM_A,
-    _ACKLAM_B,
-    _ACKLAM_C,
-    _ACKLAM_D,
+    _ANORM_CENTRE,
+    _ANORM_ROOT32,
     _BLOCK,
     _CF_MAX_ITER,
     _betacf_many,
-    _libm_map,
     beta_cdf_many,
     beta_pdf_many,
     digamma,
@@ -37,6 +35,16 @@ from cdfdr.special import (
     student_t_cdf_many,
     student_t_pdf_many,
     trigamma,
+)
+from normal_tables import (
+    NORMAL_CDF,
+    NORMAL_CDF_BOUNDS,
+    NORMAL_PDF,
+    NORMAL_PDF_BOUNDS,
+    NORMAL_QUANTILE,
+    NORMAL_QUANTILE_BOUNDS,
+    STUDENT_T_PDF,
+    STUDENT_T_PDF_BOUNDS,
 )
 
 # Frozen from mpmath (dps=50): Phi(z) = erfc(-z/sqrt 2)/2.
@@ -308,94 +316,105 @@ class TestBetaDistribution:
             beta_cdf_many(0.5, 1.0, -2.0)
 
 
-def _math_normal_cdf(z):
-    """Reference Phi(z), one Python float at a time through math.erfc."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+def _table(text):
+    """A frozen table's rows as arrays: x, and its reference as head + tail."""
+    rows = [line.split() for line in text.splitlines() if line]
+    x = np.array([float(a) for a, _ in rows])
+    head = np.array([float(r) for _, r in rows])
+    tail = np.array([float(Decimal(r) - Decimal(float(r))) for _, r in rows])
+    return x, head, tail
 
 
-def _math_normal_quantile(p):
-    """Reference Acklam quantile with its Newton step, one Python float at a time."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p > 1.0 - 0.02425:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    if x * x < 1400.0:
-        err = _math_normal_cdf(x) - p
-        x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x
+def _ulp_errors(values, head, tail):
+    """|value - reference| in ulps of the reference (2^-1074 at a reference of 0)."""
+    unit = np.where(head == 0.0, 2.0 ** -1074, np.spacing(np.abs(head)))
+    return np.abs((values - head) - tail) / unit
 
 
-def _math_normal_pdf(z):
-    """Reference phi(z), one Python float at a time through math.exp."""
-    return 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
+def _max_ulp_error(kernel, text):
+    x, head, tail = _table(text)
+    return _ulp_errors(kernel(x), head, tail).max()
 
 
-def _math_student_t_pdf(t, df):
-    """Reference t density, one Python float at a time through math.exp and math.log1p."""
-    ln_c = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
-    return math.exp(ln_c - 0.5 * (df + 1.0) * math.log1p(t * t / df))
-
-
-def _with_neighbours(points):
-    points = np.asarray(points, dtype=float)
-    return np.concatenate([np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)])
+def _walk(centre, step, n=1000):
+    """2n + 1 points at ``step`` ulps of ``centre`` apart, centred on it."""
+    return centre + np.spacing(abs(centre)) * step * np.arange(-n, n + 1)
 
 
 class TestNormalKernels:
-    def _assert_bitwise(self, kernel, reference, x):
-        expected = np.array([reference(float(xi)) for xi in x])
-        assert np.array_equal(kernel(x).view(np.int64), expected.view(np.int64))
+    """Each kernel against the frozen mpmath tables, within each band's bound:
+    the largest error of the one-float-at-a-time libm path on the same points."""
+
+    @pytest.mark.parametrize("band", sorted(NORMAL_CDF))
+    def test_cdf_table(self, band):
+        assert _max_ulp_error(normal_cdf_many, NORMAL_CDF[band]) <= NORMAL_CDF_BOUNDS[band]
+
+    def test_cdf_within_8_ulp(self):
+        x, head, tail = _table("\n".join(NORMAL_CDF.values()))
+        inside = (x >= -38.0) & (x <= 8.5)
+        assert _ulp_errors(normal_cdf_many(x[inside]), head[inside], tail[inside]).max() <= 8.0
+
+    def test_cdf_symmetric(self):
+        # Phi(z) + Phi(-z) is 1 to within an ulp: both tails are formed from
+        # the one value Phi(-|z|), and the centre from 1/2 +- c z.
+        z = np.concatenate([np.linspace(0.0, 8.0, 20_001), _table(NORMAL_CDF["centre"])[0]])
+        total = normal_cdf_many(z) + normal_cdf_many(-z)
+        assert np.max(np.abs(total - 1.0)) <= 2.0 ** -53
+
+    @pytest.mark.parametrize("edge", [-_ANORM_ROOT32, -0.66291, 0.66291, _ANORM_ROOT32])
+    def test_cdf_nondecreasing_on_ulp_walks(self, edge):
+        # 2,000-ulp walks at 1-ulp steps across sqrt(32) and across Cody's
+        # original centre split, which now lies inside the compensated centre.
+        assert np.all(np.diff(normal_cdf_many(_walk(edge, 1))) >= 0.0)
+
+    @pytest.mark.parametrize("edge", [-_ANORM_CENTRE, _ANORM_CENTRE])
+    def test_cdf_nondecreasing_across_centre_split(self, edge):
+        # Near the centre a step of one ulp in z moves Phi by under an ulp, and
+        # the tail branch is a few ulps off, so the walk steps 4 ulps at a time.
+        assert np.all(np.diff(normal_cdf_many(_walk(edge, 4))) >= 0.0)
 
     def test_quantile_branch_breakpoints(self):
-        p = _with_neighbours([0.02425, 1.0 - 0.02425, 0.5])
-        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+        assert _max_ulp_error(normal_quantile_many, NORMAL_QUANTILE["edge"]) \
+            <= NORMAL_QUANTILE_BOUNDS["edge"]
 
     def test_quantile_at_clamp(self):
-        p = _with_neighbours([1e-15, 1.0 - 1e-15])
-        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+        assert _max_ulp_error(normal_quantile_many, NORMAL_QUANTILE["clamp"]) \
+            <= NORMAL_QUANTILE_BOUNDS["clamp"]
 
     def test_quantile_across_newton_cutoff(self):
-        p = np.geomspace(1e-320, 1e-290, 4001)
-        acklam = np.array([_math_normal_quantile(float(pi)) for pi in p])
-        assert np.any(acklam * acklam < 1400.0) and np.any(acklam * acklam >= 1400.0)
-        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+        # The refinement step is skipped where exp(x^2/2) would overflow.
+        _, head, _ = _table(NORMAL_QUANTILE["newton_cutoff"])
+        assert np.any(head * head < 1400.0) and np.any(head * head >= 1400.0)
+        assert _max_ulp_error(normal_quantile_many, NORMAL_QUANTILE["newton_cutoff"]) \
+            <= NORMAL_QUANTILE_BOUNDS["newton_cutoff"]
 
     def test_quantile_on_seeded_grid(self):
-        # 5.8566747757759295e-46 is an input where numpy's own log and exp
-        # (in place of libm's) move the quantile by one ulp.
-        rng = np.random.Generator(np.random.Philox(29))
-        p = np.concatenate([rng.random(20_000), np.geomspace(1e-300, 0.5, 2000),
-                            [5.8566747757759295e-46]])
-        self._assert_bitwise(normal_quantile_many, _math_normal_quantile, p)
+        for band in ("lower", "centre", "upper"):
+            assert _max_ulp_error(normal_quantile_many, NORMAL_QUANTILE[band]) \
+                <= NORMAL_QUANTILE_BOUNDS[band], band
 
     def test_cdf_through_underflow(self):
+        # Subnormal from z = -37.52; exactly 0.0 from z = -38.48528.
         z = np.concatenate([np.linspace(-40.0, -36.0, 4001), np.linspace(-9.0, 9.0, 4001)])
         values = normal_cdf_many(z)
-        assert np.any(values == 0.0) and values[z > -38.0].min() > 0.0
-        self._assert_bitwise(normal_cdf_many, _math_normal_cdf, z)
+        assert np.all(values[z <= -38.4854] == 0.0) and values[z >= -38.4852].min() > 0.0
+        assert _max_ulp_error(normal_cdf_many, NORMAL_CDF["underflow"]) \
+            <= NORMAL_CDF_BOUNDS["underflow"]
 
     def test_pdf_on_seeded_grid(self):
-        # numpy's own exp moves about 4% of these densities by an ulp.
-        rng = np.random.Generator(np.random.Philox(31))
-        z = np.concatenate([rng.normal(0.0, 3.0, 20_000), np.linspace(-40.0, 40.0, 4001)])
-        self._assert_bitwise(normal_pdf_many, _math_normal_pdf, z)
+        for band, text in NORMAL_PDF.items():
+            assert _max_ulp_error(normal_pdf_many, text) <= NORMAL_PDF_BOUNDS[band], band
+
+    def test_pdf_within_2_ulp(self):
+        # exp(-z^2/2) of an exactly split z^2: no argument rounding in the tails.
+        assert _max_ulp_error(normal_pdf_many, "\n".join(NORMAL_PDF.values())) <= 2.0
 
     @pytest.mark.parametrize("df", [1.0, 3.5, 30.0, 1e4])
     def test_student_t_pdf_on_seeded_grid(self, df):
-        rng = np.random.Generator(np.random.Philox(37))
-        t = np.concatenate([rng.standard_t(df, 20_000), np.linspace(-1e3, 1e3, 4001)])
-        self._assert_bitwise(lambda x: student_t_pdf_many(x, df),
-                             lambda x: _math_student_t_pdf(x, df), t)
+        for band in ("below_2", "2_to_20", "above_20"):
+            key = f"{df!r}/{band}"
+            assert _max_ulp_error(lambda t: student_t_pdf_many(t, df), STUDENT_T_PDF[key]) \
+                <= STUDENT_T_PDF_BOUNDS[key], key
 
     def test_pdf_rejects_nonfinite(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -478,11 +497,6 @@ def _whole_array_betacf(a, b, x):
     return h
 
 
-def _whole_array_libm(f, x):
-    """Reference libm map: ``f`` on every element at once through frompyfunc."""
-    return np.frompyfunc(f, 1, 1)(x).astype(float)
-
-
 def _assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
@@ -491,9 +505,19 @@ def _assert_same_bits(actual, expected):
 _BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
+def _normal_kernel_input(kernel, shape, seed):
+    """The kernel named ``kernel`` and a seeded input for it: z over every Phi
+    branch and into the underflow, or p in (0, 1) for the quantile."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kernel == "quantile":
+        return normal_quantile_many, rng.random(shape) * (1.0 - 2e-16) + 1e-16
+    return {"cdf": normal_cdf_many, "pdf": normal_pdf_many}[kernel], rng.normal(0.0, 10.0, shape)
+
+
 class TestBlockedKernels:
     """The kernels that run in blocks of ``_BLOCK`` lanes equal their
-    whole-array forms bit for bit, whatever the length and shape."""
+    whole-array forms (the continued fraction) or their one-element calls
+    (the normal kernels) bit for bit, whatever the length and shape."""
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("a, b", [(2.5, 0.7), (50.0, 0.5), (0.5, 50.0)])
@@ -541,18 +565,24 @@ class TestBlockedKernels:
         _assert_same_bits(_betacf_many(a, b, x), _whole_array_betacf(a, b, x))
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
-    @pytest.mark.parametrize("f", [math.erfc, math.log, math.exp], ids=lambda f: f.__name__)
-    def test_libm_maps(self, n, f):
-        rng = np.random.Generator(np.random.Philox(n + 1))
-        x = rng.random(n) if f is math.log else rng.normal(0.0, 10.0, n)
-        _assert_same_bits(_libm_map(f, x), _whole_array_libm(f, x))
+    @pytest.mark.parametrize("kernel", ["cdf", "pdf", "quantile"])
+    def test_one_element_equals_batch(self, n, kernel):
+        # Lanes at and around each block edge, and a seeded sample of the rest.
+        f, x = _normal_kernel_input(kernel, (n,), n + 1)
+        batch = f(x)
+        edges = np.arange(0, n, _BLOCK)
+        picks = np.unique(np.concatenate([edges, edges - 1, edges + 1, [n - 1],
+                                          np.random.Generator(np.random.Philox(n)).integers(0, n, 200)]))
+        picks = picks[(picks >= 0) & (picks < n)]
+        _assert_same_bits(np.array([f(x[i:i + 1])[0] for i in picks]), batch[picks])
 
-    @pytest.mark.parametrize("f", [math.erfc, math.log, math.exp], ids=lambda f: f.__name__)
-    def test_libm_maps_2d(self, f):
-        rng = np.random.Generator(np.random.Philox(67))
-        x = rng.random((_BLOCK + 3, 2))
-        _assert_same_bits(_libm_map(f, x), _whole_array_libm(f, x))
-        _assert_same_bits(_libm_map(f, x.T), _whole_array_libm(f, x.T))
+    @pytest.mark.parametrize("kernel", ["cdf", "pdf", "quantile"])
+    def test_one_element_equals_batch_2d(self, kernel):
+        f, x = _normal_kernel_input(kernel, (_BLOCK + 3, 2), 67)
+        values = f(x)
+        _assert_same_bits(values, f(x.ravel()).reshape(x.shape))
+        _assert_same_bits(f(x.T), values.T)
+        _assert_same_bits(f(x[5:6, 1:2]), values[5:6, 1:2])
 
 
 # Shapes drawn log-uniformly from [1e-3, 1e4].
