@@ -30,8 +30,9 @@ class BetaFit:
     """Fitted pre-flattening beta parameters.
 
     ``log_likelihood`` is the total log density of the clamped sample at the
-    fitted parameters.  ``converged`` is False when the iteration cap was hit
-    before the mean-gradient sup-norm dropped below 1e-8 (never silent).
+    fitted parameters.  ``iterations`` counts the accepted scoring steps.
+    ``converged`` is False when the fit stopped with the mean-gradient
+    sup-norm above 1e-8 (never silent).
     """
 
     alpha: float
@@ -60,38 +61,16 @@ def _moment_start(uc: np.ndarray) -> tuple[float, float]:
     return max(m * scale, 1e-3), max((1.0 - m) * scale, 1e-3)
 
 
-def _solve_coordinate(target: float, other: float, lo: float = 1e-8) -> float:
-    """Solve digamma(x) - digamma(x + other) = target for x by bisection.
-
-    The left side increases strictly from -inf (x -> 0) to 0 (x -> inf), and
-    target < 0 always holds for clamped data, so a root exists and is unique.
-    """
-    hi = max(1.0, lo * 2.0)
-    while digamma(hi) - digamma(hi + other) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise EstimationError("coordinate solve failed to bracket the root")
-    while digamma(lo) - digamma(lo + other) > target:
-        lo *= 0.5
-        if lo < 1e-290:
-            raise EstimationError("coordinate solve failed to bracket the root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if digamma(mid) - digamma(mid + other) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def fit_beta_mle(pvalues) -> BetaFit:
     """Maximum-likelihood beta fit to a vector of p-values.
 
-    Newton iteration on (log alpha, log beta) from a method-of-moments start,
-    with step halving; if Newton stalls, falls back to exact coordinate
-    ascent (bisection per parameter).  Stops when the sup-norm of the
-    per-observation gradient is at most 1e-8, or flags ``converged=False``
-    after 200 iterations.
+    Fisher scoring on (log alpha, log beta) from a method-of-moments start.
+    The scoring matrix is the Hessian without its gradient terms, which is
+    negative definite for all positive shapes, so every step points uphill.
+    A step is halved until the log-likelihood rises or the gradient's
+    sup-norm falls.  Stops when the sup-norm of the per-observation gradient
+    is at most 1e-8, or flags ``converged=False`` when 200 steps, 60 halvings
+    or a singular scoring matrix leave it above that.
     """
     u = np.asarray(pvalues, dtype=float)
     if u.ndim != 1:
@@ -109,55 +88,33 @@ def fit_beta_mle(pvalues) -> BetaFit:
 
     a, b = _moment_start(uc)
     ll = _mean_loglik(a, b, s1, s2)
+    ga, gb = _mean_gradient(a, b, s1, s2)
     iterations = 0
-    converged = False
-
-    # Newton phase in log-parameters (keeps positivity without bounds).
-    newton_ok = True
-    while iterations < _MAX_ITER:
-        ga, gb = _mean_gradient(a, b, s1, s2)
-        if max(abs(ga), abs(gb)) <= _GRAD_TOL:
-            converged = True
-            break
-        if not newton_ok:
-            break
-        iterations += 1
+    while (norm := max(abs(ga), abs(gb))) > _GRAD_TOL and iterations < _MAX_ITER:
+        # Scoring matrix in log-parameters (keeps positivity without bounds).
         t_ab = trigamma(a + b)
-        g_la = a * ga
-        g_lb = b * gb
-        h_aa = a * a * (t_ab - trigamma(a)) + g_la
-        h_bb = b * b * (t_ab - trigamma(b)) + g_lb
+        h_aa = a * a * (t_ab - trigamma(a))
+        h_bb = b * b * (t_ab - trigamma(b))
         h_ab = a * b * t_ab
         det = h_aa * h_bb - h_ab * h_ab
-        if not math.isfinite(det) or det == 0.0:
-            newton_ok = False
-            continue
-        d_la = -(h_bb * g_la - h_ab * g_lb) / det
-        d_lb = -(h_aa * g_lb - h_ab * g_la) / det
+        if not (math.isfinite(det) and det > 0.0):
+            break
+        d_la = -(h_bb * a * ga - h_ab * b * gb) / det
+        d_lb = -(h_aa * b * gb - h_ab * a * ga) / det
         step = 1.0
-        improved = False
         for _ in range(60):
             a_new = a * math.exp(step * d_la)
             b_new = b * math.exp(step * d_lb)
-            if a_new > 0.0 and b_new > 0.0 and math.isfinite(a_new) and math.isfinite(b_new):
+            if 0.0 < a_new < math.inf and 0.0 < b_new < math.inf:
                 ll_new = _mean_loglik(a_new, b_new, s1, s2)
-                if math.isfinite(ll_new) and ll_new >= ll:
-                    a, b, ll = a_new, b_new, ll_new
-                    improved = True
+                ga_new, gb_new = _mean_gradient(a_new, b_new, s1, s2)
+                if ll_new > ll or max(abs(ga_new), abs(gb_new)) < norm:
                     break
             step *= 0.5
-        if not improved:
-            newton_ok = False
-
-    # Coordinate-ascent fallback: exact one-dimensional solves.
-    while not converged and iterations < _MAX_ITER:
+        else:
+            break
+        a, b, ll, ga, gb = a_new, b_new, ll_new, ga_new, gb_new
         iterations += 1
-        a = _solve_coordinate(s1, b)
-        b = _solve_coordinate(s2, a)
-        ga, gb = _mean_gradient(a, b, s1, s2)
-        if max(abs(ga), abs(gb)) <= _GRAD_TOL:
-            converged = True
-    ll = _mean_loglik(a, b, s1, s2)
 
     return BetaFit(
         alpha=float(a),
@@ -165,7 +122,7 @@ def fit_beta_mle(pvalues) -> BetaFit:
         log_likelihood=float(n * ll),
         n=n,
         iterations=iterations,
-        converged=converged,
+        converged=norm <= _GRAD_TOL,
     )
 
 

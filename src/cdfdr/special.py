@@ -339,6 +339,8 @@ def trigamma(x: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"trigamma requires x > 0, got {x!r}")
+    if x * x == 0.0:
+        return math.inf  # 1/x**2 overflows well before x*x underflows
     acc = 0.0
     while x < 10.0:
         acc += 1.0 / (x * x)

@@ -1,11 +1,16 @@
 """Beta MLE: parameter recovery, stationarity, and the smooth transform."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize as sp_optimize
+from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from cdfdr.betafit import CLAMP, fit_beta_mle, smooth_pvalues
 from cdfdr.errors import DegenerateSampleError, InsufficientDataError
+from cdfdr.simulate import MixtureUniformDesign, gen_mixture_uniform
 from cdfdr.special import beta_cdf_many, digamma, log_gamma
 
 
@@ -99,6 +104,58 @@ class TestFitRecovery:
         assert fit.beta == pytest.approx(1.0, abs=0.1)
 
 
+def _hard_inputs():
+    # Point masses and extreme shapes.  An exact-Hessian step (not always
+    # uphill) fails to converge on some of these, and so does a scoring step
+    # accepted only when the log-likelihood rises.
+    ones = np.random.default_rng(5).random(5000)
+    ones[:1500] = 1.0
+    return {
+        "30% exact ones": ones,
+        "half 0, half 1": np.r_[np.zeros(2500), np.ones(2500)],
+        "4999 zeros, one 1": np.r_[np.zeros(4999), 1.0],
+        "all at the clamp, one 0.5": np.r_[np.full(4999, CLAMP), 0.5],
+        "Beta(0.005, 0.005)": np.random.default_rng(6).beta(0.005, 0.005, 5000),
+    }
+
+
+def _score_root(u):
+    """Root of the mean score equations by scipy (Levenberg-Marquardt from the
+    uniform start)."""
+    uc = np.clip(u, CLAMP, 1.0 - CLAMP)
+    s1, s2 = float(np.mean(np.log(uc))), float(np.mean(np.log1p(-uc)))
+
+    def score(log_ab):
+        a, b = np.exp(log_ab)
+        d_ab = sp_special.digamma(a + b)
+        return [d_ab - sp_special.digamma(a) + s1, d_ab - sp_special.digamma(b) + s2]
+
+    sol = sp_optimize.root(score, [0.0, 0.0], method="lm", tol=1e-13)
+    assert max(abs(g) for g in score(sol.x)) <= 1e-10
+    return np.exp(sol.x)
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("seed,replicate", [(0, 13), (1, 19)])
+    def test_mixture_uniform_fits_converge_quickly(self, seed, replicate):
+        # Near the optimum the log-likelihood gain of a step is below the
+        # rounding of the lgamma sums; the falling gradient still accepts it.
+        design = MixtureUniformDesign(pi0=0.9, a=0.05, n=5000, seed=seed)
+        fit = fit_beta_mle(gen_mixture_uniform(design, replicate))
+        assert fit.converged
+        assert fit.iterations <= 10
+
+    @pytest.mark.parametrize("name", list(_hard_inputs()))
+    def test_hard_inputs_match_the_score_root(self, name):
+        u = _hard_inputs()[name]
+        fit = fit_beta_mle(u)
+        assert fit.converged
+        assert math.isfinite(fit.log_likelihood)
+        alpha, beta = _score_root(u)
+        assert fit.alpha == pytest.approx(alpha, rel=1e-7)
+        assert fit.beta == pytest.approx(beta, rel=1e-7)
+
+
 class TestFitValidation:
     def test_too_few_values(self):
         with pytest.raises(InsufficientDataError):
@@ -153,6 +210,15 @@ class TestSmoothPvalues:
         )
         tau = sp_stats.kendalltau(u, v).statistic
         assert tau == 1.0
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
+    def test_out_of_range_rejected(self, bad):
+        from cdfdr.betafit import BetaFit
+
+        fit = BetaFit(alpha=0.5, beta=1.0, log_likelihood=0.0, n=100,
+                      iterations=0, converged=True)
+        with pytest.raises(InsufficientDataError, match=r"lie in \[0, 1\]"):
+            smooth_pvalues(np.array([0.5, bad]), fit)
 
     def test_subclamp_values_merge(self):
         from cdfdr.betafit import BetaFit

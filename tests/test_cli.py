@@ -124,6 +124,28 @@ class TestInputTable:
         with pytest.raises(InputError, match="no 'stat' column"):
             read_input_table(str(path), "stat")
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot open input file"):
+            read_input_table(str(tmp_path / "absent.csv"), "stat")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(InputError, match="is empty"):
+            read_input_table(str(path), "stat")
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("id,stat\n", encoding="utf-8")
+        with pytest.raises(InputError, match="a header but no data rows"):
+            read_input_table(str(path), "stat")
+
+    def test_unknown_column_kind(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("x\n1.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="column must be 'stat' or 'pvalue'"):
+            read_input_table(str(path), "x")
+
 
 class TestBulkIngestion:
     """read_input_table, which parses the rows as the csv reader yields them,
@@ -566,6 +588,15 @@ def test_out_of_range_tuning_exits_2(flags, mixture_csv, tmp_path, capsys):
                 + ["--out", str(out), "--curves", str(tmp_path / "c.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("cdfdr: input error: ")
+    assert not out.exists()
+
+
+def test_mixunif_without_pi0_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = main(["simulate", "--design", "mixunif", "--a", "0.05", "--replicates", "2",
+                 "--out", str(out), "--curves", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "--design mixunif requires --pi0 and --a" in capsys.readouterr().err
     assert not out.exists()
 
 

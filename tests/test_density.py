@@ -13,6 +13,7 @@ from cdfdr.density import (
     CoefficientSet,
     clipped_measure,
     comparison_density_raw_many,
+    comparison_density_raw_reflected_many,
     eval_comparison_density_many,
     eval_smooth_density_many,
     integrate_comparison_density,
@@ -235,6 +236,8 @@ class TestComparisonDensityEval:
             eval_comparison_density_many(model, 1.2)
         with pytest.raises(DomainError):
             comparison_density_raw_many(model, np.array([0.0]))
+        with pytest.raises(DomainError, match="w strictly inside"):
+            comparison_density_raw_reflected_many(model, np.array([0.0]))
 
 
 class TestReconstructDensity:

@@ -7,7 +7,7 @@ import pytest
 
 from cdfdr.betafit import BetaFit
 from cdfdr.density import ComparisonDensityModel, CoefficientSet, eval_comparison_density_many
-from cdfdr.errors import DomainError, EstimationError
+from cdfdr.errors import DomainError, EstimationError, InsufficientDataError
 from cdfdr.legendre import basis_matrix
 from cdfdr.pi0 import _SCAN_CHUNK, estimate_pi0
 from cdfdr.pipeline import NullSpec, fit_cdfdr
@@ -235,6 +235,10 @@ class TestErrors:
         u[7], dens[7] = bad, 4.0
         with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
             estimate_pi0(u, dens)
+
+    def test_no_pvalues(self):
+        with pytest.raises(InsufficientDataError, match="no p-values supplied"):
+            estimate_pi0(np.array([]), np.array([]))
 
     def test_density_length_must_match(self):
         u = np.full(100, 0.5)

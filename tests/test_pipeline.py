@@ -201,6 +201,10 @@ class TestFitCdfdr:
         with pytest.warns(UserWarning, match="small"):
             fit_cdfdr(rng.normal(0, 1, 500), NullSpec.standard_normal())
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="transform mode must be one of"):
+            fit_cdfdr(_two_sided_mixture(23), NullSpec.standard_normal(), mode="bogus")
+
     @pytest.mark.filterwarnings("ignore:n = 200 is small")
     def test_step_label_on_failure(self):
         # A constant statistic survives the transform but degenerates the

@@ -44,6 +44,8 @@ class TestDesignValidation:
             MixtureUniformDesign(pi0=0.9, a=0.0)
         with pytest.raises(ConfigError):
             MixtureUniformDesign(pi0=0.9, a=1.0)
+        with pytest.raises(ConfigError, match="replicates must be at least 1"):
+            MixtureUniformDesign(pi0=0.9, a=0.05, replicates=0)
 
     @pytest.mark.parametrize("tuning", [
         {"m_density": 17}, {"m_mdc": 0}, {"grid_step": 0.0}, {"grid_step": math.nan},
@@ -310,6 +312,10 @@ class TestRunReplicates:
         assert report.failed_replicates == [1]
         assert report.n_replicates == 19
         assert report.pi0_estimates.size == 19
+
+    def test_unknown_design_rejected(self):
+        with pytest.raises(ConfigError, match="unknown design type EstimatorConfig"):
+            run_replicates(EstimatorConfig(), workers=1)
 
     def test_too_many_failures_abort(self, monkeypatch):
         import cdfdr.simulate as sim

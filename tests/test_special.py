@@ -224,6 +224,12 @@ class TestGammaFamily:
         for x in (0.2, 0.81, 1.0, 2.5, 11.0, 40.0):
             assert trigamma(x) == pytest.approx(float(sp_special.polygamma(1, x)), rel=1e-10)
 
+    @pytest.mark.parametrize("x", [1e-160, 1e-300, 5e-324])
+    def test_trigamma_overflows_to_inf_for_tiny_arguments(self, x):
+        # psi'(x) ~ 1/x**2 exceeds the largest double below x ~ 7.5e-155, so
+        # the rounded value is inf, also where x*x underflows to zero.
+        assert trigamma(x) == math.inf
+
     def test_domain_errors(self):
         for fn in (log_gamma, digamma, trigamma):
             for x in (0.0, -1.0, math.nan):
