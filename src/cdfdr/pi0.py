@@ -133,7 +133,9 @@ def _prefix_rows(m: int, u: np.ndarray, order: np.ndarray, rows: np.ndarray) -> 
     """
     n = order.size
     out = np.empty((rows.size, m))
-    buf = np.empty((min(n, _SCAN_CHUNK) + 1, m))
+    # Column-major, so the basis writes whole columns and the cumsum runs
+    # down contiguous memory.
+    buf = np.empty((m, min(n, _SCAN_CHUNK) + 1)).T
     buf[0] = -0.0  # -0.0 + x is x for every x, signed zeros included
     for start in range(0, n, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n)

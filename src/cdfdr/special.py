@@ -4,11 +4,11 @@ The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
 dimension, and an element's value does not depend on the rest of its batch.
 The normal distribution function (Cody's rational approximation) and the
-incomplete beta's continued fraction run over blocks of ``_BLOCK`` lanes; the
-continued fraction retires its converged lanes, so its later steps run over
-the live lanes only.  Every elementary function is a numpy ufunc on the whole
-array: the exp of a normal tail or density takes an exactly split square, and
-the t density's exponent is compensated, so that neither rounds its argument.
+incomplete beta's continued fraction run over blocks of ``_BLOCK`` lanes; one
+fraction spans both sides of the symmetry pivot and retires its converged
+lanes.  Every elementary function is a numpy ufunc on the whole array: the exp
+of a normal tail or density takes an exactly split square, and the t density's
+exponent is compensated, so that neither rounds its argument.
 The gamma family serves the scalar Newton fit of the beta shapes and stays
 scalar.
 
@@ -366,22 +366,23 @@ def log_beta(alpha: float, beta: float) -> float:
 # Regularized incomplete beta (continued fraction, Lentz's method)
 # ---------------------------------------------------------------------------
 
-def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Lentz continued fraction for I_x(a,b), valid for x below the pivot.
+def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
+    """Lentz continued fraction for I_x(a, b) at the first ``split`` lanes of
+    ``x`` (in C order) and for I_x(b, a) at the rest, each below its pivot.
 
-    Runs over blocks of ``_BLOCK`` lanes in preallocated buffers.  Each lane
-    freezes at its own convergence: from then on both of its factors are
-    exactly 1.0, so a value never depends on which other points share the
-    batch or the block (a one-element call and a batch agree bit for bit).
-    Once a quarter of a block's live lanes have frozen, the frozen lanes'
-    values are written out and the live lanes are packed to the front of the
-    buffers with their output positions, so later steps skip the converged
-    lanes.  A block stops once all of its lanes have frozen or after
-    ``_CF_MAX_ITER`` steps.
+    One fraction spans both sides of the symmetry pivot: a step forms its
+    term on each side's lanes with that side's shapes and runs every other
+    operation once over all live lanes, in blocks of ``_BLOCK`` lanes in
+    preallocated buffers.  Each lane freezes at its own convergence: from
+    then on both of its factors are exactly 1.0, so a value never depends on
+    which other points share the batch or the block (a one-element call and
+    a batch agree bit for bit).  Once a quarter of a block's live lanes have
+    frozen, their values are written out and the live lanes are packed, in
+    order, to the front of the buffers with their output positions, so later
+    steps skip the converged lanes.  A block stops once all of its lanes have
+    frozen or after ``_CF_MAX_ITER`` steps.
     """
     qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
     flat = x.ravel()
     out = np.empty(flat.size)
     width = min(flat.size, _BLOCK)
@@ -393,11 +394,13 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
         xb, h, c, d, aa, factor = buffers[:, :live]
         active, inactive, tiny = masks[:, :live]
         position = np.arange(live)
+        cut = min(max(split - start, 0), live)
         xb[...] = flat[start:start + live]
         c.fill(1.0)
-        np.multiply(xb, qab, out=d)
-        np.divide(d, qap, out=d)
-        np.subtract(1.0, d, out=d)
+        sides = _cf_sides(xb, aa, cut, a, b)
+        for xs, aas, p, _ in sides:
+            np.divide(np.multiply(xs, qab, out=aas), p + 1.0, out=aas)
+        np.subtract(1.0, aa, out=d)
         _clamp_tiny(d, factor, tiny)
         np.divide(1.0, d, out=d)
         h[...] = d
@@ -407,12 +410,17 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
             # a scattered mask costs more than the arithmetic.
             frozen = np.flatnonzero(np.logical_not(active, out=inactive))
             m2 = 2 * m
-            # The even step, then the odd: aa = num x / den, d = 1 / (1 + aa d),
-            # c = 1 + aa / c, h *= d c, each operation in that order.
-            for num, den in ((m * (b - m), (qam + m2) * (a + m2)),
-                             (-(a + m) * (qab + m), (a + m2) * (qap + m2))):
-                np.multiply(xb, num, out=aa)
-                np.divide(aa, den, out=aa)
+            # The even step, then the odd: aa = num x / den, with each side's
+            # shapes (p, q) on its lanes, d = 1 / (1 + aa d), c = 1 + aa / c,
+            # h *= d c, each operation in that order.
+            for odd in (False, True):
+                for xs, aas, p, q in sides:
+                    if odd:
+                        num, den = -(p + m) * (qab + m), (p + m2) * ((p + 1.0) + m2)
+                    else:
+                        num, den = m * (q - m), ((p - 1.0) + m2) * (p + m2)
+                    np.multiply(xs, num, out=aas)
+                    np.divide(aas, den, out=aas)
                 np.multiply(aa, d, out=d)
                 np.add(d, 1.0, out=d)
                 _clamp_tiny(d, factor, tiny)
@@ -435,14 +443,22 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
                 block_out[position] = h
                 keep = np.flatnonzero(active)
                 position = position[keep]
+                cut = int(np.searchsorted(keep, cut))
                 for buf in (xb, h, c, d):
                     buf[:n_active] = buf[keep]
                 live = n_active
                 xb, h, c, d, aa, factor = buffers[:, :live]
                 active, inactive, tiny = masks[:, :live]
                 active.fill(True)
+                sides = _cf_sides(xb, aa, cut, a, b)
         block_out[position] = h
     return out.reshape(x.shape)
+
+
+def _cf_sides(xb: np.ndarray, aa: np.ndarray, cut: int, a: float, b: float) -> list:
+    """Views of ``xb`` and ``aa`` on each side that has lanes, with its shapes (p, q)."""
+    sides = ((xb[:cut], aa[:cut], a, b), (xb[cut:], aa[cut:], b, a))
+    return [side for side in sides if side[0].size]
 
 
 def _clamp_tiny(y: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:
@@ -459,25 +475,26 @@ def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
     (e.g. the t CDF, where x and xc are the two ratios df/(df+t^2) and
     t^2/(df+t^2)) avoid the cancellation of forming 1 - x near 1.  The
     symmetry switch at the standard pivot ``(alpha+1)/(alpha+beta+2)`` keeps
-    the continued fraction in its fast-converging regime on both sides.
+    the continued fraction in its fast-converging regime on both sides: one
+    fraction runs I_x(alpha, beta) below it and I_xc(beta, alpha) at and
+    above it.  The front factor x^alpha xc^beta / B(alpha, beta) is 0 at
+    x = 0 and at xc = 0, which gives exactly 0.0 and 1.0 there.
     """
-    out = np.empty_like(x)
-    ln_b = log_beta(alpha, beta)
-    pivot = (alpha + 1.0) / (alpha + beta + 2.0)
-    zero = x == 0.0
-    one = xc == 0.0
-    out[zero] = 0.0
-    out[one] = 1.0
-    interior = (~zero) & (~one)
-    lo = interior & (x < pivot)
-    hi = interior & (x >= pivot)
-    if np.any(lo):
-        front = np.exp(alpha * np.log(x[lo]) + beta * np.log(xc[lo]) - ln_b)
-        out[lo] = front * _betacf_many(alpha, beta, x[lo]) / alpha
-    if np.any(hi):
-        front = np.exp(beta * np.log(xc[hi]) + alpha * np.log(x[hi]) - ln_b)
-        out[hi] = 1.0 - front * _betacf_many(beta, alpha, xc[hi]) / beta
-    return out
+    shape = x.shape
+    x, xc = x.ravel(), xc.ravel()
+    with np.errstate(divide="ignore"):
+        front = np.exp(alpha * np.log(x) + beta * np.log(xc) - log_beta(alpha, beta))
+    below = x < (alpha + 1.0) / (alpha + beta + 2.0)
+    lo, hi = np.flatnonzero(below), np.flatnonzero(~below)
+    # Scaled and complemented in lane order, where each side is one slice.
+    lanes = np.concatenate((lo, hi))
+    value = front[lanes]
+    value *= _betacf_many(alpha, beta, np.concatenate((x[lo], xc[hi])), lo.size)
+    value[:lo.size] /= alpha
+    value[lo.size:] /= beta
+    np.subtract(1.0, value[lo.size:], out=value[lo.size:])
+    front[lanes] = value
+    return front.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +570,10 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     t = _finite_1d("t", t)
     t2 = t * t
     y = df / (df + t2)
-    yc = t2 / (df + t2)
+    # yc's limit where t * t overflows (inf/inf) is 1; at t = 0 the tail is exactly 1/2.
+    yc = np.fmin(t2 / (df + t2), 1.0)
     tail = 0.5 * _betainc_with_complement(0.5 * df, 0.5, y, yc)
-    return np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
+    return np.where(t > 0.0, 1.0 - tail, tail)
 
 
 # Odd-order terms of log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) ~ sum_k C_k a^-(2k+1),

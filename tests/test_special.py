@@ -25,6 +25,7 @@ from cdfdr.special import (
     _BLOCK,
     _CF_MAX_ITER,
     _betacf_many,
+    _betainc_with_complement,
     beta_cdf_many,
     beta_pdf_many,
     digamma,
@@ -533,13 +534,13 @@ class TestBlockedKernels:
         # lanes near 0 freeze within a few, so blocks stop at different steps.
         rng = np.random.Generator(np.random.Philox(n))
         x = rng.random(n) * (a + 1.0) / (a + b + 2.0)
-        _assert_same_bits(_betacf_many(a, b, x), _whole_array_betacf(a, b, x))
+        _assert_same_bits(_betacf_many(a, b, x, x.size), _whole_array_betacf(a, b, x))
 
     def test_continued_fraction_2d(self):
         rng = np.random.Generator(np.random.Philox(61))
         x = rng.random((3, _BLOCK // 2 + 5)) * 0.97
-        _assert_same_bits(_betacf_many(50.0, 0.5, x), _whole_array_betacf(50.0, 0.5, x))
-        _assert_same_bits(_betacf_many(50.0, 0.5, x.T), _whole_array_betacf(50.0, 0.5, x.T))
+        _assert_same_bits(_betacf_many(50.0, 0.5, x, x.size), _whole_array_betacf(50.0, 0.5, x))
+        _assert_same_bits(_betacf_many(50.0, 0.5, x.T, x.size), _whole_array_betacf(50.0, 0.5, x.T))
 
     @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025])
     def test_continued_fraction_packs(self, n):
@@ -548,14 +549,14 @@ class TestBlockedKernels:
         # to the last.
         rng = np.random.Generator(np.random.Philox(n + 3))
         x = rng.random(n) ** 3 * 51.0 / 52.5
-        _assert_same_bits(_betacf_many(50.0, 0.5, x), _whole_array_betacf(50.0, 0.5, x))
+        _assert_same_bits(_betacf_many(50.0, 0.5, x, x.size), _whole_array_betacf(50.0, 0.5, x))
 
     @pytest.mark.parametrize("n", [3072, _BLOCK + 5])
     @pytest.mark.parametrize("x0", [0.3, 1e-12])
     def test_continued_fraction_lanes_freezing_together(self, n, x0):
         # Equal points freeze at the same step, so no step packs.
         x = np.full(n, x0)
-        _assert_same_bits(_betacf_many(2.5, 0.7, x), _whole_array_betacf(2.5, 0.7, x))
+        _assert_same_bits(_betacf_many(2.5, 0.7, x, x.size), _whole_array_betacf(2.5, 0.7, x))
 
     @pytest.mark.parametrize("n", [3072, _BLOCK + 5])
     def test_continued_fraction_lanes_at_max_iterations(self, n):
@@ -568,7 +569,7 @@ class TestBlockedKernels:
         slow = rng.random(n) < 0.1
         x = np.where(slow, pivot * (1.0 - 1e-6 * rng.random(n)), pivot * 0.9 * rng.random(n))
         assert _CF_MAX_ITER == 500  # the reference runs 500 steps
-        _assert_same_bits(_betacf_many(a, b, x), _whole_array_betacf(a, b, x))
+        _assert_same_bits(_betacf_many(a, b, x, x.size), _whole_array_betacf(a, b, x))
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("kernel", ["cdf", "pdf", "quantile"])
@@ -589,6 +590,128 @@ class TestBlockedKernels:
         _assert_same_bits(values, f(x.ravel()).reshape(x.shape))
         _assert_same_bits(f(x.T), values.T)
         _assert_same_bits(f(x[5:6, 1:2]), values[5:6, 1:2])
+
+
+def _two_sided_reference(a, b, x, split):
+    """The whole-array fraction for I_x(a, b) on the first ``split`` lanes of
+    ``x`` (in C order) and for I_x(b, a) on the rest, each side on its own."""
+    flat = x.ravel()
+    return np.concatenate([_whole_array_betacf(a, b, flat[:split]),
+                           _whole_array_betacf(b, a, flat[split:])]).reshape(x.shape)
+
+
+def _two_sided_input(a, b, shape, split, seed):
+    """Points below each side's pivot, cubed so that lanes freeze from the
+    first step to the last and a block packs several times."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.random(shape) ** 3
+    flat = x.reshape(-1)
+    flat[:split] *= (a + 1.0) / (a + b + 2.0)
+    flat[split:] *= (b + 1.0) / (a + b + 2.0)
+    return x
+
+
+class TestTwoSidedContinuedFraction:
+    """One fraction over both sides of the pivot equals the whole-array
+    fraction run on each side separately, bit for bit."""
+
+    _N = 2 * _BLOCK + 7
+
+    @pytest.mark.parametrize("split", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, _N])
+    @pytest.mark.parametrize("a, b", [(2.5, 0.7), (50.0, 0.5)])
+    def test_sides_meet_anywhere(self, split, a, b):
+        x = _two_sided_input(a, b, self._N, split, split + 11)
+        _assert_same_bits(_betacf_many(a, b, x, split), _two_sided_reference(a, b, x, split))
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025])
+    def test_packs(self, n):
+        for split in {0, n // 3, n}:
+            x = _two_sided_input(50.0, 0.5, n, split, n + split)
+            _assert_same_bits(_betacf_many(50.0, 0.5, x, split),
+                              _two_sided_reference(50.0, 0.5, x, split))
+
+    def test_2d_and_transposed(self):
+        split = _BLOCK // 2 + 3
+        x = _two_sided_input(0.61, 0.79, (3, _BLOCK // 2 + 5), split, 71)
+        _assert_same_bits(_betacf_many(0.61, 0.79, x, split),
+                          _two_sided_reference(0.61, 0.79, x, split))
+        xt = np.asfortranarray(x.T)
+        _assert_same_bits(_betacf_many(0.61, 0.79, xt, split),
+                          _two_sided_reference(0.61, 0.79, xt, split))
+
+
+def _two_branch_betainc(alpha, beta, x, xc):
+    """``_betainc_with_complement`` as it was with one fraction call a side,
+    each by the whole-array reference fraction."""
+    out = np.empty_like(x)
+    ln_b = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+    pivot = (alpha + 1.0) / (alpha + beta + 2.0)
+    zero = x == 0.0
+    one = xc == 0.0
+    out[zero] = 0.0
+    out[one] = 1.0
+    interior = (~zero) & (~one)
+    lo = interior & (x < pivot)
+    hi = interior & (x >= pivot)
+    if np.any(lo):
+        front = np.exp(alpha * np.log(x[lo]) + beta * np.log(xc[lo]) - ln_b)
+        out[lo] = front * _whole_array_betacf(alpha, beta, x[lo]) / alpha
+    if np.any(hi):
+        front = np.exp(beta * np.log(xc[hi]) + alpha * np.log(x[hi]) - ln_b)
+        out[hi] = 1.0 - front * _whole_array_betacf(beta, alpha, xc[hi]) / beta
+    return out
+
+
+_SHAPES = [(0.61, 0.61), (0.59, 0.79), (2.5, 0.7), (1.0, 1.0), (1e-3, 1e4), (1e4, 1e-3),
+           (0.5, 0.5), (15.0, 0.5), (50.0, 0.5), (5e3, 0.5)]
+
+
+def _incomplete_beta_input(alpha, beta, seed):
+    """Seeded points over [0, 1] and into both ends, the endpoints, the
+    smallest subnormal, and the pivot with its neighbouring floats."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pivot = (alpha + 1.0) / (alpha + beta + 2.0)
+    return np.concatenate([rng.random(3000), rng.random(500) ** 12, 1.0 - rng.random(500) ** 12,
+                           [0.0, -0.0, 1.0, 5e-324, pivot],
+                           np.nextafter(pivot, [0.0, 1.0])])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestIncompleteBetaAgainstTwoBranches:
+    """The incomplete beta with one fraction call equals the two-branch
+    evaluation bit for bit, and takes no log of 0 outside ``np.errstate``."""
+
+    @pytest.mark.parametrize("alpha, beta", _SHAPES)
+    def test_beta_cdf(self, alpha, beta):
+        u = _incomplete_beta_input(alpha, beta, int(alpha * 1000 + beta))
+        expected = _two_branch_betainc(alpha, beta, u, 1.0 - u)
+        _assert_same_bits(_betainc_with_complement(alpha, beta, u, 1.0 - u), expected)
+        _assert_same_bits(beta_cdf_many(u, alpha, beta), expected)
+
+    def test_beta_cdf_2d(self):
+        u = _incomplete_beta_input(0.59, 0.79, 5)[:4000].reshape(2000, 2)
+        expected = _two_branch_betainc(0.59, 0.79, u, 1.0 - u)
+        _assert_same_bits(beta_cdf_many(u, 0.59, 0.79), expected)
+        _assert_same_bits(beta_cdf_many(u.T, 0.59, 0.79), expected.T)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 30.0, 100.0, 1e4])
+    def test_student_t_cdf(self, df):
+        # The t CDF's pairs (df/2, 1/2), with t = 0, -0.0 and t = +-1e-10,
+        # where y rounds to 1 while yc is not 0.
+        rng = np.random.Generator(np.random.Philox(int(df * 10)))
+        t = np.concatenate([rng.standard_normal(3000) * 5.0, [0.0, -0.0, 1e-10, -1e-10, 40.0]])
+        t2 = t * t
+        y, yc = df / (df + t2), t2 / (df + t2)
+        tail = 0.5 * _two_branch_betainc(0.5 * df, 0.5, y, yc)
+        expected = np.where(t > 0.0, 1.0 - tail, np.where(t < 0.0, tail, 0.5))
+        _assert_same_bits(student_t_cdf_many(t, df), expected)
+
+    def test_student_t_cdf_at_zero_and_beyond_overflow(self):
+        # At t = 0 the tail is exactly 1/2; where t * t overflows the value is
+        # the limit 0 or 1, as with the two-branch evaluation.
+        assert student_t_cdf_many([0.0, -0.0], 7.0).tolist() == [0.5, 0.5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert student_t_cdf_many([-1e200, 1e200], 7.0).tolist() == [0.0, 1.0]
 
 
 # Shapes drawn log-uniformly from [1e-3, 1e4].
