@@ -11,12 +11,9 @@ from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     CoefficientSet,
     ComparisonDensityModel,
-    clipped_measure,
     eval_comparison_density_many,
     eval_smooth_density_many,
-    integrate_comparison_density,
     reconstruct_density,
-    score_coefficients,
 )
 from .errors import (
     CdfdrError,

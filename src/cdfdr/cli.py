@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .betafit import smooth_pvalues
-from .density import assemble_comparison_density, clipped_measure
+from .density import DEFAULT_FLOOR
 from .errors import (
     CdfdrError,
     ConfigError,
@@ -39,12 +39,12 @@ from .errors import (
 from .pipeline import (
     CdfrModel,
     NullSpec,
+    _fdr_inputs,
     capped_fdr,
     discoveries,
     fit_cdfdr,
     integrate_nonnull_density,
     t_to_z,
-    to_pvalues,
 )
 from .simulate import (
     EstimatorConfig,
@@ -263,13 +263,12 @@ def _curve_columns(model: CdfrModel) -> list[list[str]]:
     """Text of the t, u, v, d_hat, fdr curves on the 401-point evaluation grid."""
     if model.stats is not None:
         t_grid = np.linspace(float(np.min(model.stats)), float(np.max(model.stats)), 401)
-        u_grid = to_pvalues(t_grid, model.null_spec, model.transform_mode)
         t_text = _float_text(t_grid)
     else:
-        u_grid = np.linspace(0.0, 1.0, 403)[1:-1]
-        t_text = [""] * u_grid.size
+        t_grid = np.linspace(0.0, 1.0, 403)[1:-1]
+        t_text = [""] * t_grid.size
+    u_grid, d_grid = _fdr_inputs(model, t_grid)
     v_grid = smooth_pvalues(u_grid, model.beta_fit)
-    d_grid = assemble_comparison_density(model.cd_model, u_grid, v_grid)
     fdr_grid = capped_fdr(model.pi0, d_grid)
     return [t_text] + [_float_text(grid) for grid in (u_grid, v_grid, d_grid, fdr_grid)]
 
@@ -337,7 +336,7 @@ def cmd_fdr(args) -> int:
             "fdr": fdr,
         },
         "diagnostics": {
-            "clipped_measure": clipped_measure(model.cd_model),
+            "floor_hits": int(np.count_nonzero(model.d_hat == DEFAULT_FLOOR)),
             "integral_f1": diag_f1,
         },
     }

@@ -4,8 +4,7 @@ The density of smooth p-values is modeled as 1 + sum_j theta_j S_j(v) with
 hard-thresholded score coefficients; composing with the fitted beta density
 gives the assembled estimate on the original p-value scale.  The truncated
 series can dip below zero, so evaluation clips at a small positive floor
-(coefficients are never modified) and the measure of the clipped set is
-reported as a diagnostic rather than renormalized away.
+(coefficients are never modified) rather than renormalizing.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "ComparisonDensityModel",
     "score_coefficients",
     "eval_smooth_density_many",
-    "assemble_comparison_density",
     "eval_comparison_density_many",
     "comparison_density_raw_many",
     "comparison_density_raw_reflected_many",
@@ -109,7 +107,7 @@ def _fit_series(fit: BetaFit, u, v, m: int) -> tuple[ComparisonDensityModel, np.
 
     ``v`` is ``smooth_pvalues(u, fit)``.  One N x m basis on v serves both the
     coefficients and the series at v, bit for bit what
-    :func:`score_coefficients` and :func:`assemble_comparison_density` give.
+    :func:`score_coefficients` and :func:`eval_comparison_density_many` give.
     """
     coeffs, basis = _score_with_basis(v, m)
     model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
@@ -158,14 +156,6 @@ def comparison_density_raw_reflected_many(model: ComparisonDensityModel, w) -> n
     return fb * eval_smooth_density_many(model.coeffs, v)
 
 
-def assemble_comparison_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
-    """Floored density max(DEFAULT_FLOOR, f_B(u) d(v)) given v = ``smooth_pvalues(u, model.fit)``.
-
-    u is clamped as there; a fit that holds v needs no second incomplete beta.
-    """
-    return _floored(model, u, eval_smooth_density_many(model.coeffs, v))
-
-
 def _floored(model: ComparisonDensityModel, u, series) -> np.ndarray:
     """max(DEFAULT_FLOOR, f_B(u) * series), u clamped as in :func:`smooth_pvalues`."""
     uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
@@ -182,7 +172,8 @@ def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
-    return assemble_comparison_density(model, u, smooth_pvalues(u, model.fit))
+    v = smooth_pvalues(u, model.fit)
+    return _floored(model, u, eval_smooth_density_many(model.coeffs, v))
 
 
 def reconstruct_density(null_pdf, null_cdf, model: ComparisonDensityModel, x) -> np.ndarray:

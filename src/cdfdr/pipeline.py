@@ -332,7 +332,7 @@ def nonnull_density(model: CdfrModel, t) -> np.ndarray:
         raise EstimationError(
             "nonnull density undefined when pi0 = 1 (no estimated signal)"
         )
-    d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+    _, d = _fdr_inputs(model, t)
     return np.maximum(0.0, d - model.pi0) * model.null_spec.pdf_many(t) / (1.0 - model.pi0)
 
 

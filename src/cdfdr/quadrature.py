@@ -30,10 +30,10 @@ _ORDER = 32  # Gauss-Legendre points per panel
 _DEPTH = 256  # dyadic panels toward each endpoint; the innermost is (0, 2**-256]
 
 
-@lru_cache(maxsize=2)
-def _half_panel_points(depth: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _half_panel_points() -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights covering (0, 1/2] with dyadic grading."""
-    breaks = np.array([0.0] + [2.0 ** -k for k in range(depth, 0, -1)])
+    breaks = np.array([0.0] + [2.0 ** -k for k in range(_DEPTH, 0, -1)])
     nodes, weights = gauss_legendre(_ORDER)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     halves = 0.5 * (breaks[1:] - breaks[:-1])
@@ -43,30 +43,14 @@ def _half_panel_points(depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_unit(f: Callable[[np.ndarray], np.ndarray],
-                   f_reflected: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+                   f_reflected: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integrate f over (0, 1) with full grading toward both endpoints.
 
     ``f_reflected(w)`` must equal f(1 - w) for w in (0, 1/2], computed
-    without forming 1 - w (that difference is exact only down to 2**-53);
-    when omitted, it is synthesized as ``f(1 - w)`` with the right-hand
-    grading capped at the representable depth 53, which is adequate only for
-    integrands without a strong right-endpoint singularity.
+    without forming 1 - w (that difference is exact only down to 2**-53).
 
     Evaluation is batched: each callable receives one array of all nodes.
     """
-    points, weights = _half_panel_points(_DEPTH)
+    points, weights = _half_panel_points()
     total = float(np.sum(weights * np.asarray(f(points), dtype=float)))
-    if f_reflected is None:
-        # Only nodes with w >= 2**-53 keep 1 - w strictly below 1.0, so the
-        # innermost panel is dropped; its mass (~(2**-53)**p for a (1-u)**-q
-        # integrand, p = 1 - q) is the documented resolution limit here.
-        r_points, r_weights = _half_panel_points(53)
-        r_points, r_weights = r_points[_ORDER:], r_weights[_ORDER:]
-        total += float(np.sum(
-            r_weights * np.asarray(f(1.0 - r_points), dtype=float)
-        ))
-    else:
-        total += float(np.sum(
-            weights * np.asarray(f_reflected(points), dtype=float)
-        ))
-    return total
+    return total + float(np.sum(weights * np.asarray(f_reflected(points), dtype=float)))

@@ -10,7 +10,6 @@ results are identical whether replicates run sequentially or in parallel.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "normal_grid",
     "uniform_grid",
     "run_replicates",
-    "resolve_workers",
 ]
 
 _MEANS_STREAM = 0
@@ -209,29 +207,16 @@ def _run_one(args) -> tuple[int, np.ndarray | None, float | None, str | None]:
         return replicate, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else CDFDR_THREADS (0 = auto), else 1."""
-    if requested is None:
-        raw = os.environ.get("CDFDR_THREADS", "1")
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ConfigError(f"CDFDR_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise ConfigError(f"worker count must be >= 0, got {requested}")
-    if requested == 0:
-        return max(1, os.cpu_count() or 1)
-    return requested
-
-
 def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
-                   workers: int | None = None) -> SimReport:
+                   workers: int = 1) -> SimReport:
     """Generate, fit, and aggregate all replicates of a design.
 
     Failed replicate fits are excluded and recorded; more than 10% failures
     aborts.  Aggregation runs in replicate-index order, so the report is
-    identical for any worker count.
+    identical for any worker count of at least 1.
     """
+    if workers < 1:
+        raise ConfigError(f"worker count must be at least 1, got {workers!r}")
     if isinstance(design, MixtureNormalDesign):
         grid = normal_grid()
         n_tail = None
@@ -242,11 +227,10 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
     else:
         raise ConfigError(f"unknown design type {type(design).__name__}")
 
-    n_workers = resolve_workers(workers)
     tasks = [(design, config, grid, r) for r in range(design.replicates)]
-    if n_workers > 1 and design.replicates > 1:
+    if workers > 1 and design.replicates > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this path needs it
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_one, tasks))
     else:
         raw = [_run_one(t) for t in tasks]

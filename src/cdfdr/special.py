@@ -568,10 +568,12 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     """
     df = _check_df(df)
     t = _finite_1d("t", t)
-    t2 = t * t
-    y = df / (df + t2)
-    # yc's limit where t * t overflows (inf/inf) is 1; at t = 0 the tail is exactly 1/2.
-    yc = np.fmin(t2 / (df + t2), 1.0)
+    # Where t * t overflows, y is 0 and yc (inf/inf) takes its limit 1; at
+    # t = 0 the tail is exactly 1/2.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2 = t * t
+        y = df / (df + t2)
+        yc = np.fmin(t2 / (df + t2), 1.0)
     tail = 0.5 * _betainc_with_complement(0.5 * df, 0.5, y, yc)
     return np.where(t > 0.0, 1.0 - tail, tail)
 
@@ -610,9 +612,12 @@ def student_t_pdf_many(t, df: float) -> np.ndarray:
     # The exponent log c - (df + 1)/2 log1p(t^2/df) as a two-product and a
     # two-sum, so that its rounding error is carried past the exp.
     scale = _log_t_scale(df)
-    # log1p is capped where (df + 1)/2 log1p(...) > 1000: the density is 0 there.
+    # log1p is capped where (df + 1)/2 log1p(...) > 1000, an overflowing
+    # t * t / df included: the density is 0 there.
     half = 0.5 * (df + 1.0)
-    prod, prod_err = _two_product(half, np.minimum(np.log1p(t * t / df), 1000.0 / half))
+    with np.errstate(over="ignore"):
+        t2_df = t * t / df
+    prod, prod_err = _two_product(half, np.minimum(np.log1p(t2_df), 1000.0 / half))
     expo = scale - prod
     kept = expo - scale
     expo_err = ((scale - (expo - kept)) - (prod + kept)) - prod_err

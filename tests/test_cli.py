@@ -14,6 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdfdr.cli
+from cdfdr.betafit import BetaFit, smooth_pvalues
+from cdfdr.density import (
+    DEFAULT_FLOOR,
+    CoefficientSet,
+    ComparisonDensityModel,
+    eval_comparison_density_many,
+)
 from cdfdr.cli import (
     _JSON_BLOCK,
     _default,
@@ -25,7 +32,7 @@ from cdfdr.cli import (
     read_input_table,
 )
 from cdfdr.errors import ConfigError, InputError
-from cdfdr.pipeline import NullSpec
+from cdfdr.pipeline import NullSpec, capped_fdr
 
 
 def _write_stats_csv(path, values, ids=None, column="stat"):
@@ -34,6 +41,23 @@ def _write_stats_csv(path, values, ids=None, column="stat"):
         prefix = f"{ids[i]}," if ids is not None else ""
         lines.append(f"{prefix}{float(v)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _model_from_report(report):
+    """The comparison-density model and pi0 that a report.json records."""
+    fit = BetaFit(
+        alpha=report["beta_fit"]["alpha"], beta=report["beta_fit"]["beta"],
+        log_likelihood=report["beta_fit"]["log_likelihood"],
+        n=report["n"], iterations=report["beta_fit"]["iterations"],
+        converged=report["beta_fit"]["converged"],
+    )
+    coeffs = CoefficientSet(
+        m=report["coefficients"]["m"],
+        theta_tilde=np.array(report["coefficients"]["theta_tilde"]),
+        theta_hat=np.array(report["coefficients"]["theta_hat"]), n=report["n"],
+        threshold=report["coefficients"]["threshold"],
+    )
+    return ComparisonDensityModel(fit=fit, coeffs=coeffs), report["pi0"]["pi0_hat"]
 
 
 @pytest.fixture
@@ -239,28 +263,7 @@ class TestFdrCommand:
         assert len(lines) == 1 + 401
         # Recomputing fdr from (pvalue, serialized parameters) must agree, at
         # both ends of the curve grid and at the last cases of the report.
-        from cdfdr.betafit import BetaFit
-        from cdfdr.density import (
-            ComparisonDensityModel,
-            CoefficientSet,
-            eval_comparison_density_many,
-        )
-
-        fit = BetaFit(
-            alpha=report["beta_fit"]["alpha"], beta=report["beta_fit"]["beta"],
-            log_likelihood=report["beta_fit"]["log_likelihood"],
-            n=report["n"], iterations=report["beta_fit"]["iterations"],
-            converged=True,
-        )
-        theta_hat = np.array(report["coefficients"]["theta_hat"])
-        coeffs = CoefficientSet(
-            m=report["coefficients"]["m"],
-            theta_tilde=np.array(report["coefficients"]["theta_tilde"]),
-            theta_hat=theta_hat, n=report["n"],
-            threshold=report["coefficients"]["threshold"],
-        )
-        model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
-        pi0 = report["pi0"]["pi0_hat"]
+        model, pi0 = _model_from_report(report)
         grid = [line.split(",") for line in lines[1:50] + lines[-50:]]
         cases = report["cases"]
         points = [(u, fdr) for _, u, _, _, fdr in grid]
@@ -462,6 +465,38 @@ def _run_command(name, mixture_csv, tmp_path):
 def test_outputs_are_canonical(name, mixture_csv, tmp_path):
     out, curves, fields = _run_command(name, mixture_csv, tmp_path)
     _assert_canonical_outputs(out, curves, **fields)
+
+
+@pytest.mark.parametrize("name", ["fdr-stat", "fdr-pvalue"])
+def test_curves_evaluate_the_fitted_model(name, mixture_csv, tmp_path):
+    # The v, d_hat and fdr columns are the smooth p-value, the floored density
+    # and the capped fdr at the column's u, bit for bit.
+    out, curves, _ = _run_command(name, mixture_csv, tmp_path)
+    model, pi0 = _model_from_report(json.loads(out.read_text()))
+    rows = [line.split(",") for line in curves.read_text().splitlines()[1:]]
+    u, v, d_hat, fdr = (np.array([float(row[k]) for row in rows]) for k in (1, 2, 3, 4))
+    expected = eval_comparison_density_many(model, u)
+    assert v.tobytes() == smooth_pvalues(u, model.fit).tobytes()
+    assert d_hat.tobytes() == expected.tobytes()
+    assert fdr.tobytes() == capped_fdr(pi0, expected).tobytes()
+
+
+def test_floor_hits_count_the_floored_cases(tmp_path):
+    # A sparse bump at 0.6 beside signal near 0 drives the 16-term series
+    # below the floor at some fitted cases.
+    rng = np.random.Generator(np.random.Philox(7))
+    pvalues = np.concatenate([rng.random(1200), rng.uniform(0.0, 0.02, 400),
+                              rng.uniform(0.6, 0.65, 400)])
+    path = tmp_path / "p.csv"
+    _write_stats_csv(path, pvalues, column="pvalue")
+    out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+    assert main(["fdr", "--input", str(path), "--column", "pvalue", "--m-density", "16",
+                 "--out", str(out), "--curves", str(curves)]) == 0
+    report = json.loads(out.read_text())
+    hits = report["diagnostics"]["floor_hits"]
+    assert type(hits) is int
+    assert hits == sum(d == DEFAULT_FLOOR for d in report["cases"]["d_hat"])
+    assert hits > 0
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

@@ -25,14 +25,17 @@ class TestGaussLegendre:
 
 class TestIntegrateUnit:
     def test_constant(self):
-        assert integrate_unit(lambda u: np.ones_like(u)) == pytest.approx(1.0, rel=1e-14)
+        assert integrate_unit(lambda u: np.ones_like(u), lambda w: np.ones_like(w)) \
+            == pytest.approx(1.0, rel=1e-14)
 
     def test_polynomial(self):
-        assert integrate_unit(lambda u: 3.0 * u ** 2) == pytest.approx(1.0, rel=1e-13)
+        assert integrate_unit(lambda u: 3.0 * u ** 2, lambda w: 3.0 * (1.0 - w) ** 2) \
+            == pytest.approx(1.0, rel=1e-13)
 
     def test_left_singularity(self):
-        # int u^(-0.7) du = 1/0.3, singular only at 0 so no reflection needed.
-        assert integrate_unit(lambda u: u ** -0.7) == pytest.approx(1.0 / 0.3, rel=1e-12)
+        # int u^(-0.7) du = 1/0.3, singular only at 0.
+        assert integrate_unit(lambda u: u ** -0.7, lambda w: (1.0 - w) ** -0.7) \
+            == pytest.approx(1.0 / 0.3, rel=1e-12)
 
     def test_double_singularity_with_reflection(self):
         # int u^(-0.7) (1-u)^(-0.5) du = B(0.3, 0.5); the reflected integrand
@@ -43,17 +46,6 @@ class TestIntegrateUnit:
             lambda w: w ** -0.5 * (1.0 - w) ** -0.7,
         )
         assert got == pytest.approx(exact, rel=1e-12)
-
-    def test_right_singularity_without_reflection_is_cruder(self):
-        # The fallback path (forming 1 - w directly) cannot grade past
-        # 2**-53; for beta(1, 0.3) the unresolved right-endpoint mass is
-        # ~1.6e-5, which the reflected form resolves fully.
-        exact = math.exp(log_beta(1.0, 0.3))
-        crude = integrate_unit(lambda u: (1.0 - u) ** -0.7)
-        sharp = integrate_unit(lambda u: (1.0 - u) ** -0.7, lambda w: w ** -0.7)
-        assert sharp == pytest.approx(exact, rel=1e-12)
-        assert abs(crude - exact) > abs(sharp - exact)
-        assert crude == pytest.approx(exact, abs=1e-4)
 
     def test_nodes_strictly_interior(self):
         seen = {}

@@ -15,7 +15,6 @@ from cdfdr.simulate import (
     gen_mixture_uniform,
     normal_grid,
     replicate_rng,
-    resolve_workers,
     run_replicates,
     true_fdr_mixture_normal,
     true_fdr_mixture_uniform,
@@ -313,6 +312,12 @@ class TestRunReplicates:
         assert report.n_replicates == 19
         assert report.pi0_estimates.size == 19
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        design = MixtureNormalDesign(mu=2.0, replicates=2, seed=17, n=2000, n_null=1800)
+        with pytest.raises(ConfigError, match="worker count must be at least 1"):
+            run_replicates(design, workers=workers)
+
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError, match="unknown design type EstimatorConfig"):
             run_replicates(EstimatorConfig(), workers=1)
@@ -327,22 +332,3 @@ class TestRunReplicates:
         design = MixtureNormalDesign(mu=1.0, replicates=5, seed=37, n=1500, n_null=1350)
         with pytest.raises(SimulationError):
             run_replicates(design, workers=1)
-
-
-class TestWorkerResolution:
-    def test_explicit(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) >= 1
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv("CDFDR_THREADS", "5")
-        assert resolve_workers() == 5
-        monkeypatch.setenv("CDFDR_THREADS", "0")
-        assert resolve_workers() >= 1
-        monkeypatch.setenv("CDFDR_THREADS", "many")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_workers(-1)

@@ -18,6 +18,7 @@ from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from cdfdr.errors import DomainError
+from cdfdr.pipeline import t_to_z
 from cdfdr.quadrature import integrate_unit
 from cdfdr.special import (
     _ANORM_CENTRE,
@@ -192,6 +193,16 @@ class TestStudentT:
                 student_t_cdf_many(1.0, df)
             with pytest.raises(DomainError):
                 student_t_pdf_many(1.0, df)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("df", [0.5, 7.0, 30.0, 1e4])
+    def test_square_overflow_gives_limits_without_warning(self, df):
+        # t * t overflows at |t| = 1e200: the CDF and density take their
+        # limits, and t_to_z its clamped quantiles, with no RuntimeWarning.
+        t = [-1e200, 1e200]
+        assert student_t_cdf_many(t, df).tolist() == [0.0, 1.0]
+        assert student_t_pdf_many(t, df).tolist() == [0.0, 0.0]
+        assert t_to_z(t, df).tolist() == normal_quantile_many([1e-15, 1.0 - 1e-15]).tolist()
 
     def test_pdf_matches_numeric_derivative(self):
         for t, df in [(0.0, 5.0), (1.3, 5.0), (-2.0, 12.0)]:
@@ -697,9 +708,11 @@ class TestIncompleteBetaAgainstTwoBranches:
     @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 30.0, 100.0, 1e4])
     def test_student_t_cdf(self, df):
         # The t CDF's pairs (df/2, 1/2), with t = 0, -0.0 and t = +-1e-10,
-        # where y rounds to 1 while yc is not 0.
+        # where y rounds to 1 while yc is not 0, and t = +-1e150, whose
+        # square is still finite.
         rng = np.random.Generator(np.random.Philox(int(df * 10)))
-        t = np.concatenate([rng.standard_normal(3000) * 5.0, [0.0, -0.0, 1e-10, -1e-10, 40.0]])
+        t = np.concatenate([rng.standard_normal(3000) * 5.0,
+                            [0.0, -0.0, 1e-10, -1e-10, 40.0, 1e150, -1e150]])
         t2 = t * t
         y, yc = df / (df + t2), t2 / (df + t2)
         tail = 0.5 * _two_branch_betainc(0.5 * df, 0.5, y, yc)
@@ -710,8 +723,7 @@ class TestIncompleteBetaAgainstTwoBranches:
         # At t = 0 the tail is exactly 1/2; where t * t overflows the value is
         # the limit 0 or 1, as with the two-branch evaluation.
         assert student_t_cdf_many([0.0, -0.0], 7.0).tolist() == [0.5, 0.5]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert student_t_cdf_many([-1e200, 1e200], 7.0).tolist() == [0.0, 1.0]
+        assert student_t_cdf_many([-1e200, 1e200], 7.0).tolist() == [0.0, 1.0]
 
 
 # Shapes drawn log-uniformly from [1e-3, 1e4].
