@@ -56,7 +56,6 @@ from .special import (
     beta_cdf_many,
     beta_pdf_many,
     digamma,
-    log_gamma,
     normal_cdf_many,
     normal_pdf_many,
     normal_quantile_many,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, EstimationError, InsufficientDataError
-from .special import beta_cdf_many, digamma, log_gamma, trigamma
+from .special import beta_cdf_many, digamma, trigamma
 
 __all__ = ["CLAMP", "BetaFit", "fit_beta_mle", "smooth_pvalues"]
 
@@ -44,7 +44,7 @@ class BetaFit:
 
 
 def _mean_loglik(a: float, b: float, s1: float, s2: float) -> float:
-    return log_gamma(a + b) - log_gamma(a) - log_gamma(b) + (a - 1.0) * s1 + (b - 1.0) * s2
+    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + (a - 1.0) * s1 + (b - 1.0) * s2
 
 
 def _mean_gradient(a: float, b: float, s1: float, s2: float) -> tuple[float, float]:

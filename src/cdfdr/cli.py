@@ -245,6 +245,10 @@ def parse_null_spec(text: str) -> NullSpec:
 
 def _prepare_model(args) -> tuple[list[str], CdfrModel]:
     """Shared ingestion + fitting for the fdr and pi0 subcommands."""
+    if args.column == "pvalue" and (args.df is not None or args.null != "std-normal"):
+        raise ConfigError("--null and --df apply to --column stat only")
+    if args.df is not None and args.null.startswith("t:"):
+        raise ConfigError("--df converts t statistics to z; it cannot go with a t: null")
     ids, values = read_input_table(args.input, args.column)
     mode = args.transform.replace("-", "_")
     if args.column == "pvalue":

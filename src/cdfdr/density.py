@@ -16,7 +16,7 @@ import numpy as np
 
 from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
-from .legendre import M_MAX, basis_matrix
+from .legendre import basis_matrix
 from .quadrature import integrate_unit
 from .special import beta_cdf_many, beta_pdf_many
 
@@ -79,8 +79,6 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
 
 def _score_with_basis(smooth_pvalues, m: int) -> tuple[CoefficientSet, np.ndarray]:
     """:func:`score_coefficients` and the N x m basis on v it averaged."""
-    if not 1 <= int(m) <= M_MAX:
-        raise DomainError(f"m must lie in [1, {M_MAX}], got {m}")
     v = np.asarray(smooth_pvalues, dtype=float).ravel()
     if v.size == 0:
         raise InsufficientDataError("no smooth p-values supplied")

@@ -16,15 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "integrate_unit"]
-
-
-@lru_cache(maxsize=16)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(int(order))
-    return nodes, weights
-
+__all__ = ["integrate_unit"]
 
 _ORDER = 32  # Gauss-Legendre points per panel
 _DEPTH = 256  # dyadic panels toward each endpoint; the innermost is (0, 2**-256]
@@ -34,7 +26,7 @@ _DEPTH = 256  # dyadic panels toward each endpoint; the innermost is (0, 2**-256
 def _half_panel_points() -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights covering (0, 1/2] with dyadic grading."""
     breaks = np.array([0.0] + [2.0 ** -k for k in range(_DEPTH, 0, -1)])
-    nodes, weights = gauss_legendre(_ORDER)
+    nodes, weights = np.polynomial.legendre.leggauss(_ORDER)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     halves = 0.5 * (breaks[1:] - breaks[:-1])
     points = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()

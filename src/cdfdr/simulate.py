@@ -193,14 +193,10 @@ def uniform_grid(a: float) -> tuple[np.ndarray, int]:
 
 
 def _run_one(args) -> tuple[int, np.ndarray | None, float | None, str | None]:
-    design, config, grid, replicate = args
+    design, sample, null_spec, config, grid, replicate = args
     try:
-        if isinstance(design, MixtureNormalDesign):
-            data, null_spec = gen_mixture_normal(design, replicate), NullSpec.standard_normal()
-        else:
-            data, null_spec = gen_mixture_uniform(design, replicate), NullSpec.precomputed()
-        model = fit_cdfdr(data, null_spec, m_density=config.m_density, m_mdc=config.m_mdc,
-                          grid_step=config.grid_step)
+        model = fit_cdfdr(sample(design, replicate), null_spec, m_density=config.m_density,
+                          m_mdc=config.m_mdc, grid_step=config.grid_step)
         fdr = local_fdr_many(model, grid)
         return replicate, fdr, model.pi0, None
     except CdfdrError as exc:
@@ -218,16 +214,18 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers!r}")
     if isinstance(design, MixtureNormalDesign):
+        sample, null_spec = gen_mixture_normal, NullSpec.standard_normal()
         grid = normal_grid()
         n_tail = None
         truth = true_fdr_mixture_normal(grid, design.pi0, design.mu)
     elif isinstance(design, MixtureUniformDesign):
+        sample, null_spec = gen_mixture_uniform, NullSpec.precomputed()
         grid, n_tail = uniform_grid(design.a)
         truth = true_fdr_mixture_uniform(grid, design.pi0, design.a)
     else:
         raise ConfigError(f"unknown design type {type(design).__name__}")
 
-    tasks = [(design, config, grid, r) for r in range(design.replicates)]
+    tasks = [(design, sample, null_spec, config, grid, r) for r in range(design.replicates)]
     if workers > 1 and design.replicates > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this path needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -30,7 +30,6 @@ __all__ = [
     "normal_quantile_many",
     "student_t_cdf_many",
     "student_t_pdf_many",
-    "log_gamma",
     "digamma",
     "trigamma",
     "log_beta",
@@ -290,14 +289,6 @@ def normal_quantile_many(p) -> np.ndarray:
 # Gamma family
 # ---------------------------------------------------------------------------
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 # Asymptotic tail coefficients B_2k/(2k) of the digamma expansion.
 _DIGAMMA_TAIL = (
     1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
@@ -510,29 +501,14 @@ def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
     """
     u = _unit_1d("u", u)
     ln_b = log_beta(alpha, beta)
-    out = np.empty_like(u)
-    interior = (u > 0.0) & (u < 1.0)
-    with np.errstate(over="ignore"):
-        ui = u[interior]
-        out[interior] = np.exp(
-            (alpha - 1.0) * np.log(ui) + (beta - 1.0) * np.log1p(-ui) - ln_b
-        )
-    at0 = u == 0.0
-    at1 = u == 1.0
-    if np.any(at0):
-        if alpha < 1.0:
-            out[at0] = math.inf
-        elif alpha == 1.0:
-            out[at0] = math.exp(-ln_b)
-        else:
-            out[at0] = 0.0
-    if np.any(at1):
-        if beta < 1.0:
-            out[at1] = math.inf
-        elif beta == 1.0:
-            out[at1] = math.exp(-ln_b)
-        else:
-            out[at1] = 0.0
+    # IEEE arithmetic gives +inf or 0 at an end; only a shape of exactly 1
+    # there makes the exponent 0 * -inf = nan, where the limit is 1/B.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.exp((alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - ln_b)
+    if alpha == 1.0:
+        out[u == 0.0] = math.exp(-ln_b)
+    if beta == 1.0:
+        out[u == 1.0] = math.exp(-ln_b)
     return out
 
 

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from cdfdr.cli import main
 from cdfdr.density import eval_comparison_density_many, integrate_comparison_density
@@ -24,7 +25,6 @@ from cdfdr.pipeline import (
     local_fdr_many,
     u_of_t_many,
 )
-from cdfdr.quadrature import gauss_legendre
 from cdfdr.simulate import (
     MixtureNormalDesign,
     MixtureUniformDesign,
@@ -112,7 +112,7 @@ class TestAcceptance:
 
     def test_criterion_2_basis_and_normalization(self, fitted_models):
         start = time.perf_counter()
-        nodes, weights = gauss_legendre(64)
+        nodes, weights = leggauss(64)
         mat = basis_matrix(10, 0.5 * (nodes + 1.0))
         gram = (mat * (0.5 * weights)[:, None]).T @ mat
         gram_err = float(np.max(np.abs(gram - np.eye(10))))

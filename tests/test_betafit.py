@@ -11,12 +11,12 @@ from scipy import stats as sp_stats
 from cdfdr.betafit import CLAMP, fit_beta_mle, smooth_pvalues
 from cdfdr.errors import DegenerateSampleError, InsufficientDataError
 from cdfdr.simulate import MixtureUniformDesign, gen_mixture_uniform
-from cdfdr.special import beta_cdf_many, digamma, log_gamma
+from cdfdr.special import beta_cdf_many, digamma
 
 
 def _total_loglik(u, a, b):
     uc = np.clip(u, CLAMP, 1.0 - CLAMP)
-    ln_b = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    ln_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return float(np.sum((a - 1.0) * np.log(uc) + (b - 1.0) * np.log1p(-uc)) - u.size * ln_b)
 
 

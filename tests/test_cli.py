@@ -32,7 +32,7 @@ from cdfdr.cli import (
     read_input_table,
 )
 from cdfdr.errors import ConfigError, InputError
-from cdfdr.pipeline import NullSpec, capped_fdr
+from cdfdr.pipeline import NullSpec, capped_fdr, fit_cdfdr, local_fdr_many
 
 
 def _write_stats_csv(path, values, ids=None, column="stat"):
@@ -396,6 +396,32 @@ class TestFdrCommand:
         assert err.startswith("cdfdr: warning: step 2 (beta fit)")
         assert "cli.py" not in err
 
+    @pytest.mark.parametrize("column,flags", [
+        ("pvalue", ["--null", "garbage"]),
+        ("pvalue", ["--null", "t:5"]),
+        ("pvalue", ["--df", "30"]),
+        ("stat", ["--df", "30", "--null", "t:30"]),
+    ], ids=["pvalue-null-garbage", "pvalue-t-null", "pvalue-df", "df-with-t-null"])
+    def test_flags_the_column_ignores_exit_2(self, tmp_path, capsys, column, flags):
+        # A p-value column takes no null and no t-to-z conversion, and t
+        # statistics converted to z by --df are not fitted under a t null.
+        path = tmp_path / "in.csv"
+        _write_stats_csv(path, np.random.Generator(np.random.Philox(9)).random(200), column=column)
+        out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+        code = main(["fdr", "--input", str(path), "--column", column, *flags,
+                     "--out", str(out), "--curves", str(curves)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cdfdr: input error: --")
+        assert not out.exists() and not curves.exists()
+
+    def test_t_null_cases_match_the_library(self, mixture_csv, tmp_path):
+        csv_path, stats = mixture_csv
+        code, out, _ = self._run(csv_path, tmp_path, ["--null", "t:5"])
+        assert code == 0
+        fdr = np.array(json.loads(out.read_text())["cases"]["fdr"])
+        expected = local_fdr_many(fit_cdfdr(stats, NullSpec.student_t(5)), stats)
+        assert fdr.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("flags", [
         ["--null", "normal:nan,1"],
         ["--null", "t:inf"],
@@ -433,6 +459,8 @@ def _assert_canonical_outputs(out, curves, empty=(), ints=()):
 _COMMANDS = {
     "fdr-stat": (["fdr", "--column", "stat"], {}),
     "fdr-pvalue": (["fdr", "--column", "pvalue"], {"empty": {"t"}}),
+    "fdr-t-null": (["fdr", "--column", "stat", "--null", "t:5"], {}),
+    "fdr-normal-null": (["fdr", "--column", "stat", "--null", "normal:0.1,1.2"], {}),
     "pi0": (["pi0", "--column", "pvalue"], {"ints": {"n_lambda"}}),
     "simulate-mixnorm": (["simulate", "--design", "mixnorm", "--mu", "2", "--replicates",
                           "2", "--seed", "3", "--n", "2000", "--n-null", "1800"], {}),

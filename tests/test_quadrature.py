@@ -5,22 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cdfdr.quadrature import gauss_legendre, integrate_unit
+from cdfdr.quadrature import integrate_unit
 from cdfdr.special import log_beta
-
-
-class TestGaussLegendre:
-    def test_polynomial_exactness(self):
-        # An n-point rule is exact through degree 2n - 1.
-        nodes, weights = gauss_legendre(8)
-        for k in range(0, 16):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert np.sum(weights * nodes ** k) == pytest.approx(exact, abs=1e-14)
-
-    def test_weights_sum_to_interval_length(self):
-        for order in (4, 32, 64):
-            _, weights = gauss_legendre(order)
-            assert np.sum(weights) == pytest.approx(2.0, rel=1e-14)
 
 
 class TestIntegrateUnit:

@@ -30,7 +30,6 @@ from cdfdr.special import (
     beta_cdf_many,
     beta_pdf_many,
     digamma,
-    log_gamma,
     normal_cdf_many,
     normal_pdf_many,
     normal_quantile_many,
@@ -213,13 +212,6 @@ class TestStudentT:
 
 
 class TestGammaFamily:
-    def test_integer_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247000870717, rel=1e-12)
-
     def test_digamma_at_one_is_minus_euler(self):
         assert digamma(1.0) == pytest.approx(-0.5772156649015328606065, abs=1e-8)
 
@@ -243,7 +235,7 @@ class TestGammaFamily:
         assert trigamma(x) == math.inf
 
     def test_domain_errors(self):
-        for fn in (log_gamma, digamma, trigamma):
+        for fn in (digamma, trigamma):
             for x in (0.0, -1.0, math.nan):
                 with pytest.raises(DomainError):
                     fn(x)
@@ -258,8 +250,8 @@ class TestBetaDistribution:
     def test_prostate_preflattener_display(self):
         # The published assembled estimate writes the normalizer as 0.68 and
         # the exponents as -0.19/-0.18; the exact normalizer is
-        # 1/B(0.81, 0.82) = 0.68102 (verified through log_gamma first).
-        ln_b = log_gamma(0.81) + log_gamma(0.82) - log_gamma(1.63)
+        # 1/B(0.81, 0.82) = 0.68102 (verified through math.lgamma first).
+        ln_b = math.lgamma(0.81) + math.lgamma(0.82) - math.lgamma(1.63)
         assert math.exp(-ln_b) == pytest.approx(0.6810193174868691204587, rel=1e-12)
         assert math.exp(-ln_b) == pytest.approx(0.68, abs=0.005)
         for u in np.arange(0.1, 0.95, 0.1):
@@ -724,6 +716,43 @@ class TestIncompleteBetaAgainstTwoBranches:
         # the limit 0 or 1, as with the two-branch evaluation.
         assert student_t_cdf_many([0.0, -0.0], 7.0).tolist() == [0.5, 0.5]
         assert student_t_cdf_many([-1e200, 1e200], 7.0).tolist() == [0.0, 1.0]
+
+
+def _masked_beta_pdf(alpha, beta, u):
+    """``beta_pdf_many`` as it was: the formula on the interior lanes only,
+    and each end set by the shape there."""
+    ln_b = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+    out = np.empty_like(u)
+    interior = (u > 0.0) & (u < 1.0)
+    with np.errstate(over="ignore"):
+        ui = u[interior]
+        out[interior] = np.exp((alpha - 1.0) * np.log(ui) + (beta - 1.0) * np.log1p(-ui) - ln_b)
+    for end, shape in ((u == 0.0, alpha), (u == 1.0, beta)):
+        out[end] = math.inf if shape < 1.0 else math.exp(-ln_b) if shape == 1.0 else 0.0
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBetaPdfOverTheWholeArray:
+    """The beta density as one formula over every lane equals the masked
+    evaluation bit for bit, and its log of 0 stays inside ``np.errstate``."""
+
+    @pytest.mark.parametrize("alpha, beta", _SHAPES)
+    def test_matches_masked_formula(self, alpha, beta):
+        u = _incomplete_beta_input(alpha, beta, int(alpha * 1000 + beta) + 1)
+        _assert_same_bits(beta_pdf_many(u, alpha, beta), _masked_beta_pdf(alpha, beta, u))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+    def test_ends_on_2d_input(self, alpha, beta):
+        # Below 1 an end diverges, at 1 it is 1/B(alpha, beta), above 1 it is 0.
+        inv_b = math.exp(-(math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)))
+        at0, at1 = (math.inf if s < 1.0 else inv_b if s == 1.0 else 0.0 for s in (alpha, beta))
+        u = np.array([[0.0, -0.0, 1.0], [0.25, 0.5, 0.75]])
+        out = beta_pdf_many(u, alpha, beta)
+        assert out[0].tolist() == [at0, at0, at1]
+        _assert_same_bits(out, _masked_beta_pdf(alpha, beta, u))
+        _assert_same_bits(beta_pdf_many(u.T, alpha, beta), _masked_beta_pdf(alpha, beta, u.T))
 
 
 # Shapes drawn log-uniformly from [1e-3, 1e4].
