@@ -13,7 +13,6 @@ from .density import (
     ComparisonDensityModel,
     eval_comparison_density_many,
     eval_smooth_density_many,
-    reconstruct_density,
 )
 from .errors import (
     CdfdrError,
@@ -31,15 +30,16 @@ from .pi0 import DeviancePath, estimate_pi0
 from .pipeline import (
     CdfrModel,
     DiscoveryReport,
+    Evaluation,
     NullSpec,
     discoveries,
+    evaluate,
     fit_cdfdr,
     integrate_nonnull_density,
     local_fdr_many,
     nonnull_density,
     t_to_z,
     to_pvalues,
-    u_of_t_many,
 )
 from .simulate import (
     EstimatorConfig,

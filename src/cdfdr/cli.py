@@ -27,7 +27,6 @@ from itertools import chain
 
 import numpy as np
 
-from .betafit import smooth_pvalues
 from .density import DEFAULT_FLOOR
 from .errors import (
     CdfdrError,
@@ -39,9 +38,8 @@ from .errors import (
 from .pipeline import (
     CdfrModel,
     NullSpec,
-    _fdr_inputs,
-    capped_fdr,
     discoveries,
+    evaluate,
     fit_cdfdr,
     integrate_nonnull_density,
     t_to_z,
@@ -271,10 +269,8 @@ def _curve_columns(model: CdfrModel) -> list[list[str]]:
     else:
         t_grid = np.linspace(0.0, 1.0, 403)[1:-1]
         t_text = [""] * t_grid.size
-    u_grid, d_grid = _fdr_inputs(model, t_grid)
-    v_grid = smooth_pvalues(u_grid, model.beta_fit)
-    fdr_grid = capped_fdr(model.pi0, d_grid)
-    return [t_text] + [_float_text(grid) for grid in (u_grid, v_grid, d_grid, fdr_grid)]
+    grid = evaluate(model, t_grid)
+    return [t_text] + [_float_text(column) for column in (grid.u, grid.v, grid.d, grid.fdr)]
 
 
 def _config_echo(args, keys: list[str]) -> dict:
@@ -286,8 +282,8 @@ def cmd_fdr(args) -> int:
     fit = model.beta_fit
     coeffs = model.cd_model.coeffs
     path = model.deviance_path
-    fdr = capped_fdr(model.pi0, model.d_hat)
-    report_stats = model.pvalues if model.stats is None else model.stats
+    fitted = model.fitted
+    report_stats = fitted.u if model.stats is None else model.stats
     disc = discoveries(model, report_stats, args.fdr_threshold)
     hits = disc.indices
     diag_f1 = None if model.pi0 >= 1.0 else integrate_nonnull_density(model)
@@ -327,20 +323,20 @@ def cmd_fdr(args) -> int:
             "cases": [
                 {"index": i, "id": ids[i], "stat": stat, "pvalue": pvalue, "fdr": case_fdr}
                 for i, stat, pvalue, case_fdr in zip(
-                    hits, report_stats[hits].tolist(), model.pvalues[hits].tolist(),
-                    fdr[hits].tolist())
+                    hits, report_stats[hits].tolist(), fitted.u[hits].tolist(),
+                    fitted.fdr[hits].tolist())
             ],
         },
         "cases": {
             "id": ids,
             "stat": model.stats,
-            "pvalue": model.pvalues,
-            "smooth_pvalue": model.smooth,
-            "d_hat": model.d_hat,
-            "fdr": fdr,
+            "pvalue": fitted.u,
+            "smooth_pvalue": fitted.v,
+            "d_hat": fitted.d,
+            "fdr": fitted.fdr,
         },
         "diagnostics": {
-            "floor_hits": int(np.count_nonzero(model.d_hat == DEFAULT_FLOOR)),
+            "floor_hits": int(np.count_nonzero(fitted.d == DEFAULT_FLOOR)),
             "integral_f1": diag_f1,
         },
     }

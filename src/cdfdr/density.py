@@ -28,7 +28,6 @@ __all__ = [
     "eval_comparison_density_many",
     "comparison_density_raw_many",
     "comparison_density_raw_reflected_many",
-    "reconstruct_density",
     "integrate_comparison_density",
     "clipped_measure",
 ]
@@ -167,22 +166,17 @@ def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray
     u is clamped to the fit's range (the beta fit's 1e-10 clamp), so an
     endpoint evaluates at its clamped point.
     """
+    return _smooth_and_density(model, u)[1]
+
+
+def _smooth_and_density(model: ComparisonDensityModel, u) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth p-values v = F_B(u) and the floored density at each u, from one
+    incomplete-beta pass; the density is :func:`eval_comparison_density_many`'s."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
     v = smooth_pvalues(u, model.fit)
-    return _floored(model, u, eval_smooth_density_many(model.coeffs, v))
-
-
-def reconstruct_density(null_pdf, null_cdf, model: ComparisonDensityModel, x) -> np.ndarray:
-    """Density reconstruction f(x) = f0(x) * d(F0(x)) on the statistic scale, at each x.
-
-    ``null_pdf``/``null_cdf`` are the array density and distribution function
-    of the pre-whitening model (such as ``NullSpec.pdf_many`` and
-    ``NullSpec.cdf_many``); any distribution with a valid CDF works.  The
-    result has the shape of the query, with at least one dimension.
-    """
-    return null_pdf(x) * eval_comparison_density_many(model, null_cdf(x))
+    return v, _floored(model, u, eval_smooth_density_many(model.coeffs, v))
 
 
 def integrate_comparison_density(model: ComparisonDensityModel) -> float:

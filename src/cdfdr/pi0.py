@@ -53,7 +53,7 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     """Minimum-deviance estimate of the true-null proportion.
 
     ``density`` holds the floored comparison density at each p-value, as
-    fitted on these same p-values (``CdfrModel.d_hat``); it must be finite.
+    fitted on these same p-values (``CdfrModel.fitted.d``); it must be finite.
     ``grid_step`` lies in [1e-4, 2.5].  Ties at the
     minimum break toward the smallest lambda (most conservative null set);
     the scan is performed in ascending lambda order, so the result is

@@ -18,9 +18,9 @@ from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
     _fit_series,
+    _smooth_and_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
-    eval_comparison_density_many,
 )
 from .errors import (
     CdfdrError,
@@ -44,13 +44,13 @@ __all__ = [
     "NullSpec",
     "CdfrModel",
     "DiscoveryReport",
+    "Evaluation",
     "TRANSFORM_MODES",
     "t_to_z",
     "to_pvalues",
     "fit_cdfdr",
-    "u_of_t_many",
+    "evaluate",
     "local_fdr_many",
-    "capped_fdr",
     "nonnull_density",
     "integrate_nonnull_density",
     "discoveries",
@@ -149,13 +149,23 @@ class DiscoveryReport:
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """The model at a query t, each array read-only and of the query's shape:
+    p-values ``u`` = u(t), smooth p-values ``v`` = F_B(u), the floored
+    comparison density ``d`` at u, and the local fdr min(pi0 / d, 1)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    fdr: np.ndarray
+
+
+@dataclass(frozen=True)
 class CdfrModel:
     """Complete fitted model with every intermediate artifact retained.
 
-    The read-only per-case arrays ``pvalues`` (u), ``smooth`` (v) and
-    ``d_hat`` (floored density at u) are computed once by the fit.  The
-    identity fdr(t) * d(u(t)) = pi0 holds exactly for the uncapped fdr, by
-    construction of :func:`local_fdr_many`.
+    ``fitted`` is the :class:`Evaluation` at the fitted data, computed once
+    by the fit; :func:`evaluate` returns it for a query equal to that data.
     """
 
     null_spec: NullSpec
@@ -164,9 +174,7 @@ class CdfrModel:
     deviance_path: DeviancePath
     transform_mode: str
     stats: np.ndarray | None = field(repr=False, default=None)
-    pvalues: np.ndarray | None = field(repr=False, default=None)
-    smooth: np.ndarray | None = field(repr=False, default=None)
-    d_hat: np.ndarray | None = field(repr=False, default=None)
+    fitted: Evaluation | None = field(repr=False, default=None)
 
     @property
     def beta_fit(self) -> BetaFit:
@@ -209,11 +217,6 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     return 2.0 * np.minimum(f0, 1.0 - f0)
 
 
-def u_of_t_many(model: CdfrModel, t) -> np.ndarray:
-    """The model's own statistic-to-p-value map, applied to an array."""
-    return to_pvalues(t, model.null_spec, model.transform_mode)
-
-
 def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
     """ConfigError unless both series lengths lie in [1, M_MAX] and the pi0 grid
     step lies in [1e-4, 2.5]: no finer than the scan's finest step, no wider
@@ -236,6 +239,8 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
     """
     if mode not in TRANSFORM_MODES:
         raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
+    if mode == "two_sided" and null_spec.kind == "precomputed_pvalues":
+        raise ConfigError("the two-sided transform applies to statistics, not to precomputed p-values")
     _check_tuning(m_density, m_mdc, grid_step)
     data = np.asarray(data, dtype=float).ravel()
     if data.size < 100:
@@ -272,9 +277,8 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
                 lambda: estimate_pi0(u, d_hat, m=m_mdc, grid_step=grid_step))
 
     stats = None if null_spec.kind == "precomputed_pvalues" else data.copy()
-    for arr in (stats, u, v, d_hat):
-        if arr is not None:
-            arr.setflags(write=False)
+    if stats is not None:
+        stats.setflags(write=False)
     return CdfrModel(
         null_spec=null_spec,
         cd_model=cd_model,
@@ -282,43 +286,44 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
         deviance_path=path,
         transform_mode=mode,
         stats=stats,
-        pvalues=u,
-        smooth=v,
-        d_hat=d_hat,
+        fitted=_evaluation(path.pi0_hat, u, v, d_hat),
     )
 
 
-def local_fdr_many(model: CdfrModel, t, cap: bool = True) -> np.ndarray:
-    """Estimated local fdr at each statistic value.
-
-    The raw plug-in ratio pi0 / d(u(t)) can exceed 1 where the estimated
-    density dips below pi0; with ``cap=True`` (the reporting default) values
-    are capped at 1.0.  Pass ``cap=False`` for the raw audit values.
-    """
-    _, d = _fdr_inputs(model, t)
-    return capped_fdr(model.pi0, d) if cap else model.pi0 / d
+def _evaluation(pi0: float, u, v, d) -> Evaluation:
+    """The read-only record of u, v and d, with the capped fdr at d."""
+    fdr = np.minimum(pi0 / d, 1.0)
+    for arr in (u, v, d, fdr):
+        arr.setflags(write=False)
+    return Evaluation(u=u, v=v, d=d, fdr=fdr)
 
 
-def _fdr_inputs(model: CdfrModel, t) -> tuple[np.ndarray, np.ndarray]:
-    """p-values u(t) and floored densities d(u(t)) at the query ``t``.
+def evaluate(model: CdfrModel, t) -> Evaluation:
+    """u, v, d and the capped fdr at each statistic value of the query ``t``.
 
     A query equal bit for bit to the fitted data (the statistics, or the
-    p-values for a ``precomputed_pvalues`` null) reads the model's stored
-    ``pvalues`` and ``d_hat``, which hold exactly what a fresh evaluation
-    returns; any other query is transformed and evaluated afresh.
+    p-values for a ``precomputed_pvalues`` null) returns ``model.fitted``,
+    which holds exactly what a fresh evaluation gives; any other query is
+    transformed and evaluated afresh, with one incomplete-beta pass.
     """
-    fitted = model.pvalues if model.null_spec.kind == "precomputed_pvalues" else model.stats
     q = np.asarray(t, dtype=float)
-    if (fitted is not None and model.d_hat is not None and q.shape == fitted.shape
-            and np.array_equal(q.view(np.uint64), fitted.view(np.uint64))):
-        return model.pvalues, model.d_hat
-    u = u_of_t_many(model, q)
-    return u, eval_comparison_density_many(model.cd_model, u)
+    fitted = model.fitted
+    if fitted is not None:
+        data = fitted.u if model.null_spec.kind == "precomputed_pvalues" else model.stats
+        if (data is not None and q.shape == data.shape
+                and np.array_equal(q.view(np.uint64), data.view(np.uint64))):
+            return fitted
+    u = to_pvalues(q, model.null_spec, model.transform_mode)
+    return _evaluation(model.pi0, u, *_smooth_and_density(model.cd_model, u))
 
 
-def capped_fdr(pi0: float, d_hat) -> np.ndarray:
-    """Reported local fdr min(pi0 / d, 1) at floored density values d."""
-    return np.minimum(pi0 / d_hat, 1.0)
+def local_fdr_many(model: CdfrModel, t) -> np.ndarray:
+    """Estimated local fdr min(pi0 / d(u(t)), 1) at each statistic value, read-only.
+
+    The raw plug-in ratio pi0 / d can exceed 1 where the estimated density
+    dips below pi0; ``model.pi0 / evaluate(model, t).d`` gives it uncapped.
+    """
+    return evaluate(model, t).fdr
 
 
 def nonnull_density(model: CdfrModel, t) -> np.ndarray:
@@ -332,7 +337,7 @@ def nonnull_density(model: CdfrModel, t) -> np.ndarray:
         raise EstimationError(
             "nonnull density undefined when pi0 = 1 (no estimated signal)"
         )
-    _, d = _fdr_inputs(model, t)
+    d = evaluate(model, t).d
     return np.maximum(0.0, d - model.pi0) * model.null_spec.pdf_many(t) / (1.0 - model.pi0)
 
 
@@ -369,7 +374,6 @@ def discoveries(model: CdfrModel, stats, threshold: float = 0.2) -> DiscoveryRep
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
     stats = np.asarray(stats, dtype=float).ravel()
-    _, d = _fdr_inputs(model, stats)
-    hits = np.flatnonzero(capped_fdr(model.pi0, d) <= threshold)
+    hits = np.flatnonzero(evaluate(model, stats).fdr <= threshold)
     return DiscoveryReport(threshold=float(threshold), indices=hits.tolist(),
                            n_left=int(np.sum(stats[hits] < model.null_spec.median())))

@@ -21,9 +21,9 @@ from cdfdr.legendre import basis_matrix
 from cdfdr.pipeline import (
     NullSpec,
     discoveries,
+    evaluate,
     fit_cdfdr,
-    local_fdr_many,
-    u_of_t_many,
+    to_pvalues,
 )
 from cdfdr.simulate import (
     MixtureNormalDesign,
@@ -98,9 +98,9 @@ class TestAcceptance:
         worst = 0.0
         for model in fitted_models:
             points = _eval_points(model)
-            raw = local_fdr_many(model, points, cap=False)
+            raw = model.pi0 / evaluate(model, points).d
             dens = eval_comparison_density_many(
-                model.cd_model, u_of_t_many(model, points)
+                model.cd_model, to_pvalues(points, model.null_spec, model.transform_mode)
             )
             worst = max(worst, float(np.max(np.abs(raw * dens - model.pi0))))
         elapsed = time.perf_counter() - start

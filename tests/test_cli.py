@@ -32,7 +32,7 @@ from cdfdr.cli import (
     read_input_table,
 )
 from cdfdr.errors import ConfigError, InputError
-from cdfdr.pipeline import NullSpec, capped_fdr, fit_cdfdr, local_fdr_many
+from cdfdr.pipeline import NullSpec, fit_cdfdr, local_fdr_many
 
 
 def _write_stats_csv(path, values, ids=None, column="stat"):
@@ -414,6 +414,21 @@ class TestFdrCommand:
         assert capsys.readouterr().err.startswith("cdfdr: input error: --")
         assert not out.exists() and not curves.exists()
 
+    @pytest.mark.parametrize("command", ["fdr", "pi0"])
+    def test_two_sided_pvalues_exit_2(self, tmp_path, capsys, command):
+        # Precomputed p-values skip the transform: a two-sided request is
+        # refused, with no output file and no step-2 warning.
+        path = tmp_path / "p.csv"
+        _write_stats_csv(path, np.random.Generator(np.random.Philox(9)).random(200), column="pvalue")
+        out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+        code = main([command, "--input", str(path), "--column", "pvalue", "--transform", "two-sided",
+                     "--out", str(out), "--curves", str(curves)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cdfdr: input error: the two-sided transform")
+        assert "warning" not in err
+        assert not out.exists() and not curves.exists()
+
     def test_t_null_cases_match_the_library(self, mixture_csv, tmp_path):
         csv_path, stats = mixture_csv
         code, out, _ = self._run(csv_path, tmp_path, ["--null", "t:5"])
@@ -506,7 +521,7 @@ def test_curves_evaluate_the_fitted_model(name, mixture_csv, tmp_path):
     expected = eval_comparison_density_many(model, u)
     assert v.tobytes() == smooth_pvalues(u, model.fit).tobytes()
     assert d_hat.tobytes() == expected.tobytes()
-    assert fdr.tobytes() == capped_fdr(pi0, expected).tobytes()
+    assert fdr.tobytes() == np.minimum(pi0 / expected, 1.0).tobytes()
 
 
 def test_floor_hits_count_the_floored_cases(tmp_path):

@@ -17,7 +17,6 @@ from cdfdr.density import (
     eval_comparison_density_many,
     eval_smooth_density_many,
     integrate_comparison_density,
-    reconstruct_density,
     score_coefficients,
 )
 from cdfdr.errors import DomainError, InsufficientDataError
@@ -240,11 +239,16 @@ class TestComparisonDensityEval:
             comparison_density_raw_reflected_many(model, np.array([0.0]))
 
 
+def _reconstruct(model, x):
+    """The density reconstruction f(x) = f0(x) * d(F0(x)) under a standard normal null."""
+    return normal_pdf_many(x) * eval_comparison_density_many(model, normal_cdf_many(x))
+
+
 class TestReconstructDensity:
     def test_identity_reconstruction(self):
         model = _manual_model(1.0, 1.0, np.zeros(6))
         x = np.linspace(-3.0, 3.0, 13)
-        assert reconstruct_density(normal_pdf_many, normal_cdf_many, model, x) == \
+        assert _reconstruct(model, x) == \
             pytest.approx(normal_pdf_many(x), rel=1e-12)
 
     def test_skewed_sample_normalization(self):
@@ -257,7 +261,7 @@ class TestReconstructDensity:
         coeffs = score_coefficients(smooth_pvalues(u, fit), 6)
         model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
         total, _ = sp_integrate.quad(
-            lambda t: reconstruct_density(normal_pdf_many, normal_cdf_many, model, t)[0],
+            lambda t: _reconstruct(model, t)[0],
             -12.0, 12.0, limit=300,
         )
         assert total == pytest.approx(1.0, abs=1e-3)
@@ -265,5 +269,4 @@ class TestReconstructDensity:
     def test_floor_lower_bound(self):
         model = _manual_model(1.0, 1.0, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         x = np.linspace(-4.0, 4.0, 17)
-        assert np.all(reconstruct_density(normal_pdf_many, normal_cdf_many, model, x)
-                      >= DEFAULT_FLOOR * normal_pdf_many(x))
+        assert np.all(_reconstruct(model, x) >= DEFAULT_FLOOR * normal_pdf_many(x))

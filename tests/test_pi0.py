@@ -103,7 +103,7 @@ class TestInvariants:
     def test_permutation_invariance_bitwise(self):
         rng = np.random.Generator(np.random.Philox(29))
         u = np.concatenate([rng.random(2000), rng.beta(0.3, 1.0, 300)])
-        d_hat = fit_cdfdr(u, NullSpec.precomputed()).d_hat
+        d_hat = fit_cdfdr(u, NullSpec.precomputed()).fitted.d
         path_a = estimate_pi0(u, d_hat)
         perm = rng.permutation(u.size)
         path_b = estimate_pi0(u[perm], d_hat[perm])
@@ -114,7 +114,7 @@ class TestInvariants:
     def test_determinism_bitwise(self):
         rng = np.random.Generator(np.random.Philox(31))
         u = rng.random(3000)
-        d_hat = fit_cdfdr(u, NullSpec.precomputed()).d_hat
+        d_hat = fit_cdfdr(u, NullSpec.precomputed()).fitted.d
         a = estimate_pi0(u, d_hat)
         b = estimate_pi0(u.copy(), d_hat.copy())
         assert np.array_equal(a.deviances, b.deviances, equal_nan=True)
@@ -136,7 +136,7 @@ class TestInvariants:
     def test_lambda_star_attains_minimum(self):
         rng = np.random.Generator(np.random.Philox(43))
         u = np.concatenate([rng.random(1500), rng.beta(0.25, 1.0, 500)])
-        path = estimate_pi0(u, fit_cdfdr(u, NullSpec.precomputed()).d_hat)
+        path = estimate_pi0(u, fit_cdfdr(u, NullSpec.precomputed()).fitted.d)
         star = int(round((path.lambda_star - 1.0) / 0.01))
         assert path.deviances[star] == np.nanmin(path.deviances)
         # Tie-break toward the smallest lambda.

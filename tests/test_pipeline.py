@@ -13,14 +13,14 @@ from scipy import integrate as sp_integrate
 from scipy import stats as sp_stats
 
 import cdfdr.betafit
+import cdfdr.cli
 import cdfdr.density
-from cdfdr.betafit import BetaFit
+from cdfdr.betafit import BetaFit, smooth_pvalues
 from cdfdr.density import (
     ComparisonDensityModel,
     CoefficientSet,
     comparison_density_raw_many,
     eval_comparison_density_many,
-    reconstruct_density,
 )
 from cdfdr.errors import (
     ConfigError,
@@ -32,15 +32,14 @@ from cdfdr.pi0 import DeviancePath
 from cdfdr.pipeline import (
     CdfrModel,
     NullSpec,
-    capped_fdr,
     discoveries,
+    evaluate,
     fit_cdfdr,
     integrate_nonnull_density,
     local_fdr_many,
     nonnull_density,
     t_to_z,
     to_pvalues,
-    u_of_t_many,
 )
 from cdfdr.special import normal_cdf_many
 
@@ -205,6 +204,17 @@ class TestFitCdfdr:
         with pytest.raises(ConfigError, match="transform mode must be one of"):
             fit_cdfdr(_two_sided_mixture(23), NullSpec.standard_normal(), mode="bogus")
 
+    def test_two_sided_precomputed_pvalues_rejected(self):
+        # Precomputed p-values skip the transform, so a two-sided request is
+        # refused before step 1 rather than ignored, and nothing warns.
+        u = to_pvalues(_two_sided_mixture(23), NullSpec.standard_normal(), "two_sided")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data in (u, u[:5]):
+                with pytest.raises(ConfigError, match="two-sided") as info:
+                    fit_cdfdr(data, NullSpec.precomputed(), mode="two_sided")
+                assert not isinstance(info.value, PipelineError)
+
     @pytest.mark.filterwarnings("ignore:n = 200 is small")
     def test_step_label_on_failure(self):
         # A constant statistic survives the transform but degenerates the
@@ -253,11 +263,11 @@ class TestFitCdfdr:
         stats = _two_sided_mixture(17)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         assert model.stats is not None and model.stats.size == stats.size
-        assert model.pvalues.size == stats.size
-        assert model.smooth.size == stats.size
+        assert model.fitted.u.size == stats.size
+        assert model.fitted.v.size == stats.size
         # Retained arrays are read-only audit artifacts.
         with pytest.raises(ValueError):
-            model.pvalues[0] = 0.5
+            model.fitted.u[0] = 0.5
 
     @pytest.mark.parametrize("mode", ["pit", "two_sided", "precomputed"])
     def test_d_hat_matches_fresh_evaluation(self, mode):
@@ -269,13 +279,11 @@ class TestFitCdfdr:
             data = stats
             model = fit_cdfdr(data, NullSpec.standard_normal(), mode=mode)
         assert np.array_equal(
-            model.d_hat, eval_comparison_density_many(model.cd_model, model.pvalues)
+            model.fitted.d, eval_comparison_density_many(model.cd_model, model.fitted.u)
         )
-        assert np.array_equal(
-            capped_fdr(model.pi0, model.d_hat), local_fdr_many(model, data)
-        )
+        assert np.array_equal(_capped(model, model.fitted.d), local_fdr_many(model, data))
         with pytest.raises(ValueError):
-            model.d_hat[0] = 1.0
+            model.fitted.d[0] = 1.0
 
     def test_huge_beta_shapes_fail_at_step_3(self):
         # Statistics far more concentrated than the null fit a beta with
@@ -306,15 +314,15 @@ class TestLocalFdr:
         stats = _two_sided_mixture(19)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         t = np.linspace(-4.0, 4.0, 101)
-        raw = local_fdr_many(model, t, cap=False)
-        d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+        raw = model.pi0 / evaluate(model, t).d
+        d = _fresh(model, t)[1]
         np.testing.assert_allclose(raw * d, model.pi0, rtol=0, atol=1e-12)
 
     def test_cap_and_raw(self):
         stats = _two_sided_mixture(23)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         t = np.linspace(-6.0, 6.0, 241)
-        raw = local_fdr_many(model, t, cap=False)
+        raw = model.pi0 / evaluate(model, t).d
         capped = local_fdr_many(model, t)
         assert np.any(raw > 1.0)
         assert np.all(capped <= 1.0)
@@ -330,7 +338,7 @@ class TestLocalFdr:
         assert 0.95 <= model.pi0 <= 1.0
         t = np.linspace(-6.0, 6.0, 1201)
         fdr = local_fdr_many(model, t)
-        d = eval_comparison_density_many(model.cd_model, u_of_t_many(model, t))
+        d = _fresh(model, t)[1]
         low = fdr < 0.2
         assert np.all(low[d > 5.0])
         assert np.all(d[low] > 4.75)
@@ -350,6 +358,16 @@ def _fresh(model, query):
     """u and floored d at ``query``, evaluated through the transform and the density."""
     u = to_pvalues(query, model.null_spec, model.transform_mode)
     return u, eval_comparison_density_many(model.cd_model, u)
+
+
+def _capped(model, d):
+    """The reported fdr min(pi0 / d, 1) at floored densities ``d``."""
+    return np.minimum(model.pi0 / d, 1.0)
+
+
+def _raw_fdr(model, query):
+    """The uncapped fdr pi0 / d at ``query``."""
+    return model.pi0 / evaluate(model, query).d
 
 
 def _bits(a):
@@ -407,9 +425,8 @@ class TestBatchIndependence:
     def test_fdr_on_a_fine_grid(self):
         model = _signal_fit()
         z = np.linspace(-8.0, 8.0, 1601)
-        batch = local_fdr_many(model, z, cap=False)
-        assert [local_fdr_many(model, z[i:i + 1], cap=False)[0] for i in range(z.size)] \
-            == batch.tolist()
+        batch = _raw_fdr(model, z)
+        assert [_raw_fdr(model, z[i:i + 1])[0] for i in range(z.size)] == batch.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(z=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20),
@@ -420,9 +437,9 @@ class TestBatchIndependence:
             dens = eval_comparison_density_many(model.cd_model, np.clip(x, 0.0, 1.0))
             assert [eval_comparison_density_many(model.cd_model, [min(max(xi, 0.0), 1.0)])[0]
                     for xi in x] == dens.tolist()
-        for cap in (True, False):
-            fdr = local_fdr_many(model, np.array(z), cap=cap)
-            assert [local_fdr_many(model, np.array([zi]), cap=cap)[0] for zi in z] == fdr.tolist()
+        for fdr_at in (local_fdr_many, _raw_fdr):
+            fdr = fdr_at(model, np.array(z))
+            assert [fdr_at(model, np.array([zi]))[0] for zi in z] == fdr.tolist()
 
 
 class TestStoredArrays:
@@ -432,11 +449,11 @@ class TestStoredArrays:
     def test_fitted_data_matches_fresh_evaluation(self, mode):
         model, data = _fit_mode(mode, _two_sided_mixture(67))
         _, d = _fresh(model, data)
-        fdr = capped_fdr(model.pi0, d)
+        fdr = _capped(model, d)
         for query in (data, data.copy(), list(data)):
+            assert evaluate(model, query) is model.fitted
             assert np.array_equal(_bits(local_fdr_many(model, query)), _bits(fdr))
-            assert np.array_equal(_bits(local_fdr_many(model, query, cap=False)),
-                                  _bits(model.pi0 / d))
+            assert np.array_equal(_bits(_raw_fdr(model, query)), _bits(model.pi0 / d))
             report = discoveries(model, query)
             assert report.n_discoveries > 0
             _assert_report(report, data, fdr, _median(mode))
@@ -444,10 +461,10 @@ class TestStoredArrays:
     @pytest.mark.parametrize("mode", MODES)
     def test_fitted_data_makes_no_density_calls(self, mode, density_calls):
         model, data = _fit_mode(mode, _two_sided_mixture(71))
-        fitted = model.pvalues if mode == "precomputed" else model.stats
+        fitted = model.fitted.u if mode == "precomputed" else model.stats
         density_calls.clear()
         local_fdr_many(model, fitted)
-        local_fdr_many(model, data.copy(), cap=False)
+        evaluate(model, data.copy())
         discoveries(model, fitted)
         assert density_calls == []
         local_fdr_many(model, fitted[::-1])
@@ -457,12 +474,39 @@ class TestStoredArrays:
     def test_permutation_takes_fresh_path(self, mode, density_calls):
         model, data = _fit_mode(mode, _two_sided_mixture(73))
         _, d = _fresh(model, data)
-        fdr = capped_fdr(model.pi0, d)
+        fdr = _capped(model, d)
         perm = np.random.Generator(np.random.Philox(5)).permutation(data.size)
         density_calls.clear()
         assert np.array_equal(_bits(local_fdr_many(model, data[perm])), _bits(fdr[perm]))
         assert density_calls
         _assert_report(discoveries(model, data[perm]), data[perm], fdr[perm], _median(mode))
+        # Every field of the fresh record is the fitted one, permuted.
+        fresh = evaluate(model, data[perm])
+        assert fresh is not model.fitted
+        for name in ("u", "v", "d", "fdr"):
+            assert np.array_equal(_bits(getattr(fresh, name)),
+                                  _bits(getattr(model.fitted, name)[perm])), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_records_are_read_only(self, mode):
+        model, data = _fit_mode(mode, _two_sided_mixture(73))
+        for record in (model.fitted, evaluate(model, data[::-1])):
+            for name in ("u", "v", "d", "fdr"):
+                with pytest.raises(ValueError):
+                    getattr(record, name)[0] = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.fdr = record.d
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_curves_take_one_incomplete_beta_pass(self, mode, density_calls):
+        # The curve grid's v column is the smooth p-value of its u column, bit
+        # for bit, from the one smooth_pvalues call that also gives d.
+        model, _ = _fit_mode(mode, _two_sided_mixture(61))
+        density_calls.clear()
+        columns = cdfdr.cli._curve_columns(model)
+        assert density_calls == ["smooth_pvalues", "beta_cdf_many"]
+        u, v = (np.array(list(map(float, column))) for column in columns[1:3])
+        assert np.array_equal(_bits(v), _bits(smooth_pvalues(u, model.beta_fit)))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_signed_zero_takes_fresh_path(self, mode, density_calls):
@@ -482,10 +526,9 @@ class TestStoredArrays:
         assert not np.array_equal(_bits(query), _bits(data))
         _, d = _fresh(model, query)
         density_calls.clear()
-        assert np.array_equal(_bits(local_fdr_many(model, query)),
-                              _bits(capped_fdr(model.pi0, d)))
+        assert np.array_equal(_bits(local_fdr_many(model, query)), _bits(_capped(model, d)))
         assert density_calls
-        _assert_report(discoveries(model, query), query, capped_fdr(model.pi0, d), _median(mode))
+        _assert_report(discoveries(model, query), query, _capped(model, d), _median(mode))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -506,10 +549,12 @@ class TestQueryShape:
         model, data = _fit_mode(mode, _two_sided_mixture(97))
         flat = data[:6]
         query = flat.reshape(shape)
-        for cap in (True, False):
-            out = local_fdr_many(model, query, cap=cap)
+        for fdr_at in (local_fdr_many, _raw_fdr):
+            out = fdr_at(model, query)
             assert out.shape == shape
-            assert np.array_equal(_bits(out), _bits(local_fdr_many(model, flat, cap=cap)).reshape(shape))
+            assert np.array_equal(_bits(out), _bits(fdr_at(model, flat)).reshape(shape))
+        record = evaluate(model, query)
+        assert {getattr(record, name).shape for name in ("u", "v", "d", "fdr")} == {shape}
         u = to_pvalues(query, model.null_spec, model.transform_mode)
         d = eval_comparison_density_many(model.cd_model, u)
         assert d.shape == shape
@@ -520,8 +565,8 @@ class TestQueryShape:
     ], ids=["normal", "student_t", "precomputed"])
     @pytest.mark.parametrize("shape", [(6, 1), (2, 3), (1, 6)])
     def test_densities_keep_shape_and_values(self, spec, shape):
-        # nonnull_density, reconstruct_density and NullSpec.pdf_many return the
-        # query's shape, each equal bit for bit to the flat call reshaped.
+        # nonnull_density, the reconstruction f0(x) * d(F0(x)) and NullSpec.pdf_many
+        # return the query's shape, each equal bit for bit to the flat call reshaped.
         stats = _two_sided_mixture(101)
         if spec.kind == "precomputed_pvalues":
             stats = to_pvalues(stats, NullSpec.standard_normal(), "two_sided")
@@ -531,7 +576,7 @@ class TestQueryShape:
         query = flat.reshape(shape)
         cdf = spec.cdf_many if spec.kind != "precomputed_pvalues" else np.atleast_1d
         for density in (lambda q: nonnull_density(model, q),
-                        lambda q: reconstruct_density(spec.pdf_many, cdf, model.cd_model, q),
+                        lambda q: spec.pdf_many(q) * eval_comparison_density_many(model.cd_model, cdf(q)),
                         spec.pdf_many):
             out = density(query)
             assert out.shape == shape
@@ -682,10 +727,10 @@ class TestLeukemiaDataset:
 class TestUofT:
     def test_precomputed_identity(self):
         model = _manual_cdfr_model(0.9, np.zeros(6))
-        assert u_of_t_many(model, 0.37).tolist() == [0.37]
+        assert evaluate(model, 0.37).u.tolist() == [0.37]
 
     def test_pit_matches_null_cdf(self):
         stats = _two_sided_mixture(61)
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         t = np.array([-2.0, 0.0, 1.5])
-        assert u_of_t_many(model, t).tolist() == [normal_cdf_many(ti)[0] for ti in t]
+        assert evaluate(model, t).u.tolist() == [normal_cdf_many(ti)[0] for ti in t]
