@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 TRANSFORM_MODES = ("pit", "two_sided")
+_MIN_CASES = 100  # the fewest cases a fit takes; the simulation designs hold n to it too
 
 # Named clamp point for probabilities entering the normal quantile.
 _QUANTILE_CLAMP = 1e-15
@@ -202,8 +203,7 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     ``precomputed_pvalues`` null the input passes through after validation.
     The result has at least one dimension.
     """
-    if mode not in TRANSFORM_MODES:
-        raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
+    _check_mode(null_spec, mode)
     stats = np.atleast_1d(np.asarray(stats, dtype=float))
     if np.any(~np.isfinite(stats)):
         raise ConfigError("statistics must be finite")
@@ -215,6 +215,14 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     if mode == "pit":
         return f0
     return 2.0 * np.minimum(f0, 1.0 - f0)
+
+
+def _check_mode(null_spec: NullSpec, mode: str) -> None:
+    """ConfigError for an unknown mode, or two-sided with precomputed p-values."""
+    if mode not in TRANSFORM_MODES:
+        raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
+    if mode == "two_sided" and null_spec.kind == "precomputed_pvalues":
+        raise ConfigError("the two-sided transform applies to statistics, not to precomputed p-values")
 
 
 def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
@@ -237,16 +245,11 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
     ``precomputed_pvalues`` null, the p-values themselves.  Deterministic:
     identical inputs produce an identical model.
     """
-    if mode not in TRANSFORM_MODES:
-        raise ConfigError(f"transform mode must be one of {TRANSFORM_MODES}, got {mode!r}")
-    if mode == "two_sided" and null_spec.kind == "precomputed_pvalues":
-        raise ConfigError("the two-sided transform applies to statistics, not to precomputed p-values")
+    _check_mode(null_spec, mode)
     _check_tuning(m_density, m_mdc, grid_step)
     data = np.asarray(data, dtype=float).ravel()
-    if data.size < 100:
-        raise InsufficientDataError(
-            f"large-scale method needs n >= 100, got {data.size}"
-        )
+    if data.size < _MIN_CASES:
+        raise InsufficientDataError(f"large-scale method needs n >= {_MIN_CASES}, got {data.size}")
     if data.size < 1000:
         warnings.warn(
             f"n = {data.size} is small for a large-scale method; "

@@ -2,9 +2,10 @@
 
 Two designs: statistics from a two-group normal mixture evaluated on a fixed
 z grid, and p-values from a uniform mixture with a short signal interval
-[0, a] evaluated on a grid refined inside the signal region.  Replicates use
-counter-based (Philox) substreams derived from (seed, replicate index), so
-results are identical whether replicates run sequentially or in parallel.
+[0, a] evaluated on a grid refined inside the signal region.  Replicates run
+one after another in one process; each draws from a counter-based (Philox)
+substream derived from (seed, replicate index), so a replicate's result does
+not depend on how many replicates the study runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CdfdrError, ConfigError, SimulationError
-from .pipeline import NullSpec, _check_tuning, fit_cdfdr, local_fdr_many
+from .pipeline import _MIN_CASES, NullSpec, _check_tuning, fit_cdfdr, local_fdr_many
 from .special import normal_pdf_many
 
 __all__ = [
@@ -43,6 +44,16 @@ def replicate_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_study(n: int, replicates: int, seed: int) -> None:
+    """ConfigError unless a replicate's n cases can be fitted and a seed drawn."""
+    if n < _MIN_CASES:
+        raise ConfigError(f"n must be at least {_MIN_CASES}, the fewest cases a fit takes, got {n}")
+    if replicates < 1:
+        raise ConfigError("replicates must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class MixtureNormalDesign:
     """Two-group design: n_null standard normals, the rest N(mu_i, 1)."""
@@ -55,10 +66,11 @@ class MixtureNormalDesign:
     mu_redraw: str = "once"
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu!r}")
+        _check_study(self.n, self.replicates, self.seed)
         if not 0 <= self.n_null <= self.n:
             raise ConfigError(f"n_null must lie in [0, n], got {self.n_null}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be at least 1")
         if self.mu_redraw not in ("once", "per_replicate"):
             raise ConfigError(f"mu_redraw must be 'once' or 'per_replicate', got {self.mu_redraw!r}")
 
@@ -82,8 +94,7 @@ class MixtureUniformDesign:
             raise ConfigError(f"pi0 must lie in [0, 1], got {self.pi0}")
         if not 0.0 < self.a < 1.0:
             raise ConfigError(f"a must lie in (0, 1), got {self.a}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be at least 1")
+        _check_study(self.n, self.replicates, self.seed)
 
 
 @dataclass(frozen=True)
@@ -192,27 +203,16 @@ def uniform_grid(a: float) -> tuple[np.ndarray, int]:
     return np.concatenate([tail, body]), tail.size
 
 
-def _run_one(args) -> tuple[int, np.ndarray | None, float | None, str | None]:
-    design, sample, null_spec, config, grid, replicate = args
-    try:
-        model = fit_cdfdr(sample(design, replicate), null_spec, m_density=config.m_density,
-                          m_mdc=config.m_mdc, grid_step=config.grid_step)
-        fdr = local_fdr_many(model, grid)
-        return replicate, fdr, model.pi0, None
-    except CdfdrError as exc:
-        return replicate, None, None, f"{type(exc).__name__}: {exc}"
-
-
 def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
                    workers: int = 1) -> SimReport:
-    """Generate, fit, and aggregate all replicates of a design.
+    """Generate, fit, and aggregate all replicates of a design, in index order.
 
     Failed replicate fits are excluded and recorded; more than 10% failures
-    aborts.  Aggregation runs in replicate-index order, so the report is
-    identical for any worker count of at least 1.
+    aborts with the first failure's error.  Replicates run in one process:
+    ``workers`` must be 1.
     """
-    if workers < 1:
-        raise ConfigError(f"worker count must be at least 1, got {workers!r}")
+    if workers != 1:
+        raise ConfigError(f"replicates run in one process, so workers must be 1, got {workers!r}")
     if isinstance(design, MixtureNormalDesign):
         sample, null_spec = gen_mixture_normal, NullSpec.standard_normal()
         grid = normal_grid()
@@ -225,25 +225,20 @@ def run_replicates(design, config: EstimatorConfig = EstimatorConfig(),
     else:
         raise ConfigError(f"unknown design type {type(design).__name__}")
 
-    tasks = [(design, sample, null_spec, config, grid, r) for r in range(design.replicates)]
-    if workers > 1 and design.replicates > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only this path needs it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_one, tasks))
-    else:
-        raw = [_run_one(t) for t in tasks]
-
-    curves, pi0s, failed = [], [], []
-    for replicate, fdr, pi0, err in raw:
-        if err is None:
-            curves.append(fdr)
-            pi0s.append(pi0)
-        else:
+    curves, pi0s, failed, first_error = [], [], [], ""
+    for replicate in range(design.replicates):
+        try:
+            model = fit_cdfdr(sample(design, replicate), null_spec, m_density=config.m_density,
+                              m_mdc=config.m_mdc, grid_step=config.grid_step)
+            curves.append(local_fdr_many(model, grid))
+            pi0s.append(model.pi0)
+        except CdfdrError as exc:
+            first_error = first_error or f"{type(exc).__name__}: {exc}"
             failed.append(replicate)
+        model = None  # free this fit before the next replicate's
     if len(failed) > 0.1 * design.replicates:
-        raise SimulationError(
-            f"{len(failed)} of {design.replicates} replicate fits failed: {failed}"
-        )
+        raise SimulationError(f"{len(failed)} of {design.replicates} replicate fits failed: "
+                              f"{failed}; replicate {failed[0]} raised {first_error}")
 
     stack = np.vstack(curves)
     mean_fdr = stack.mean(axis=0)

@@ -766,12 +766,21 @@ class TestSimulateCommand:
         assert payload["tail_mise"] is not None
         assert payload["tail_mise"] >= 0.0
 
-    def test_invalid_pi0_exits_2(self, tmp_path):
-        code = main([
-            "simulate", "--design", "mixunif", "--pi0", "1.5", "--a", "0.02",
-            "--out", str(tmp_path / "r.json"), "--curves", str(tmp_path / "c.csv"),
-        ])
+    @pytest.mark.parametrize("flags", [
+        ["--design", "mixunif", "--pi0", "1.5", "--a", "0.02"],
+        ["--design", "mixnorm", "--mu", "2", "--n", "0", "--n-null", "0"],
+        ["--design", "mixunif", "--pi0", "0.9", "--a", "0.05", "--n", "-1"],
+        ["--design", "mixunif", "--pi0", "0.9", "--a", "0.05", "--n", "50"],
+        ["--design", "mixunif", "--pi0", "0.9", "--a", "0.05", "--seed", "-1"],
+        ["--design", "mixnorm", "--mu", "nan"],
+        ["--design", "mixnorm", "--mu", "inf"],
+    ], ids=["pi0-1.5", "mixnorm-n-0", "n--1", "n-50", "seed--1", "mu-nan", "mu-inf"])
+    def test_invalid_design_exits_2(self, tmp_path, capsys, flags):
+        out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+        code = main(["simulate", *flags, "--out", str(out), "--curves", str(curves)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("cdfdr: input error:")
+        assert not out.exists() and not curves.exists()
 
     def test_missing_design_parameter_exits_2(self, tmp_path):
         code = main([

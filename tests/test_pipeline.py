@@ -208,6 +208,8 @@ class TestFitCdfdr:
         # Precomputed p-values skip the transform, so a two-sided request is
         # refused before step 1 rather than ignored, and nothing warns.
         u = to_pvalues(_two_sided_mixture(23), NullSpec.standard_normal(), "two_sided")
+        with pytest.raises(ConfigError, match="two-sided"):
+            to_pvalues(u, NullSpec.precomputed(), "two_sided")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for data in (u, u[:5]):

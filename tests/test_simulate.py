@@ -35,6 +35,14 @@ class TestDesignValidation:
             MixtureNormalDesign(mu=1.0, replicates=0)
         with pytest.raises(ConfigError):
             MixtureNormalDesign(mu=1.0, mu_redraw="sometimes")
+        # No fit takes fewer than 100 cases, so no replicate of such a design could run.
+        with pytest.raises(ConfigError, match="n must be at least 100"):
+            MixtureNormalDesign(mu=2.0, n=0, n_null=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            MixtureNormalDesign(mu=2.0, seed=-1)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="mu must be finite"):
+                MixtureNormalDesign(mu=mu)
 
     def test_mixture_uniform(self):
         with pytest.raises(ConfigError):
@@ -45,6 +53,13 @@ class TestDesignValidation:
             MixtureUniformDesign(pi0=0.9, a=1.0)
         with pytest.raises(ConfigError, match="replicates must be at least 1"):
             MixtureUniformDesign(pi0=0.9, a=0.05, replicates=0)
+        for n in (-1, 50, 99):
+            with pytest.raises(ConfigError, match="n must be at least 100"):
+                MixtureUniformDesign(pi0=0.9, a=0.05, n=n)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            MixtureUniformDesign(pi0=0.9, a=0.05, seed=-1)
+        # The smallest study that passes: 100 cases, seed 0.
+        assert MixtureUniformDesign(pi0=0.9, a=0.05, n=100, seed=0).n == 100
 
     @pytest.mark.parametrize("tuning", [
         {"m_density": 17}, {"m_mdc": 0}, {"grid_step": 0.0}, {"grid_step": math.nan},
@@ -285,13 +300,14 @@ class TestRunReplicates:
         assert r1.mise == r2.mise
         assert np.array_equal(r1.pi0_estimates, r2.pi0_estimates)
 
-    def test_parallel_matches_sequential(self):
-        design = MixtureNormalDesign(mu=2.0, replicates=4, seed=17, n=2000, n_null=1800)
-        seq = run_replicates(design, workers=1)
-        par = run_replicates(design, workers=2)
-        assert np.array_equal(seq.mean_fdr, par.mean_fdr)
-        assert np.array_equal(seq.sd_fdr, par.sd_fdr)
-        assert seq.mise == par.mise
+    def test_replicate_depends_only_on_seed_and_index(self):
+        # Adding a replicate to the study leaves the earlier ones' fits unchanged.
+        three = run_replicates(MixtureNormalDesign(mu=2.0, replicates=3, seed=17, n=2000,
+                                                   n_null=1800), workers=1)
+        four = run_replicates(MixtureNormalDesign(mu=2.0, replicates=4, seed=17, n=2000,
+                                                  n_null=1800), workers=1)
+        assert four.pi0_estimates.size == 4
+        assert np.array_equal(three.pi0_estimates, four.pi0_estimates[:3])
 
     def test_failures_recorded_and_excluded(self, monkeypatch):
         import cdfdr.simulate as sim
@@ -312,10 +328,10 @@ class TestRunReplicates:
         assert report.n_replicates == 19
         assert report.pi0_estimates.size == 19
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 2])
     def test_worker_count_below_one_rejected(self, workers):
         design = MixtureNormalDesign(mu=2.0, replicates=2, seed=17, n=2000, n_null=1800)
-        with pytest.raises(ConfigError, match="worker count must be at least 1"):
+        with pytest.raises(ConfigError, match="replicates run in one process, so workers must be 1"):
             run_replicates(design, workers=workers)
 
     def test_unknown_design_rejected(self):
@@ -330,5 +346,6 @@ class TestRunReplicates:
 
         monkeypatch.setattr(sim, "fit_cdfdr", always_fail)
         design = MixtureNormalDesign(mu=1.0, replicates=5, seed=37, n=1500, n_null=1350)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="synthetic failure") as info:
             run_replicates(design, workers=1)
+        assert str(info.value).endswith("replicate 0 raised CdfdrError: synthetic failure")
