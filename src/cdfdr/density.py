@@ -16,7 +16,7 @@ import numpy as np
 
 from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
-from .legendre import basis_matrix
+from .legendre import _terms
 from .quadrature import integrate_unit
 from .special import beta_cdf_many, beta_pdf_many
 
@@ -70,58 +70,38 @@ class ComparisonDensityModel:
 def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
     """Sample-mean score coefficients of S_1..S_m with hard thresholding.
 
-    theta_tilde[j] is the exact mean of S_j over the input; coefficients with
-    theta^2 <= 2 ln(n)/n are zeroed (natural logarithm).
+    theta_tilde[j] is the mean of S_j over the input, each term averaged on
+    its own; coefficients with theta^2 <= 2 ln(n)/n are zeroed (natural
+    logarithm).
     """
-    return _score_with_basis(smooth_pvalues, m)[0]
-
-
-def _score_with_basis(smooth_pvalues, m: int) -> tuple[CoefficientSet, np.ndarray]:
-    """:func:`score_coefficients` and the N x m basis on v it averaged."""
     v = np.asarray(smooth_pvalues, dtype=float).ravel()
     if v.size == 0:
         raise InsufficientDataError("no smooth p-values supplied")
     if v.size < 10:
         raise InsufficientDataError(f"need at least 10 values, got {v.size}")
     n = int(v.size)
-    basis = basis_matrix(int(m), v)
-    theta_tilde = basis.mean(axis=0)
+    theta_tilde = np.array([term.mean() for term in _terms(m, v)])
     threshold = 2.0 * math.log(n) / n
     theta_hat = np.where(theta_tilde ** 2 > threshold, theta_tilde, 0.0)
     theta_tilde.setflags(write=False)
     theta_hat.setflags(write=False)
-    return CoefficientSet(
-        m=int(m),
-        theta_tilde=theta_tilde,
-        theta_hat=theta_hat,
-        n=n,
-        threshold=threshold,
-    ), basis
-
-
-def _fit_series(fit: BetaFit, u, v, m: int) -> tuple[ComparisonDensityModel, np.ndarray]:
-    """Step 4 on the fitted sample: the model and its floored density at each u.
-
-    ``v`` is ``smooth_pvalues(u, fit)``.  One N x m basis on v serves both the
-    coefficients and the series at v, bit for bit what
-    :func:`score_coefficients` and :func:`eval_comparison_density_many` give.
-    """
-    coeffs, basis = _score_with_basis(v, m)
-    model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
-    return model, _floored(model, u, 1.0 + basis @ coeffs.theta_hat)
+    return CoefficientSet(m=int(m), theta_tilde=theta_tilde, theta_hat=theta_hat, n=n,
+                          threshold=threshold)
 
 
 def eval_smooth_density_many(coeffs: CoefficientSet, v) -> np.ndarray:
     """Series density 1 + sum_j theta_hat[j] S_j(v) at each point of v.
 
-    May be negative; the floor applies downstream.  A one-point query is
-    padded to two rows, because numpy takes a one-row matrix-vector product
-    down another path, with other rounding, than the product for a batch.
+    May be negative; the floor applies downstream.  The sum runs elementwise
+    up to the last nonzero coefficient, so each point's value is the same in
+    any batch.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    rows = v.ravel() if v.size != 1 else np.repeat(v.ravel(), 2)
-    series = basis_matrix(coeffs.m, rows) @ coeffs.theta_hat
-    return 1.0 + series[:v.size].reshape(v.shape)
+    series = np.zeros(v.shape)
+    for theta_j, term in zip(np.trim_zeros(coeffs.theta_hat, "b"), _terms(coeffs.m, v)):
+        term *= theta_j
+        series += term
+    return np.add(series, 1.0, out=series)
 
 
 def comparison_density_raw_many(model: ComparisonDensityModel, u) -> np.ndarray:
@@ -153,11 +133,13 @@ def comparison_density_raw_reflected_many(model: ComparisonDensityModel, w) -> n
     return fb * eval_smooth_density_many(model.coeffs, v)
 
 
-def _floored(model: ComparisonDensityModel, u, series) -> np.ndarray:
-    """max(DEFAULT_FLOOR, f_B(u) * series), u clamped as in :func:`smooth_pvalues`."""
+def _floored_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
+    """max(DEFAULT_FLOOR, f_B(u) * d(v)) at each u, where v = F_B(u) and u is
+    clamped as in :func:`smooth_pvalues`."""
     uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
-    fb = beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
-    return np.maximum(DEFAULT_FLOOR, fb * series)
+    d = eval_smooth_density_many(model.coeffs, v)
+    d *= beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
+    return np.maximum(d, DEFAULT_FLOOR, out=d)
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:
@@ -176,7 +158,7 @@ def _smooth_and_density(model: ComparisonDensityModel, u) -> tuple[np.ndarray, n
     if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in [0, 1]")
     v = smooth_pvalues(u, model.fit)
-    return v, _floored(model, u, eval_smooth_density_many(model.coeffs, v))
+    return v, _floored_density(model, u, v)
 
 
 def integrate_comparison_density(model: ComparisonDensityModel) -> float:

@@ -8,6 +8,9 @@ max |S_j| = sqrt(2j+1), attained at the endpoints.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import DomainError
@@ -19,39 +22,47 @@ __all__ = ["M_MAX", "basis_matrix"]
 M_MAX = 16
 
 
-def _check_order(m: int) -> int:
+def _terms(m: int, v) -> Iterator[np.ndarray]:
+    """S_1(v), ..., S_m(v) in turn, each of v's shape; m and v are checked here.
+
+    One recurrence pass writes each term into one array, which the next step
+    overwrites, and keeps P_{k-1} and P_k in two reused buffers, so memory
+    does not grow with m.  Every operation is elementwise.
+    """
     m = int(m)
     if not 1 <= m <= M_MAX:
         raise DomainError(f"basis size must lie in [1, {M_MAX}], got {m}")
-    return m
+    v = np.asarray(v, dtype=float)
+    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
+        raise DomainError("evaluation points must lie in [0, 1]")
+    return _recurrence(m, 2.0 * v - 1.0)
+
+
+def _recurrence(m: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    term, spare = np.empty_like(x), (np.empty_like(x), np.empty_like(x))
+    p_prev, p_cur = 1.0, x
+    for k in range(m):
+        if k:
+            # ((2k+1) x P_k - k P_{k-1}) / (k+1), one operation at a time in that
+            # order; k P_{k-1} goes into ``term`` first, freeing its buffer.
+            np.multiply(p_prev, k, out=term)
+            p_next = np.multiply(x, 2 * k + 1, out=spare[k % 2])
+            p_next *= p_cur
+            p_next -= term
+            p_next /= k + 1
+            p_prev, p_cur = p_cur, p_next
+        yield np.multiply(p_cur, math.sqrt(2.0 * k + 3.0), out=term)
 
 
 def basis_matrix(m: int, v, out=None) -> np.ndarray:
     """Evaluate S_1..S_m at each point of ``v``; returns shape (len(v), m).
 
-    One recurrence pass in x = 2v - 1 writes the classical P_j into the
-    columns of ``out`` (a new array when None, else a float (len(v), m) array
-    or view, such as a chunk of a caller's buffer), scaled by sqrt(2j+1) at
-    the end.
+    The columns go into ``out`` when given: a float (len(v), m) array or view,
+    such as a chunk of a caller's buffer.
     """
-    m = _check_order(m)
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
-        raise DomainError("evaluation points must lie in [0, 1]")
-    if out is None:
-        out = np.empty((v.size, m))
-    x = 2.0 * v - 1.0
-    out[:, 0] = x
-    p_prev, p_cur = 1.0, x
-    for k in range(1, m):
-        # ((2k+1) x P_k - k P_{k-1}) / (k+1), one operation at a time in that order.
-        p_next = x * (2 * k + 1)
-        p_next *= p_cur
-        p_next -= k * p_prev
-        p_next /= k + 1
-        out[:, k] = p_next
-        p_prev, p_cur = p_cur, p_next
-    out *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    terms = _terms(m, v)  # checks m before it sizes ``out``
+    out = np.empty((v.size, int(m))) if out is None else out
+    for j, term in enumerate(terms):
+        out[:, j] = term
     return out

@@ -9,6 +9,7 @@ every intermediate artifact for audit; evaluation operations are pure.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,10 +18,11 @@ import numpy as np
 from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
-    _fit_series,
+    _floored_density,
     _smooth_and_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
+    score_coefficients,
 )
 from .errors import (
     CdfdrError,
@@ -226,14 +228,14 @@ def _check_mode(null_spec: NullSpec, mode: str) -> None:
 
 
 def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
-    """ConfigError unless both series lengths lie in [1, M_MAX] and the pi0 grid
-    step lies in [1e-4, 2.5]: no finer than the scan's finest step, no wider
-    than the scanned density range."""
+    """ConfigError unless both series lengths are integers (not bools) in
+    [1, M_MAX] and the pi0 grid step is a real number in [1e-4, 2.5]: no finer
+    than the scan's finest step, no wider than the scanned density range."""
     for name, m in (("m_density", m_density), ("m_mdc", m_mdc)):
-        if not 1 <= m <= M_MAX:
-            raise ConfigError(f"{name} must lie in [1, {M_MAX}], got {m!r}")
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= M_MAX:
+            raise ConfigError(f"{name} must be an integer in [1, {M_MAX}], got {m!r}")
     span = _LAMBDA_MAX - _LAMBDA_MIN
-    if not _STEP_MIN <= grid_step <= span:
+    if not (isinstance(grid_step, numbers.Real) and _STEP_MIN <= grid_step <= span):
         raise ConfigError(f"grid_step must lie in [{_STEP_MIN}, {span}], got {grid_step!r}")
 
 
@@ -275,7 +277,9 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
             stacklevel=2,
         )
     v = step("step 3 (smooth p-values)", lambda: smooth_pvalues(u, fit))
-    cd_model, d_hat = step("step 4 (series density)", lambda: _fit_series(fit, u, v, m_density))
+    coeffs = step("step 4 (series density)", lambda: score_coefficients(v, m_density))
+    cd_model = ComparisonDensityModel(fit=fit, coeffs=coeffs)
+    d_hat = step("step 4 (series density)", lambda: _floored_density(cd_model, u, v))
     path = step("step 5 (pi0 estimation)",
                 lambda: estimate_pi0(u, d_hat, m=m_mdc, grid_step=grid_step))
 

@@ -148,18 +148,24 @@ class TestSmoothDensityEval:
             with pytest.raises(DomainError):
                 eval_smooth_density_many(_manual_coeffs(theta), [2.0, -5.0])
 
+    @staticmethod
+    def _assert_matches_basis(theta):
+        v = np.concatenate([[0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 31),
+                            np.random.Generator(np.random.Philox(19)).random(200)])
+        expected = 1.0 + basis_matrix(6, v) @ np.asarray(theta)
+        np.testing.assert_allclose(eval_smooth_density_many(_manual_coeffs(theta), v),
+                                   expected, rtol=1e-14)
+
     def test_expression_study_series(self):
         # Single surviving third coefficient of -0.16.
-        coeffs = _manual_coeffs([0.0, 0.0, -0.16, 0.0, 0.0, 0.0])
-        v = np.linspace(0.0, 1.0, 31)
-        expected = 1.0 - 0.16 * basis_matrix(6, v)[:, 2]
-        np.testing.assert_allclose(eval_smooth_density_many(coeffs, v), expected, rtol=1e-14)
+        self._assert_matches_basis([0.0, 0.0, -0.16, 0.0, 0.0, 0.0])
 
     def test_prostate_series(self):
-        coeffs = _manual_coeffs([0.0, 0.0, 0.0, 0.0, 0.0, 0.057])
-        v = np.linspace(0.0, 1.0, 31)
-        expected = 1.0 + 0.057 * basis_matrix(6, v)[:, 5]
-        np.testing.assert_allclose(eval_smooth_density_many(coeffs, v), expected, rtol=1e-14)
+        self._assert_matches_basis([0.0, 0.0, 0.0, 0.0, 0.0, 0.057])
+
+    def test_every_coefficient_selected(self):
+        # sum |theta_j| sqrt(2j + 1) is 0.77, so the density stays above 0.23.
+        self._assert_matches_basis([0.1, -0.05, 0.03, 0.02, -0.04, 0.06])
 
 
 class TestComparisonDensityEval:

@@ -28,6 +28,7 @@ from cdfdr.errors import (
     InsufficientDataError,
     PipelineError,
 )
+from cdfdr.legendre import basis_matrix
 from cdfdr.pi0 import DeviancePath
 from cdfdr.pipeline import (
     CdfrModel,
@@ -41,6 +42,7 @@ from cdfdr.pipeline import (
     t_to_z,
     to_pvalues,
 )
+from cdfdr.simulate import MixtureUniformDesign, gen_mixture_uniform
 from cdfdr.special import normal_cdf_many
 
 
@@ -228,7 +230,10 @@ class TestFitCdfdr:
         {"m_density": 17}, {"m_density": 0}, {"m_mdc": 0}, {"m_mdc": 17},
         {"grid_step": 0.0}, {"grid_step": -0.01}, {"grid_step": 2.6},
         {"grid_step": math.nan}, {"grid_step": math.inf}, {"grid_step": 1e-5},
-    ], ids=lambda tuning: "-".join(f"{k}={v}" for k, v in tuning.items()))
+        {"m_density": 6.5}, {"m_density": "6"}, {"m_density": np.float64(6.0)},
+        {"m_mdc": True}, {"m_mdc": "10"}, {"grid_step": "0.01"}, {"grid_step": 0.01j},
+        {"grid_step": None},
+    ], ids=lambda tuning: "-".join(f"{k}={v!r}" for k, v in tuning.items()))
     def test_out_of_range_tuning_is_a_config_error(self, tuning):
         # Checked before any work: even a sample too small to fit reports it.
         for data in (_two_sided_mixture(23), np.zeros(5)):
@@ -421,8 +426,8 @@ def _signal_fit():
 
 
 class TestBatchIndependence:
-    """A one-element query gives the same bits as that point in a batch: the
-    one-row series product is padded to the batch's matrix-vector path."""
+    """A one-element query gives the same bits as that point in a batch: every
+    step of the evaluation, the series sum included, is elementwise."""
 
     def test_fdr_on_a_fine_grid(self):
         model = _signal_fit()
@@ -442,6 +447,57 @@ class TestBatchIndependence:
         for fdr_at in (local_fdr_many, _raw_fdr):
             fdr = fdr_at(model, np.array(z))
             assert [fdr_at(model, np.array([zi]))[0] for zi in z] == fdr.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _t_to_z_fit():
+    """A two-sided fit of 20,000 t statistics on 30 df through t_to_z, 10% of
+    them shifted by +-3."""
+    rng = np.random.Generator(np.random.Philox(89))
+    t = rng.standard_t(30.0, 20_000)
+    t[18_000:] += np.where(rng.random(2_000) < 0.5, -3.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "step 2 \\(beta fit\\)")
+        return fit_cdfdr(t_to_z(t, 30.0), NullSpec.standard_normal(), mode="two_sided")
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_mixture_fit():
+    """A fit of 20,000 precomputed p-values, 10% of them uniform on [0, 0.05]."""
+    u = gen_mixture_uniform(MixtureUniformDesign(pi0=0.9, a=0.05, n=20_000, seed=97))
+    return fit_cdfdr(u, NullSpec.precomputed())
+
+
+class TestSeriesSums:
+    """The score coefficients and the series are sums over the recurrence's
+    terms, each taken on its own."""
+
+    def test_score_coefficients_are_exact_means(self):
+        # Each coefficient is within 1e-15 relative of the correctly rounded
+        # mean of its basis column; an N x m basis averaged down its rows was
+        # 3.1e-14 off on this fit.
+        model = _signal_fit()
+        v = model.fitted.v
+        exact = np.array([math.fsum(column) / v.size
+                          for column in basis_matrix(model.cd_model.coeffs.m, v).T])
+        theta = model.cd_model.coeffs.theta_tilde
+        assert np.all(np.abs(theta - exact) <= 1e-15 * np.abs(exact))
+
+    # pi0_hat, lambda*, the selected coefficients and the discoveries at fdr
+    # 0.2, as the N x m basis gave them; the series' last-bit changes must not
+    # move any of them.
+    @pytest.mark.parametrize("fit, pi0, lambda_star, selected, n_discoveries", [
+        (_signal_fit, 0.9554, 2.91, [1, 3, 4, 5], 489),
+        (_t_to_z_fit, 0.93325, 3.45, [1, 2, 3, 4, 5, 6], 1139),
+        (_uniform_mixture_fit, 0.8854, 1.92, [3, 6], 62),
+    ], ids=["pit", "two-sided-t30", "precomputed"])
+    def test_discrete_outputs_are_frozen(self, fit, pi0, lambda_star, selected, n_discoveries):
+        model = fit()
+        data = model.fitted.u if model.stats is None else model.stats
+        assert model.pi0 == model.deviance_path.pi0_hat == pi0
+        assert model.deviance_path.lambda_star == lambda_star
+        assert model.cd_model.coeffs.selected() == selected
+        assert discoveries(model, data).n_discoveries == n_discoveries
 
 
 class TestStoredArrays:

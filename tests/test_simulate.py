@@ -63,8 +63,10 @@ class TestDesignValidation:
 
     @pytest.mark.parametrize("tuning", [
         {"m_density": 17}, {"m_mdc": 0}, {"grid_step": 0.0}, {"grid_step": math.nan},
-        {"grid_step": 1e-5},
-    ], ids=["m_density-17", "m_mdc-0", "grid_step-0", "grid_step-nan", "grid_step-1e-5"])
+        {"grid_step": 1e-5}, {"m_density": 6.5}, {"m_mdc": "10"}, {"m_mdc": True},
+        {"grid_step": "0.01"},
+    ], ids=["m_density-17", "m_mdc-0", "grid_step-0", "grid_step-nan", "grid_step-1e-5",
+            "m_density-6.5", "m_mdc-str", "m_mdc-bool", "grid_step-str"])
     def test_estimator_config(self, tuning):
         with pytest.raises(ConfigError):
             EstimatorConfig(**tuning)
