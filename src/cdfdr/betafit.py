@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, EstimationError, InsufficientDataError
-from .special import beta_cdf_many, digamma, trigamma
+from .special import _within, beta_cdf_many, digamma, trigamma
 
 __all__ = ["CLAMP", "BetaFit", "fit_beta_mle", "smooth_pvalues"]
 
@@ -77,14 +77,15 @@ def fit_beta_mle(pvalues) -> BetaFit:
         u = u.ravel()
     if u.size < 10:
         raise InsufficientDataError(f"beta fit needs at least 10 p-values, got {u.size}")
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
+    if not _within(u):
         raise InsufficientDataError("p-values must be finite and lie in [0, 1]")
     uc = np.clip(u, CLAMP, 1.0 - CLAMP)
     if np.all(uc == uc[0]):
         raise DegenerateSampleError("all p-values identical after clamping")
     n = int(u.size)
-    s1 = float(np.mean(np.log(uc)))
-    s2 = float(np.mean(np.log1p(-uc)))
+    logs = np.log(uc)
+    s1 = float(np.mean(logs))
+    s2 = float(np.mean(np.log1p(np.negative(uc, out=logs), out=logs)))
 
     a, b = _moment_start(uc)
     ll = _mean_loglik(a, b, s1, s2)
@@ -134,11 +135,10 @@ def smooth_pvalues(pvalues, fit: BetaFit) -> np.ndarray:
     the incomplete beta leaves [0, 1] raise :class:`EstimationError`.
     """
     u = np.asarray(pvalues, dtype=float)
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
+    if not _within(u):
         raise InsufficientDataError("p-values must be finite and lie in [0, 1]")
-    uc = np.clip(u, CLAMP, 1.0 - CLAMP)
-    v = beta_cdf_many(uc, fit.alpha, fit.beta)
-    if not np.all((v >= 0.0) & (v <= 1.0)):
+    v = beta_cdf_many(np.clip(u, CLAMP, 1.0 - CLAMP), fit.alpha, fit.beta)
+    if not _within(v):
         raise EstimationError(f"beta CDF left [0, 1] (range [{float(v.min())!r}, "
                               f"{float(v.max())!r}]) at alpha = {fit.alpha!r}, beta = {fit.beta!r}")
     return v

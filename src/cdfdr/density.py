@@ -18,7 +18,7 @@ from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
 from .legendre import _terms
 from .quadrature import integrate_unit
-from .special import beta_cdf_many, beta_pdf_many
+from .special import _BLOCK, _within, beta_cdf_many, beta_pdf_many
 
 __all__ = [
     "CoefficientSet",
@@ -134,12 +134,20 @@ def comparison_density_raw_reflected_many(model: ComparisonDensityModel, w) -> n
 
 
 def _floored_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
-    """max(DEFAULT_FLOOR, f_B(u) * d(v)) at each u, where v = F_B(u) and u is
-    clamped as in :func:`smooth_pvalues`."""
-    uc = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
-    d = eval_smooth_density_many(model.coeffs, v)
-    d *= beta_pdf_many(uc, model.fit.alpha, model.fit.beta)
-    return np.maximum(d, DEFAULT_FLOOR, out=d)
+    """max(DEFAULT_FLOOR, f_B(u) * d(v)) at each u of the array ``u``, where the
+    array v = F_B(u) and u is clamped as in :func:`smooth_pvalues`.
+
+    Runs over blocks of ``_BLOCK`` lanes, so that only the result has u's length.
+    """
+    flat_u, flat_v = u.ravel(), v.ravel()
+    out = np.empty(flat_u.size)
+    for start in range(0, out.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        d = eval_smooth_density_many(model.coeffs, flat_v[block])
+        d *= beta_pdf_many(np.clip(flat_u[block], CLAMP, 1.0 - CLAMP),
+                           model.fit.alpha, model.fit.beta)
+        np.maximum(d, DEFAULT_FLOOR, out=out[block])
+    return out.reshape(u.shape)
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:
@@ -155,7 +163,7 @@ def _smooth_and_density(model: ComparisonDensityModel, u) -> tuple[np.ndarray, n
     """Smooth p-values v = F_B(u) and the floored density at each u, from one
     incomplete-beta pass; the density is :func:`eval_comparison_density_many`'s."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
+    if not _within(u):
         raise DomainError("u must lie in [0, 1]")
     v = smooth_pvalues(u, model.fit)
     return v, _floored_density(model, u, v)

@@ -14,6 +14,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import DomainError
+from .special import _within
 
 __all__ = ["M_MAX", "basis_matrix"]
 
@@ -33,7 +34,7 @@ def _terms(m: int, v) -> Iterator[np.ndarray]:
     if not 1 <= m <= M_MAX:
         raise DomainError(f"basis size must lie in [1, {M_MAX}], got {m}")
     v = np.asarray(v, dtype=float)
-    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
+    if not _within(v):
         raise DomainError("evaluation points must lie in [0, 1]")
     return _recurrence(m, 2.0 * v - 1.0)
 

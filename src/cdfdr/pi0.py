@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, InsufficientDataError
 from .legendre import M_MAX, basis_matrix
+from .special import _FLOAT_MAX, _within
 
 __all__ = ["DeviancePath", "estimate_pi0"]
 
@@ -69,10 +70,12 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     dens = np.asarray(density, dtype=float).ravel()
     if dens.size != u.size:
         raise DomainError(f"density has {dens.size} values for {u.size} p-values")
-    finite = np.isfinite(dens)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not _within(dens, -_FLOAT_MAX, _FLOAT_MAX):
+        bad = int(np.argmin(np.isfinite(dens)))
         raise DomainError(f"density must be finite, got {float(dens[bad])!r} at index {bad}")
+    # Every p-value, also of a case whose density sits above every level.
+    if not _within(u):
+        raise DomainError("evaluation points must lie in [0, 1]")
     n = int(u.size)
 
     # Canonical (density, p-value) ordering makes the prefix sums, and hence
@@ -91,14 +94,17 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     n_grid = int(round((_LAMBDA_MAX - _LAMBDA_MIN) / grid_step)) + 1
     lambdas = _LAMBDA_MIN + grid_step * np.arange(n_grid)
     counts = np.searchsorted(sorted_dens, lambdas, side="left")
+    del sorted_dens
     deviances = np.full(n_grid, np.nan)
     n_lambda = counts.astype(int)
     valid = counts > 0
-    # Built before the empty-set check: the basis rejects p-values outside [0, 1].
-    prefix = _prefix_rows(int(m), u, order, counts[valid] - 1)
     if not np.any(valid):
         raise EstimationError("every lambda grid point produced an empty null set")
-    theta = prefix / counts[valid, None]
+    # The counts ascend with lambda; each distinct count ends one segment.
+    sizes = counts[valid]
+    ends = sizes[np.concatenate(([True], sizes[1:] != sizes[:-1]))]
+    prefix = _prefix_sums(int(m), u, order, ends)[np.searchsorted(ends, sizes)]
+    theta = prefix / sizes[:, None]
     deviances[valid] = np.sum(theta ** 2, axis=1)
 
     valid_dev = deviances[valid]
@@ -124,25 +130,28 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     )
 
 
-def _prefix_rows(m: int, u: np.ndarray, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (ascending) of ``np.cumsum(basis_matrix(m, u[order]), axis=0)``.
+def _prefix_sums(m: int, u: np.ndarray, order: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sums of the basis over the rows ``[0, e)`` of ``basis_matrix(m, u[order])``,
+    one row for each e of ``ends`` (distinct, ascending, positive).
 
-    The basis is built one chunk at a time below a carry row that holds the
-    sum so far, so a cumsum down the chunk adds in the same sequence as the
-    cumsum over all N rows and every row is bit-identical to it.
+    The basis is built one chunk of rows at a time, up to the last end only;
+    ``np.add.reduceat`` sums each chunk's part of every segment between
+    consecutive ends, and one cumulative sum over the segment sums gives the
+    prefix sums, so no sum runs sequentially down the rows.
     """
-    n = order.size
-    out = np.empty((rows.size, m))
-    # Column-major, so the basis writes whole columns and the cumsum runs
-    # down contiguous memory.
-    buf = np.empty((m, min(n, _SCAN_CHUNK) + 1)).T
-    buf[0] = -0.0  # -0.0 + x is x for every x, signed zeros included
-    for start in range(0, n, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, n)
-        block = buf[: stop - start + 1]
-        basis_matrix(m, u[order[start:stop]], out=block[1:])
-        np.cumsum(block, axis=0, out=block)
-        lo, hi = np.searchsorted(rows, (start, stop))
-        out[lo:hi] = block[rows[lo:hi] - start + 1]
-        buf[0] = block[-1]
-    return out
+    sums = np.zeros((ends.size, m))
+    last = int(ends[-1])
+    # Column-major, so the basis writes whole columns and each segment sum
+    # runs down contiguous memory.
+    buf = np.empty((m, min(last, _SCAN_CHUNK))).T
+    for start in range(0, last, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, last)
+        block = basis_matrix(m, u[order[start:stop]], out=buf[: stop - start])
+        # Segments ``lo`` to ``hi`` overlap the chunk (the last one ends at or
+        # after its end), and the ends between them start its later pieces:
+        # distinct starts, as ``reduceat`` needs.
+        lo = int(np.searchsorted(ends, start, side="right"))
+        hi = int(np.searchsorted(ends, stop, side="left"))
+        starts = np.concatenate(([0], ends[lo:hi] - start))
+        sums[lo:hi + 1] += np.add.reduceat(block, starts, axis=0)
+    return np.cumsum(sums, axis=0)

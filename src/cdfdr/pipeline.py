@@ -35,6 +35,8 @@ from .legendre import M_MAX
 from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
+    _FLOAT_MAX,
+    _within,
     normal_cdf_many,
     normal_pdf_many,
     normal_quantile_many,
@@ -193,8 +195,8 @@ def t_to_z(t_stats, df: float) -> np.ndarray:
     """
     if not (df > 0.0 and math.isfinite(df)):
         raise ConfigError(f"df must be finite and positive, got {df!r}")
-    p = np.clip(student_t_cdf_many(t_stats, df), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
-    return normal_quantile_many(p)
+    p = student_t_cdf_many(t_stats, df)
+    return normal_quantile_many(np.clip(p, _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP, out=p))
 
 
 def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
@@ -207,16 +209,17 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     """
     _check_mode(null_spec, mode)
     stats = np.atleast_1d(np.asarray(stats, dtype=float))
-    if np.any(~np.isfinite(stats)):
+    if not _within(stats, -_FLOAT_MAX, _FLOAT_MAX):
         raise ConfigError("statistics must be finite")
     if null_spec.kind == "precomputed_pvalues":
-        if np.any(stats < 0.0) or np.any(stats > 1.0):
+        if not _within(stats):
             raise ConfigError("precomputed p-values must lie in [0, 1]")
         return stats.copy()
     f0 = null_spec.cdf_many(stats)
-    if mode == "pit":
-        return f0
-    return 2.0 * np.minimum(f0, 1.0 - f0)
+    if mode == "two_sided":
+        np.minimum(f0, 1.0 - f0, out=f0)
+        f0 *= 2.0
+    return f0
 
 
 def _check_mode(null_spec: NullSpec, mode: str) -> None:

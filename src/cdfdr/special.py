@@ -3,12 +3,13 @@
 The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
 dimension, and an element's value does not depend on the rest of its batch.
-The normal distribution function (Cody's rational approximation) and the
-incomplete beta's continued fraction run over blocks of ``_BLOCK`` lanes; one
-fraction spans both sides of the symmetry pivot and retires its converged
-lanes.  Every elementary function is a numpy ufunc on the whole array: the exp
-of a normal tail or density takes an exactly split square, and the t density's
-exponent is compensated, so that neither rounds its argument.
+The normal, t and beta kernels run over blocks of ``_BLOCK`` lanes, so that
+beyond block-sized scratch they allocate little more than their result; the
+incomplete beta's continued fraction spans both sides of the symmetry pivot
+and retires its converged lanes.  Every elementary function is a numpy
+ufunc on an array: the exp of a normal tail or density takes an exactly split
+square, and the t density's exponent is compensated, so that neither rounds
+its argument.
 The gamma family serves the scalar Newton fit of the beta shapes and stays
 scalar.
 
@@ -19,6 +20,7 @@ domains, and callers clamp at their own named clamp points.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "beta_cdf_many",
 ]
 
+_FLOAT_MAX = sys.float_info.max
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / _SQRT_2PI
 
@@ -51,10 +54,16 @@ _CF_MAX_ITER = 500
 _BLOCK = 16_384
 
 
+def _within(x: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> bool:
+    """Whether every element of the float array ``x`` lies in [lo, hi], by
+    ``x.min()`` and ``x.max()``: a NaN fails, an empty array passes."""
+    return x.size == 0 or bool(lo <= x.min() and x.max() <= hi)
+
+
 def _finite_1d(name: str, x) -> np.ndarray:
     """``x`` as a float array of at least one dimension, all finite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
+    if not _within(x, -_FLOAT_MAX, _FLOAT_MAX):
         raise DomainError(f"{name} must be finite")
     return x
 
@@ -62,7 +71,7 @@ def _finite_1d(name: str, x) -> np.ndarray:
 def _unit_1d(name: str, x) -> np.ndarray:
     """``x`` as a float array of at least one dimension, all in [0, 1]."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((x >= 0.0) & (x <= 1.0)):
+    if not _within(x):
         raise DomainError(f"{name} must lie in [0, 1]")
     return x
 
@@ -259,30 +268,34 @@ def normal_quantile_many(p) -> np.ndarray:
     tail and one for the centre) refined by one Halley step against
     :func:`normal_cdf_many`, which brings the result to within the rounding
     of Phi(x) - p (within an ulp in the lower tail).  ``p`` equal to 0 or 1 is a
-    domain error; callers clamp first.
+    domain error; callers clamp first.  Runs over blocks of ``_BLOCK`` lanes.
     """
     p = _finite_1d("p", p)
-    if not np.all((p > 0.0) & (p < 1.0)):
+    if not _within(p, math.ulp(0.0), math.nextafter(1.0, 0.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
-    x = np.empty_like(p)
-    low = p < _ACKLAM_P_LOW
-    high = p > 1.0 - _ACKLAM_P_LOW
-    centre = ~(low | high)
-    x[low] = _acklam_tail(np.sqrt(-2.0 * np.log(p[low])))
-    x[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
+    flat = p.ravel()
+    out = np.empty(flat.size)
     a, b = _ACKLAM_A, _ACKLAM_B
-    q = p[centre] - 0.5
-    r = q * q
-    x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    # One Halley step, x - d/(1 + x d/2) with d = (Phi(x) - p)/phi(x); skipped
-    # where exp(x^2/2) would overflow (|x| > ~37.4, i.e. p below ~1e-306, far
-    # outside any clamped caller input).
-    refine = x * x < 1400.0
-    xr = x[refine]
-    step = (normal_cdf_many(xr) - p[refine]) * _SQRT_2PI * np.exp(0.5 * xr * xr)
-    x[refine] = xr - step / (1.0 + 0.5 * xr * step)
-    return x
+    for start in range(0, flat.size, _BLOCK):
+        pb = flat[start:start + _BLOCK]
+        x = out[start:start + pb.size]
+        low = pb < _ACKLAM_P_LOW
+        high = pb > 1.0 - _ACKLAM_P_LOW
+        centre = ~(low | high)
+        x[low] = _acklam_tail(np.sqrt(-2.0 * np.log(pb[low])))
+        x[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - pb[high])))
+        q = pb[centre] - 0.5
+        r = q * q
+        x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        # One Halley step, x - d/(1 + x d/2) with d = (Phi(x) - p)/phi(x); skipped
+        # where exp(x^2/2) would overflow (|x| > ~37.4, i.e. p below ~1e-306, far
+        # outside any clamped caller input).
+        refine = x * x < 1400.0
+        xr = x[refine]
+        step = (normal_cdf_many(xr) - pb[refine]) * _SQRT_2PI * np.exp(0.5 * xr * xr)
+        x[refine] = xr - step / (1.0 + 0.5 * xr * step)
+    return out.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +391,15 @@ def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
     out = np.empty(flat.size)
     width = min(flat.size, _BLOCK)
     buffers = np.empty((6, width))
-    masks = np.empty((3, width), dtype=bool)
+    masks = np.empty((2, width), dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         live = min(flat.size - start, _BLOCK)
         block_out = out[start:start + live]
         xb, h, c, d, aa, factor = buffers[:, :live]
-        active, inactive, tiny = masks[:, :live]
+        # c and d, then aa and factor, are adjacent rows: one call adds 1 to
+        # c and d, and aa and factor are the scratch of their tiny-value test.
+        cd, scratch = buffers[2:4, :live], buffers[4:6, :live]
+        active, inactive = masks[:, :live]
         position = np.arange(live)
         cut = min(max(split - start, 0), live)
         xb[...] = flat[start:start + live]
@@ -392,7 +408,7 @@ def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
         for xs, aas, p, _ in sides:
             np.divide(np.multiply(xs, qab, out=aas), p + 1.0, out=aas)
         np.subtract(1.0, aa, out=d)
-        _clamp_tiny(d, factor, tiny)
+        _clamp_tiny(d, factor)
         np.divide(1.0, d, out=d)
         h[...] = d
         active.fill(True)
@@ -403,7 +419,7 @@ def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
             m2 = 2 * m
             # The even step, then the odd: aa = num x / den, with each side's
             # shapes (p, q) on its lanes, d = 1 / (1 + aa d), c = 1 + aa / c,
-            # h *= d c, each operation in that order.
+            # h *= d c, each value by the same operations in that order.
             for odd in (False, True):
                 for xs, aas, p, q in sides:
                     if odd:
@@ -413,11 +429,9 @@ def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
                     np.multiply(xs, num, out=aas)
                     np.divide(aas, den, out=aas)
                 np.multiply(aa, d, out=d)
-                np.add(d, 1.0, out=d)
-                _clamp_tiny(d, factor, tiny)
                 np.divide(aa, c, out=c)
-                np.add(c, 1.0, out=c)
-                _clamp_tiny(c, factor, tiny)
+                np.add(cd, 1.0, out=cd)
+                _clamp_tiny(cd, scratch)
                 np.divide(1.0, d, out=d)
                 np.multiply(d, c, out=factor)
                 factor[frozen] = 1.0
@@ -439,7 +453,8 @@ def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
                     buf[:n_active] = buf[keep]
                 live = n_active
                 xb, h, c, d, aa, factor = buffers[:, :live]
-                active, inactive, tiny = masks[:, :live]
+                cd, scratch = buffers[2:4, :live], buffers[4:6, :live]
+                active, inactive = masks[:, :live]
                 active.fill(True)
                 sides = _cf_sides(xb, aa, cut, a, b)
         block_out[position] = h
@@ -452,40 +467,55 @@ def _cf_sides(xb: np.ndarray, aa: np.ndarray, cut: int, a: float, b: float) -> l
     return [side for side in sides if side[0].size]
 
 
-def _clamp_tiny(y: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:
-    """Replace the values of magnitude below ``_CF_FPMIN`` by ``_CF_FPMIN``, in place."""
-    np.less(np.abs(y, out=scratch), _CF_FPMIN, out=mask)
-    np.copyto(y, _CF_FPMIN, where=mask)
+def _clamp_tiny(y: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace the values of magnitude below ``_CF_FPMIN`` by ``_CF_FPMIN``, in
+    place, testing all of ``y`` at once in ``scratch`` (of ``y``'s shape)."""
+    np.abs(y, out=scratch)
+    if np.fmin.reduce(scratch, axis=None) < _CF_FPMIN:
+        np.copyto(y, _CF_FPMIN, where=scratch < _CF_FPMIN)
 
 
 def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
-                             xc: np.ndarray) -> np.ndarray:
+                             xc: np.ndarray | None = None) -> np.ndarray:
     """I_x(alpha, beta) given exact complement pairs (x, xc), xc = 1 - x.
 
     Passing the complement explicitly lets callers that know it exactly
     (e.g. the t CDF, where x and xc are the two ratios df/(df+t^2) and
-    t^2/(df+t^2)) avoid the cancellation of forming 1 - x near 1.  The
-    symmetry switch at the standard pivot ``(alpha+1)/(alpha+beta+2)`` keeps
-    the continued fraction in its fast-converging regime on both sides: one
+    t^2/(df+t^2)) avoid the cancellation of forming 1 - x near 1; with
+    ``xc`` None it is formed as 1 - x, a block at a time.  The symmetry
+    switch at the standard pivot ``(alpha+1)/(alpha+beta+2)`` keeps the
+    continued fraction in its fast-converging regime on both sides: one
     fraction runs I_x(alpha, beta) below it and I_xc(beta, alpha) at and
-    above it.  The front factor x^alpha xc^beta / B(alpha, beta) is 0 at
-    x = 0 and at xc = 0, which gives exactly 0.0 and 1.0 there.
+    above it.  The lanes run in side order, those below the pivot (the slow
+    ones) first, in blocks of ``_BLOCK`` lanes that are gathered, solved and
+    scattered into the result.  The front factor x^alpha xc^beta / B(alpha,
+    beta) is 0 at x = 0 and at xc = 0, which gives exactly 0.0 and 1.0 there.
     """
     shape = x.shape
-    x, xc = x.ravel(), xc.ravel()
-    with np.errstate(divide="ignore"):
-        front = np.exp(alpha * np.log(x) + beta * np.log(xc) - log_beta(alpha, beta))
+    x = x.ravel()
+    xc = None if xc is None else xc.ravel()
     below = x < (alpha + 1.0) / (alpha + beta + 2.0)
-    lo, hi = np.flatnonzero(below), np.flatnonzero(~below)
-    # Scaled and complemented in lane order, where each side is one slice.
-    lanes = np.concatenate((lo, hi))
-    value = front[lanes]
-    value *= _betacf_many(alpha, beta, np.concatenate((x[lo], xc[hi])), lo.size)
-    value[:lo.size] /= alpha
-    value[lo.size:] /= beta
-    np.subtract(1.0, value[lo.size:], out=value[lo.size:])
-    front[lanes] = value
-    return front.reshape(shape)
+    n_lo = int(np.count_nonzero(below))
+    lanes = np.empty(x.size, dtype=np.intp)
+    lanes[:n_lo] = np.flatnonzero(below)
+    lanes[n_lo:] = np.flatnonzero(np.logical_not(below, out=below))
+    log_b = log_beta(alpha, beta)
+    out = np.empty(x.size)
+    for start in range(0, x.size, _BLOCK):
+        idx = lanes[start:start + _BLOCK]
+        cut = min(max(n_lo - start, 0), idx.size)
+        xg = x[idx]
+        xcg = 1.0 - xg if xc is None else xc[idx]
+        with np.errstate(divide="ignore"):
+            front = np.exp(alpha * np.log(xg) + beta * np.log(xcg) - log_b)
+        xg[cut:] = xcg[cut:]
+        value = _betacf_many(alpha, beta, xg, cut)
+        value *= front
+        value[:cut] /= alpha
+        value[cut:] /= beta
+        np.subtract(1.0, value[cut:], out=value[cut:])
+        out[idx] = value
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +527,27 @@ def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
 
     At u = 0 with alpha < 1 (and u = 1 with beta < 1) the density diverges and
     the result is ``+inf`` (documented sentinel); with shape exactly 1 the
-    finite boundary limit is returned.
+    finite boundary limit is returned.  Runs over blocks of ``_BLOCK`` lanes.
     """
     u = _unit_1d("u", u)
     ln_b = log_beta(alpha, beta)
+    flat = u.ravel()
+    out = np.empty(flat.size)
     # IEEE arithmetic gives +inf or 0 at an end; only a shape of exactly 1
     # there makes the exponent 0 * -inf = nan, where the limit is 1/B.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.exp((alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - ln_b)
-    if alpha == 1.0:
-        out[u == 0.0] = math.exp(-ln_b)
-    if beta == 1.0:
-        out[u == 1.0] = math.exp(-ln_b)
-    return out
+        for start in range(0, flat.size, _BLOCK):
+            ub = flat[start:start + _BLOCK]
+            ob = out[start:start + ub.size]
+            np.multiply(np.log(ub), alpha - 1.0, out=ob)
+            ob += (beta - 1.0) * np.log1p(-ub)
+            ob -= ln_b
+            np.exp(ob, out=ob)
+            if alpha == 1.0:
+                ob[ub == 0.0] = math.exp(-ln_b)
+            if beta == 1.0:
+                ob[ub == 1.0] = math.exp(-ln_b)
+    return out.reshape(u.shape)
 
 
 def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
@@ -519,7 +557,7 @@ def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
     [0, 1] and positive shapes; never infinite.
     """
     u = _unit_1d("u", u)
-    return _betainc_with_complement(alpha, beta, u, 1.0 - u)
+    return _betainc_with_complement(alpha, beta, u)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +584,19 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     t = _finite_1d("t", t)
     # Where t * t overflows, y is 0 and yc (inf/inf) takes its limit 1; at
     # t = 0 the tail is exactly 1/2.
+    flat = t.ravel()
+    y, yc = np.empty(flat.size), np.empty(flat.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        t2 = t * t
-        y = df / (df + t2)
-        yc = np.fmin(t2 / (df + t2), 1.0)
-    tail = 0.5 * _betainc_with_complement(0.5 * df, 0.5, y, yc)
-    return np.where(t > 0.0, 1.0 - tail, tail)
+        for start in range(0, flat.size, _BLOCK):
+            tb = flat[start:start + _BLOCK]
+            t2 = tb * tb
+            den = df + t2
+            np.divide(df, den, out=y[start:start + tb.size])
+            np.fmin(np.divide(t2, den, out=t2), 1.0, out=yc[start:start + tb.size])
+    tail = _betainc_with_complement(0.5 * df, 0.5, y, yc)
+    tail *= 0.5
+    np.subtract(1.0, tail, out=tail, where=flat > 0.0)
+    return tail.reshape(t.shape)
 
 
 # Odd-order terms of log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) ~ sum_k C_k a^-(2k+1),

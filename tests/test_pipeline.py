@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy import stats as sp_stats
 import cdfdr.betafit
 import cdfdr.cli
 import cdfdr.density
+from cdfdr import special
 from cdfdr.betafit import BetaFit, smooth_pvalues
 from cdfdr.density import (
     ComparisonDensityModel,
@@ -792,3 +794,62 @@ class TestUofT:
         model = fit_cdfdr(stats, NullSpec.standard_normal())
         t = np.array([-2.0, 0.0, 1.5])
         assert evaluate(model, t).u.tolist() == [normal_cdf_many(ti)[0] for ti in t]
+
+
+_BUDGET_N = 200_000
+
+
+@functools.lru_cache(maxsize=None)
+def _budget_inputs():
+    """t statistics on 30 df, 10% shifted by 3, their z scores, p-values in
+    (0, 1), and a two-sided fit of the z scores, at ``_BUDGET_N`` cases."""
+    rng = np.random.Generator(np.random.Philox(3))
+    t = rng.standard_t(30.0, _BUDGET_N) + np.where(rng.random(_BUDGET_N) < 0.1, 3.0, 0.0)
+    z = t_to_z(t, 30.0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "step 2 \\(beta fit\\)")
+        model = fit_cdfdr(z, NullSpec.standard_normal(), mode="two_sided")
+    return t, z, rng.random(_BUDGET_N), model
+
+
+def _budget_call(name):
+    t, z, u, model = _budget_inputs()
+    fit = model.beta_fit
+    return {
+        "student_t_cdf_many": lambda: special.student_t_cdf_many(t, 30.0),
+        "normal_quantile_many": lambda: special.normal_quantile_many(u),
+        "beta_cdf_many": lambda: special.beta_cdf_many(u, fit.alpha, fit.beta),
+        "beta_pdf_many": lambda: special.beta_pdf_many(u, fit.alpha, fit.beta),
+        "smooth_pvalues": lambda: smooth_pvalues(u, fit),
+        "t_to_z": lambda: t_to_z(t, 30.0),
+        "fit_cdfdr": lambda: fit_cdfdr(z, NullSpec.standard_normal(), mode="two_sided"),
+        "evaluate": lambda: evaluate(dataclasses.replace(model, fitted=None), z),
+    }[name]
+
+
+class TestAllocationBudget:
+    """The per-case steps work in blocks and allocate little beyond their
+    result: each call's tracemalloc peak at 200,000 cases stays within its
+    budget, in units of one float array of that length (8 bytes a case)."""
+
+    @pytest.mark.parametrize("name, budget", [
+        ("student_t_cdf_many", 5.5),
+        ("normal_quantile_many", 2.5),
+        ("beta_cdf_many", 3.5),
+        ("beta_pdf_many", 1.5),
+        ("smooth_pvalues", 4.5),
+        ("t_to_z", 5.5),
+        ("fit_cdfdr", 7.0),
+        ("evaluate", 5.5),
+    ])
+    def test_peak_within_budget(self, name, budget):
+        call = _budget_call(name)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "step 2 \\(beta fit\\)")
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak / (8 * _BUDGET_N) <= budget

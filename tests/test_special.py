@@ -17,6 +17,8 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
+from cdfdr.betafit import BetaFit
+from cdfdr.density import CoefficientSet, ComparisonDensityModel, eval_comparison_density_many
 from cdfdr.errors import DomainError
 from cdfdr.pipeline import t_to_z
 from cdfdr.quadrature import integrate_unit
@@ -515,19 +517,43 @@ def _assert_same_bits(actual, expected):
 _BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
-def _normal_kernel_input(kernel, shape, seed):
+_BLOCKED_KERNELS = ["cdf", "pdf", "quantile", "t_cdf", "beta_cdf", "beta_pdf", "density"]
+
+
+def _blocked_kernel_input(kernel, shape, seed):
     """The kernel named ``kernel`` and a seeded input for it: z over every Phi
-    branch and into the underflow, or p in (0, 1) for the quantile."""
+    branch and into the underflow, p in (0, 1) for the quantile, t or u with
+    lanes on both sides of the incomplete beta's pivot in every block, and u
+    with both ends for the beta density and the comparison density."""
     rng = np.random.Generator(np.random.Philox(seed))
     if kernel == "quantile":
         return normal_quantile_many, rng.random(shape) * (1.0 - 2e-16) + 1e-16
-    return {"cdf": normal_cdf_many, "pdf": normal_pdf_many}[kernel], rng.normal(0.0, 10.0, shape)
+    if kernel in ("cdf", "pdf"):
+        return {"cdf": normal_cdf_many, "pdf": normal_pdf_many}[kernel], rng.normal(0.0, 10.0, shape)
+    if kernel == "t_cdf":
+        # At df = 100 the pivot of y = df/(df + t^2) lies at |t| = 1.7.
+        return (lambda t: student_t_cdf_many(t, 100.0)), rng.normal(0.0, 3.0, shape)
+    u = rng.random(shape)
+    u.flat[::997] = 0.0
+    u.flat[1::997] = 1.0
+    if kernel == "beta_cdf":
+        return (lambda x: beta_cdf_many(x, 2.5, 0.7)), u  # pivot at 0.67
+    if kernel == "beta_pdf":
+        return (lambda x: beta_pdf_many(x, 1.0, 0.6)), u  # patched at u = 0
+    theta = np.array([0.1, -0.05, 0.02, 0.0, 0.01, 0.0])
+    model = ComparisonDensityModel(
+        fit=BetaFit(alpha=0.7, beta=1.3, log_likelihood=0.0, n=1000, iterations=0,
+                    converged=True),
+        coeffs=CoefficientSet(m=6, theta_tilde=theta, theta_hat=theta, n=1000,
+                              threshold=0.0))
+    return (lambda x: eval_comparison_density_many(model, x)), u
 
 
 class TestBlockedKernels:
     """The kernels that run in blocks of ``_BLOCK`` lanes equal their
     whole-array forms (the continued fraction) or their one-element calls
-    (the normal kernels) bit for bit, whatever the length and shape."""
+    (the normal, t and beta kernels and the comparison density) bit for
+    bit, whatever the length and shape."""
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("a, b", [(2.5, 0.7), (50.0, 0.5), (0.5, 50.0)])
@@ -575,10 +601,10 @@ class TestBlockedKernels:
         _assert_same_bits(_betacf_many(a, b, x, x.size), _whole_array_betacf(a, b, x))
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
-    @pytest.mark.parametrize("kernel", ["cdf", "pdf", "quantile"])
+    @pytest.mark.parametrize("kernel", _BLOCKED_KERNELS)
     def test_one_element_equals_batch(self, n, kernel):
         # Lanes at and around each block edge, and a seeded sample of the rest.
-        f, x = _normal_kernel_input(kernel, (n,), n + 1)
+        f, x = _blocked_kernel_input(kernel, (n,), n + 1)
         batch = f(x)
         edges = np.arange(0, n, _BLOCK)
         picks = np.unique(np.concatenate([edges, edges - 1, edges + 1, [n - 1],
@@ -586,9 +612,9 @@ class TestBlockedKernels:
         picks = picks[(picks >= 0) & (picks < n)]
         _assert_same_bits(np.array([f(x[i:i + 1])[0] for i in picks]), batch[picks])
 
-    @pytest.mark.parametrize("kernel", ["cdf", "pdf", "quantile"])
+    @pytest.mark.parametrize("kernel", _BLOCKED_KERNELS)
     def test_one_element_equals_batch_2d(self, kernel):
-        f, x = _normal_kernel_input(kernel, (_BLOCK + 3, 2), 67)
+        f, x = _blocked_kernel_input(kernel, (_BLOCK + 3, 2), 67)
         values = f(x)
         _assert_same_bits(values, f(x.ravel()).reshape(x.shape))
         _assert_same_bits(f(x.T), values.T)
