@@ -125,6 +125,8 @@ def _write_outputs(args, payload: dict, header: list[str], columns: list[list[st
     os.umask(umask)
     tmps: list[str] = []
     try:
+        if os.path.realpath(args.out) == os.path.realpath(args.curves):  # the CSV would replace it
+            raise ConfigError(f"--out and --curves name the same file {args.curves!r}")
         for path, _ in outputs:
             if os.path.isdir(path):  # else it fails at its rename, after the other is in place
                 raise ConfigError(f"cannot write output file {path!r}: Is a directory")

@@ -18,7 +18,7 @@ from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
 from .legendre import _terms
 from .quadrature import integrate_unit
-from .special import _BLOCK, _within, beta_cdf_many, beta_pdf_many
+from .special import _blocks, _within, beta_cdf_many, beta_pdf_many
 
 __all__ = [
     "CoefficientSet",
@@ -137,17 +137,14 @@ def _floored_density(model: ComparisonDensityModel, u, v) -> np.ndarray:
     """max(DEFAULT_FLOOR, f_B(u) * d(v)) at each u of the array ``u``, where the
     array v = F_B(u) and u is clamped as in :func:`smooth_pvalues`.
 
-    Runs over blocks of ``_BLOCK`` lanes, so that only the result has u's length.
+    Runs a block at a time (``special._blocks``): only the result has u's length.
     """
-    flat_u, flat_v = u.ravel(), v.ravel()
-    out = np.empty(flat_u.size)
-    for start in range(0, out.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        d = eval_smooth_density_many(model.coeffs, flat_v[block])
-        d *= beta_pdf_many(np.clip(flat_u[block], CLAMP, 1.0 - CLAMP),
-                           model.fit.alpha, model.fit.beta)
-        np.maximum(d, DEFAULT_FLOOR, out=out[block])
-    return out.reshape(u.shape)
+    out = np.empty(u.shape)
+    for ub, vb, ob in _blocks(u, v, out):
+        d = eval_smooth_density_many(model.coeffs, vb)
+        d *= beta_pdf_many(np.clip(ub, CLAMP, 1.0 - CLAMP), model.fit.alpha, model.fit.beta)
+        np.maximum(d, DEFAULT_FLOOR, out=ob)
+    return out
 
 
 def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray:

@@ -9,6 +9,7 @@ max |S_j| = sqrt(2j+1), attained at the endpoints.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 
 import numpy as np
@@ -23,6 +24,13 @@ __all__ = ["M_MAX", "basis_matrix"]
 M_MAX = 16
 
 
+def _check_m(m, name: str = "m", error: type[Exception] = DomainError) -> int:
+    """``m`` as an int; ``error`` unless it is an integer, not a bool, in [1, M_MAX]."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= M_MAX:
+        raise error(f"{name} must be an integer in [1, {M_MAX}], got {m!r}")
+    return int(m)
+
+
 def _terms(m: int, v) -> Iterator[np.ndarray]:
     """S_1(v), ..., S_m(v) in turn, each of v's shape; m and v are checked here.
 
@@ -30,9 +38,7 @@ def _terms(m: int, v) -> Iterator[np.ndarray]:
     overwrites, and keeps P_{k-1} and P_k in two reused buffers, so memory
     does not grow with m.  Every operation is elementwise.
     """
-    m = int(m)
-    if not 1 <= m <= M_MAX:
-        raise DomainError(f"basis size must lie in [1, {M_MAX}], got {m}")
+    m = _check_m(m, "basis size")
     v = np.asarray(v, dtype=float)
     if not _within(v):
         raise DomainError("evaluation points must lie in [0, 1]")

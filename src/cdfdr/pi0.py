@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, InsufficientDataError
-from .legendre import M_MAX, basis_matrix
+from .legendre import _check_m, basis_matrix
 from .special import _FLOAT_MAX, _within
 
 __all__ = ["DeviancePath", "estimate_pi0"]
@@ -55,14 +55,13 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
 
     ``density`` holds the floored comparison density at each p-value, as
     fitted on these same p-values (``CdfrModel.fitted.d``); it must be finite.
-    ``grid_step`` lies in [1e-4, 2.5].  Ties at the
-    minimum break toward the smallest lambda (most conservative null set);
-    the scan is performed in ascending lambda order, so the result is
-    deterministic bit for bit.
+    ``m`` is an integer in [1, M_MAX] and ``grid_step`` a number (not a bool)
+    in [1e-4, 2.5].  Ties at the minimum break toward the smallest lambda
+    (most conservative null set); the scan is performed in ascending lambda
+    order, so the result is deterministic bit for bit.
     """
-    if not 1 <= int(m) <= M_MAX:
-        raise DomainError(f"m must lie in [1, {M_MAX}], got {m}")
-    if not _STEP_MIN <= grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
+    m = _check_m(m)
+    if isinstance(grid_step, bool) or not _STEP_MIN <= grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
         raise DomainError(f"invalid grid step {grid_step!r}")
     u = np.asarray(pvalues, dtype=float).ravel()
     if u.size == 0:
@@ -103,7 +102,7 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     # The counts ascend with lambda; each distinct count ends one segment.
     sizes = counts[valid]
     ends = sizes[np.concatenate(([True], sizes[1:] != sizes[:-1]))]
-    prefix = _prefix_sums(int(m), u, order, ends)[np.searchsorted(ends, sizes)]
+    prefix = _prefix_sums(m, u, order, ends)[np.searchsorted(ends, sizes)]
     theta = prefix / sizes[:, None]
     deviances[valid] = np.sum(theta ** 2, axis=1)
 
@@ -125,7 +124,7 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
         n_lambda=n_lambda,
         lambda_star=lambda_star,
         pi0_hat=pi0_hat,
-        m=int(m),
+        m=m,
         flat=flat,
     )
 

@@ -31,7 +31,7 @@ from .errors import (
     InsufficientDataError,
     PipelineError,
 )
-from .legendre import M_MAX
+from .legendre import _check_m
 from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
@@ -231,14 +231,14 @@ def _check_mode(null_spec: NullSpec, mode: str) -> None:
 
 
 def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
-    """ConfigError unless both series lengths are integers (not bools) in
-    [1, M_MAX] and the pi0 grid step is a real number in [1e-4, 2.5]: no finer
-    than the scan's finest step, no wider than the scanned density range."""
+    """ConfigError unless both series lengths are integers in [1, M_MAX] and the
+    pi0 grid step is a real number in [1e-4, 2.5], none a bool: no finer than
+    the scan's finest step, no wider than the scanned density range."""
     for name, m in (("m_density", m_density), ("m_mdc", m_mdc)):
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= M_MAX:
-            raise ConfigError(f"{name} must be an integer in [1, {M_MAX}], got {m!r}")
+        _check_m(m, name, ConfigError)
     span = _LAMBDA_MAX - _LAMBDA_MIN
-    if not (isinstance(grid_step, numbers.Real) and _STEP_MIN <= grid_step <= span):
+    if isinstance(grid_step, bool) or not (isinstance(grid_step, numbers.Real)
+                                           and _STEP_MIN <= grid_step <= span):
         raise ConfigError(f"grid_step must lie in [{_STEP_MIN}, {span}], got {grid_step!r}")
 
 

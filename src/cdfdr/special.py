@@ -3,15 +3,14 @@
 The ``*_many`` kernels are the only path: each takes a float array (a
 scalar counts as one element) and returns an array of at least one
 dimension, and an element's value does not depend on the rest of its batch.
-The normal, t and beta kernels run over blocks of ``_BLOCK`` lanes, so that
-beyond block-sized scratch they allocate little more than their result; the
-incomplete beta's continued fraction spans both sides of the symmetry pivot
-and retires its converged lanes.  Every elementary function is a numpy
-ufunc on an array: the exp of a normal tail or density takes an exactly split
-square, and the t density's exponent is compensated, so that neither rounds
-its argument.
-The gamma family serves the scalar Newton fit of the beta shapes and stays
-scalar.
+The normal, t and beta kernels walk their arrays ``_BLOCK`` lanes at a time,
+all through :func:`_blocks`, so that beyond block-sized scratch they allocate
+little more than their result; the incomplete beta's continued fraction solves
+each gathered block across both sides of the symmetry pivot and retires its
+converged lanes.  Every elementary function is a numpy ufunc on an array:
+the exp of a normal tail or density takes an exactly split square, and the t
+density's exponent is compensated, so that neither rounds its argument.  The
+gamma family serves the scalar Newton fit of the beta shapes and stays scalar.
 
 No probability clamping happens here: these primitives are exact over their
 domains, and callers clamp at their own named clamp points.
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,7 +50,7 @@ _CF_MAX_ITER = 500
 
 # Lanes the blocked kernels process at a time: the working arrays of the
 # continued fraction and of the normal distribution function for one block
-# stay in cache.  Each lane's arithmetic is independent of the block size.
+# stay in cache.
 _BLOCK = 16_384
 
 
@@ -58,6 +58,15 @@ def _within(x: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> bool:
     """Whether every element of the float array ``x`` lies in [lo, hi], by
     ``x.min()`` and ``x.max()``: a NaN fails, an empty array passes."""
     return x.size == 0 or bool(lo <= x.min() and x.max() <= hi)
+
+
+def _blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Aligned views of the C-order elements of ``arrays`` (all of one size),
+    ``_BLOCK`` at a time; an array written through them must be C-contiguous.
+    Each lane's arithmetic is its own, so no value depends on the block size."""
+    flats = [array.ravel() for array in arrays]
+    for start in range(0, flats[0].size, _BLOCK):
+        yield tuple(flat[start:start + _BLOCK] for flat in flats)
 
 
 def _finite_1d(name: str, x) -> np.ndarray:
@@ -199,7 +208,7 @@ def _anorm_tail(y: np.ndarray) -> np.ndarray:
 def normal_cdf_many(z) -> np.ndarray:
     """Standard normal distribution function Phi(z) at each z.
 
-    Cody's ANORM in z itself, over blocks of ``_BLOCK`` lanes.  Measured
+    Cody's ANORM in z itself, a block at a time (:func:`_blocks`).  Measured
     against mpmath on 10,000 points a branch, it is within 0.57 ulp for
     |z| <= 0.6745, within 5.3 ulp below that and within 1.5 ulp above it
     (there the value is 1 - Phi(-z), so the error is small in absolute terms
@@ -210,11 +219,8 @@ def normal_cdf_many(z) -> np.ndarray:
     strict positivity must clamp).
     """
     z = _finite_1d("z", z)
-    flat = z.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK):
-        zb = flat[start:start + _BLOCK]
-        ob = out[start:start + zb.size]
+    out = np.empty(z.shape)
+    for zb, ob in _blocks(z, out):
         y = np.minimum(np.abs(zb), _Z_ZERO_TAIL)
         centre = np.flatnonzero(y <= _ANORM_CENTRE)
         tail = np.flatnonzero(y > _ANORM_CENTRE)
@@ -222,7 +228,7 @@ def normal_cdf_many(z) -> np.ndarray:
         value = _anorm_tail(y[tail])
         np.subtract(1.0, value, out=value, where=zb[tail] > 0.0)
         ob[tail] = value
-    return out.reshape(z.shape)
+    return out
 
 
 def normal_pdf_many(z) -> np.ndarray:
@@ -268,17 +274,14 @@ def normal_quantile_many(p) -> np.ndarray:
     tail and one for the centre) refined by one Halley step against
     :func:`normal_cdf_many`, which brings the result to within the rounding
     of Phi(x) - p (within an ulp in the lower tail).  ``p`` equal to 0 or 1 is a
-    domain error; callers clamp first.  Runs over blocks of ``_BLOCK`` lanes.
+    domain error; callers clamp first.  Runs a block at a time (:func:`_blocks`).
     """
     p = _finite_1d("p", p)
     if not _within(p, math.ulp(0.0), math.nextafter(1.0, 0.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
-    flat = p.ravel()
-    out = np.empty(flat.size)
+    out = np.empty(p.shape)
     a, b = _ACKLAM_A, _ACKLAM_B
-    for start in range(0, flat.size, _BLOCK):
-        pb = flat[start:start + _BLOCK]
-        x = out[start:start + pb.size]
+    for pb, x in _blocks(p, out):
         low = pb < _ACKLAM_P_LOW
         high = pb > 1.0 - _ACKLAM_P_LOW
         centre = ~(low | high)
@@ -295,7 +298,7 @@ def normal_quantile_many(p) -> np.ndarray:
         xr = x[refine]
         step = (normal_cdf_many(xr) - pb[refine]) * _SQRT_2PI * np.exp(0.5 * xr * xr)
         x[refine] = xr - step / (1.0 + 0.5 * xr * step)
-    return out.reshape(p.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,94 +373,87 @@ def log_beta(alpha: float, beta: float) -> float:
 # Regularized incomplete beta (continued fraction, Lentz's method)
 # ---------------------------------------------------------------------------
 
-def _betacf_many(a: float, b: float, x: np.ndarray, split: int) -> np.ndarray:
-    """Lentz continued fraction for I_x(a, b) at the first ``split`` lanes of
+def _betacf_many(a: float, b: float, x: np.ndarray, cut: int) -> np.ndarray:
+    """Lentz continued fraction for I_x(a, b) at the first ``cut`` lanes of
     ``x`` (in C order) and for I_x(b, a) at the rest, each below its pivot.
 
     One fraction spans both sides of the symmetry pivot: a step forms its
     term on each side's lanes with that side's shapes and runs every other
-    operation once over all live lanes, in blocks of ``_BLOCK`` lanes in
-    preallocated buffers.  Each lane freezes at its own convergence: from
-    then on both of its factors are exactly 1.0, so a value never depends on
-    which other points share the batch or the block (a one-element call and
-    a batch agree bit for bit).  Once a quarter of a block's live lanes have
-    frozen, their values are written out and the live lanes are packed, in
-    order, to the front of the buffers with their output positions, so later
-    steps skip the converged lanes.  A block stops once all of its lanes have
-    frozen or after ``_CF_MAX_ITER`` steps.
+    operation once over all live lanes, in buffers sized to ``x``, which is
+    one gathered, nonempty block (:func:`_blocks`).  Each lane freezes at its
+    own convergence: from then on both of its factors are exactly 1.0, so a
+    value never depends on which other points share the batch (a one-element
+    call and a batch agree bit for bit).  Once a quarter of the live lanes
+    have frozen, their values are written out and the live lanes are packed,
+    in order, to the front of the buffers with their output positions, so
+    later steps skip the converged lanes.  The fraction stops once all of its
+    lanes have frozen or after ``_CF_MAX_ITER`` steps.
     """
     qab = a + b
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    width = min(flat.size, _BLOCK)
-    buffers = np.empty((6, width))
-    masks = np.empty((2, width), dtype=bool)
-    for start in range(0, flat.size, _BLOCK):
-        live = min(flat.size - start, _BLOCK)
-        block_out = out[start:start + live]
-        xb, h, c, d, aa, factor = buffers[:, :live]
-        # c and d, then aa and factor, are adjacent rows: one call adds 1 to
-        # c and d, and aa and factor are the scratch of their tiny-value test.
-        cd, scratch = buffers[2:4, :live], buffers[4:6, :live]
-        active, inactive = masks[:, :live]
-        position = np.arange(live)
-        cut = min(max(split - start, 0), live)
-        xb[...] = flat[start:start + live]
-        c.fill(1.0)
-        sides = _cf_sides(xb, aa, cut, a, b)
-        for xs, aas, p, _ in sides:
-            np.divide(np.multiply(xs, qab, out=aas), p + 1.0, out=aas)
-        np.subtract(1.0, aa, out=d)
-        _clamp_tiny(d, factor)
-        np.divide(1.0, d, out=d)
-        h[...] = d
-        active.fill(True)
-        for m in range(1, _CF_MAX_ITER + 1):
-            # Frozen lanes by index: few after a pack, and a masked copy over
-            # a scattered mask costs more than the arithmetic.
-            frozen = np.flatnonzero(np.logical_not(active, out=inactive))
-            m2 = 2 * m
-            # The even step, then the odd: aa = num x / den, with each side's
-            # shapes (p, q) on its lanes, d = 1 / (1 + aa d), c = 1 + aa / c,
-            # h *= d c, each value by the same operations in that order.
-            for odd in (False, True):
-                for xs, aas, p, q in sides:
-                    if odd:
-                        num, den = -(p + m) * (qab + m), (p + m2) * ((p + 1.0) + m2)
-                    else:
-                        num, den = m * (q - m), ((p - 1.0) + m2) * (p + m2)
-                    np.multiply(xs, num, out=aas)
-                    np.divide(aas, den, out=aas)
-                np.multiply(aa, d, out=d)
-                np.divide(aa, c, out=c)
-                np.add(cd, 1.0, out=cd)
-                _clamp_tiny(cd, scratch)
-                np.divide(1.0, d, out=d)
-                np.multiply(d, c, out=factor)
-                factor[frozen] = 1.0
-                h *= factor
-            # A frozen lane's odd-step factor is exactly 1.0, so the test keeps it frozen.
-            np.subtract(factor, 1.0, out=factor)
-            np.greater_equal(np.abs(factor, out=factor), _CF_EPS, out=active)
-            n_active = np.count_nonzero(active)
-            if n_active == 0:
-                break
-            if 4 * (live - n_active) >= live:
-                # Write out every lane (a live lane's value is rewritten later),
-                # then gather the live lanes to the front, in their order.
-                block_out[position] = h
-                keep = np.flatnonzero(active)
-                position = position[keep]
-                cut = int(np.searchsorted(keep, cut))
-                for buf in (xb, h, c, d):
-                    buf[:n_active] = buf[keep]
-                live = n_active
-                xb, h, c, d, aa, factor = buffers[:, :live]
-                cd, scratch = buffers[2:4, :live], buffers[4:6, :live]
-                active, inactive = masks[:, :live]
-                active.fill(True)
-                sides = _cf_sides(xb, aa, cut, a, b)
-        block_out[position] = h
+    live = x.size
+    out, buffers, masks = np.empty(live), np.empty((6, live)), np.empty((2, live), dtype=bool)
+    xb, h, c, d, aa, factor = buffers
+    # c and d, then aa and factor, are adjacent rows: one call adds 1 to
+    # c and d, and aa and factor are the scratch of their tiny-value test.
+    cd, scratch = buffers[2:4], buffers[4:6]
+    active, inactive = masks
+    position = np.arange(live)
+    xb[...] = x.ravel()
+    c.fill(1.0)
+    sides = _cf_sides(xb, aa, cut, a, b)
+    for xs, aas, p, _ in sides:
+        np.divide(np.multiply(xs, qab, out=aas), p + 1.0, out=aas)
+    np.subtract(1.0, aa, out=d)
+    _clamp_tiny(d, factor)
+    np.divide(1.0, d, out=d)
+    h[...] = d
+    active.fill(True)
+    for m in range(1, _CF_MAX_ITER + 1):
+        # Frozen lanes by index: few after a pack, and a masked copy over
+        # a scattered mask costs more than the arithmetic.
+        frozen = np.flatnonzero(np.logical_not(active, out=inactive))
+        m2 = 2 * m
+        # The even step, then the odd: aa = num x / den, with each side's
+        # shapes (p, q) on its lanes, d = 1 / (1 + aa d), c = 1 + aa / c,
+        # h *= d c, each value by the same operations in that order.
+        for odd in (False, True):
+            for xs, aas, p, q in sides:
+                if odd:
+                    num, den = -(p + m) * (qab + m), (p + m2) * ((p + 1.0) + m2)
+                else:
+                    num, den = m * (q - m), ((p - 1.0) + m2) * (p + m2)
+                np.multiply(xs, num, out=aas)
+                np.divide(aas, den, out=aas)
+            np.multiply(aa, d, out=d)
+            np.divide(aa, c, out=c)
+            np.add(cd, 1.0, out=cd)
+            _clamp_tiny(cd, scratch)
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=factor)
+            factor[frozen] = 1.0
+            h *= factor
+        # A frozen lane's odd-step factor is exactly 1.0, so the test keeps it frozen.
+        np.subtract(factor, 1.0, out=factor)
+        np.greater_equal(np.abs(factor, out=factor), _CF_EPS, out=active)
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
+            break
+        if 4 * (live - n_active) >= live:
+            # Write out every lane (a live lane's value is rewritten later),
+            # then gather the live lanes to the front, in their order.
+            out[position] = h
+            keep = np.flatnonzero(active)
+            position = position[keep]
+            cut = int(np.searchsorted(keep, cut))
+            for buf in (xb, h, c, d):
+                buf[:n_active] = buf[keep]
+            live = n_active
+            xb, h, c, d, aa, factor = buffers[:, :live]
+            cd, scratch = buffers[2:4, :live], buffers[4:6, :live]
+            active, inactive = masks[:, :live]
+            active.fill(True)
+            sides = _cf_sides(xb, aa, cut, a, b)
+    out[position] = h
     return out.reshape(x.shape)
 
 
@@ -487,7 +483,7 @@ def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
     continued fraction in its fast-converging regime on both sides: one
     fraction runs I_x(alpha, beta) below it and I_xc(beta, alpha) at and
     above it.  The lanes run in side order, those below the pivot (the slow
-    ones) first, in blocks of ``_BLOCK`` lanes that are gathered, solved and
+    ones) first, in blocks (:func:`_blocks`) that are gathered, solved and
     scattered into the result.  The front factor x^alpha xc^beta / B(alpha,
     beta) is 0 at x = 0 and at xc = 0, which gives exactly 0.0 and 1.0 there.
     """
@@ -501,9 +497,10 @@ def _betainc_with_complement(alpha: float, beta: float, x: np.ndarray,
     lanes[n_lo:] = np.flatnonzero(np.logical_not(below, out=below))
     log_b = log_beta(alpha, beta)
     out = np.empty(x.size)
-    for start in range(0, x.size, _BLOCK):
-        idx = lanes[start:start + _BLOCK]
-        cut = min(max(n_lo - start, 0), idx.size)
+    for (idx,) in _blocks(lanes):
+        # The block's below-pivot lanes come first: ``cut`` of the ``n_lo`` left.
+        cut = min(n_lo, idx.size)
+        n_lo -= cut
         xg = x[idx]
         xcg = 1.0 - xg if xc is None else xc[idx]
         with np.errstate(divide="ignore"):
@@ -527,18 +524,15 @@ def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
 
     At u = 0 with alpha < 1 (and u = 1 with beta < 1) the density diverges and
     the result is ``+inf`` (documented sentinel); with shape exactly 1 the
-    finite boundary limit is returned.  Runs over blocks of ``_BLOCK`` lanes.
+    finite boundary limit is returned.  Runs a block at a time (:func:`_blocks`).
     """
     u = _unit_1d("u", u)
     ln_b = log_beta(alpha, beta)
-    flat = u.ravel()
-    out = np.empty(flat.size)
+    out = np.empty(u.shape)
     # IEEE arithmetic gives +inf or 0 at an end; only a shape of exactly 1
     # there makes the exponent 0 * -inf = nan, where the limit is 1/B.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _BLOCK):
-            ub = flat[start:start + _BLOCK]
-            ob = out[start:start + ub.size]
+        for ub, ob in _blocks(u, out):
             np.multiply(np.log(ub), alpha - 1.0, out=ob)
             ob += (beta - 1.0) * np.log1p(-ub)
             ob -= ln_b
@@ -547,7 +541,7 @@ def beta_pdf_many(u, alpha: float, beta: float) -> np.ndarray:
                 ob[ub == 0.0] = math.exp(-ln_b)
             if beta == 1.0:
                 ob[ub == 1.0] = math.exp(-ln_b)
-    return out.reshape(u.shape)
+    return out
 
 
 def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
@@ -584,19 +578,17 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     t = _finite_1d("t", t)
     # Where t * t overflows, y is 0 and yc (inf/inf) takes its limit 1; at
     # t = 0 the tail is exactly 1/2.
-    flat = t.ravel()
-    y, yc = np.empty(flat.size), np.empty(flat.size)
+    y, yc = np.empty(t.shape), np.empty(t.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _BLOCK):
-            tb = flat[start:start + _BLOCK]
+        for tb, yb, ycb in _blocks(t, y, yc):
             t2 = tb * tb
             den = df + t2
-            np.divide(df, den, out=y[start:start + tb.size])
-            np.fmin(np.divide(t2, den, out=t2), 1.0, out=yc[start:start + tb.size])
+            np.divide(df, den, out=yb)
+            np.fmin(np.divide(t2, den, out=t2), 1.0, out=ycb)
     tail = _betainc_with_complement(0.5 * df, 0.5, y, yc)
     tail *= 0.5
-    np.subtract(1.0, tail, out=tail, where=flat > 0.0)
-    return tail.reshape(t.shape)
+    np.subtract(1.0, tail, out=tail, where=t > 0.0)
+    return tail
 
 
 # Odd-order terms of log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) ~ sum_k C_k a^-(2k+1),

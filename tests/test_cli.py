@@ -687,6 +687,19 @@ def test_finest_grid_step_runs(command, mixture_csv, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", ["fdr", "pi0", "simulate"])
+def test_out_and_curves_naming_one_file_exits_2(command, mixture_csv, tmp_path, monkeypatch,
+                                                capsys):
+    # Written in turn, the curves CSV would replace the report.
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code = main(_tuning_argv(command, mixture_csv[0]) + ["--out", "x", "--curves", "./x"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "cdfdr: input error: --out and --curves name the same file")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestPi0Command:
     def test_uniform_input(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(303))

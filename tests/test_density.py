@@ -128,8 +128,9 @@ class TestScoreCoefficients:
             score_coefficients(np.array([]), 6)
         with pytest.raises(InsufficientDataError):
             score_coefficients(np.full(5, 0.5), 6)
-        with pytest.raises(DomainError):
-            score_coefficients(np.full(100, 0.5), 17)
+        for m in (17, 6.5, True):
+            with pytest.raises(DomainError):
+                score_coefficients(np.full(100, 0.5), m)
 
     def test_selected_indices(self):
         coeffs = _manual_coeffs([0.0, 0.0, -0.16, 0.0, 0.0, 0.0])

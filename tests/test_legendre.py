@@ -111,7 +111,8 @@ class TestOrthonormality:
 
 class TestValidation:
     def test_index_bounds(self):
-        for m in (0, -1, M_MAX + 1):
+        # A fraction or a bool is not truncated to a basis size.
+        for m in (0, -1, M_MAX + 1, 6.5, True):
             with pytest.raises(DomainError):
                 basis_matrix(m, 0.5)
             with pytest.raises(DomainError):

@@ -238,8 +238,11 @@ class TestErrors:
 
     def test_validation(self):
         u = np.full(100, 0.5)
+        for m in (17, 6.5, True):
+            with pytest.raises(DomainError):
+                estimate_pi0(u, _unit_density(u), m=m)
         with pytest.raises(DomainError):
-            estimate_pi0(u, _unit_density(u), m=17)
+            estimate_pi0(u, _unit_density(u), grid_step=True)
         with pytest.raises(DomainError):
             estimate_pi0(u, _unit_density(u), grid_step=0.0)
         with pytest.raises(DomainError):

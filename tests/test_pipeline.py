@@ -234,7 +234,7 @@ class TestFitCdfdr:
         {"grid_step": math.nan}, {"grid_step": math.inf}, {"grid_step": 1e-5},
         {"m_density": 6.5}, {"m_density": "6"}, {"m_density": np.float64(6.0)},
         {"m_mdc": True}, {"m_mdc": "10"}, {"grid_step": "0.01"}, {"grid_step": 0.01j},
-        {"grid_step": None},
+        {"grid_step": None}, {"grid_step": True},
     ], ids=lambda tuning: "-".join(f"{k}={v!r}" for k, v in tuning.items()))
     def test_out_of_range_tuning_is_a_config_error(self, tuning):
         # Checked before any work: even a sample too small to fit reports it.
@@ -817,11 +817,14 @@ def _budget_call(name):
     fit = model.beta_fit
     return {
         "student_t_cdf_many": lambda: special.student_t_cdf_many(t, 30.0),
+        "normal_cdf_many": lambda: special.normal_cdf_many(z),
         "normal_quantile_many": lambda: special.normal_quantile_many(u),
         "beta_cdf_many": lambda: special.beta_cdf_many(u, fit.alpha, fit.beta),
         "beta_pdf_many": lambda: special.beta_pdf_many(u, fit.alpha, fit.beta),
         "smooth_pvalues": lambda: smooth_pvalues(u, fit),
         "t_to_z": lambda: t_to_z(t, 30.0),
+        "to_pvalues-pit": lambda: to_pvalues(z, NullSpec.standard_normal(), "pit"),
+        "to_pvalues-two_sided": lambda: to_pvalues(z, NullSpec.standard_normal(), "two_sided"),
         "fit_cdfdr": lambda: fit_cdfdr(z, NullSpec.standard_normal(), mode="two_sided"),
         "evaluate": lambda: evaluate(dataclasses.replace(model, fitted=None), z),
     }[name]
@@ -834,11 +837,14 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("name, budget", [
         ("student_t_cdf_many", 5.5),
+        ("normal_cdf_many", 2.0),
         ("normal_quantile_many", 2.5),
         ("beta_cdf_many", 3.5),
         ("beta_pdf_many", 1.5),
         ("smooth_pvalues", 4.5),
         ("t_to_z", 5.5),
+        ("to_pvalues-pit", 3.0),
+        ("to_pvalues-two_sided", 3.0),
         ("fit_cdfdr", 7.0),
         ("evaluate", 5.5),
     ])
