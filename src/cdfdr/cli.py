@@ -2,9 +2,10 @@
 
 Outputs are a structured JSON report plus plot-ready CSV curves.  Floats are
 serialized with shortest round-trip precision (up to 17 significant digits),
-decimal point and LF line endings regardless of locale.  Both output files
-are written to temporary names and renamed only once both are written, so a
-failed run leaves neither a partial file nor one of the pair.
+decimal point and LF line endings regardless of locale.  The output paths are
+checked before any work.  Both files are staged in ``.cdfdr-*`` directories
+beside them and committed together, never renamed onto an earlier run's files,
+so a failed run leaves no partial file and no mixed pair (:func:`_write_outputs`).
 
 Exit codes: 0 success, 2 input/configuration error (an output file that
 cannot be written included), 3 numerical failure (message carries the
@@ -18,6 +19,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import warnings
@@ -109,42 +111,53 @@ def _json_text(value, pad: str = ""):
     yield f"\n{pad}]"
 
 
+def _check_outputs(args) -> None:
+    """Refuse output paths that name one file, a directory or a file in a missing directory."""
+    if os.path.realpath(args.out) == os.path.realpath(args.curves):  # the CSV would replace it
+        raise ConfigError(f"--out and --curves name the same file {args.curves!r}")
+    for path in (args.out, args.curves):
+        if os.path.isdir(path):  # the commit would move it aside
+            raise ConfigError(f"cannot write output file {path!r}: Is a directory")
+        if not os.path.exists(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"cannot write output file {path!r}: No such file or directory")
+
+
 def _write_outputs(args, payload: dict, header: list[str], columns: list[list[str]]) -> None:
     """Write ``payload`` as JSON to ``args.out`` and the CSV of the equal-length
     text ``columns`` (one line per row) to ``args.curves``: both or neither.
 
-    Both texts go to temporary files beside their targets before either is
-    renamed into place; any failure removes every temporary file.  The JSON
-    text is written as :func:`_json_text` yields it, so it is never held whole.
+    Each text goes to ``new`` in a private ``.cdfdr-*`` stage directory beside
+    its target, as :func:`_json_text` yields it, so it is never held whole.
+    Once both are written, each existing target is renamed into its stage as
+    ``old``, and ``new`` onto the freed name.  Nothing is renamed onto an
+    existing name: on ext4 that writes the new file to disk at once, and the
+    next run waits to free its blocks.  Any failure renames everything back.
+    Each name is absent for a moment, and nothing is flushed to disk.
     """
     outputs = [(args.out, chain(_json_text(payload), "\n")),
                (args.curves, ["\n".join([",".join(header), *map(",".join, zip(*columns)), ""])])]
-    # mkstemp creates files 0600; give them the mode open() would.  The umask
-    # can only be read by setting it, so set the strictest meanwhile.
-    umask = os.umask(0o077)
-    os.umask(umask)
-    tmps: list[str] = []
+    stages: list[str] = []
+    undo: list[tuple[str, str]] = []
     try:
-        if os.path.realpath(args.out) == os.path.realpath(args.curves):  # the CSV would replace it
-            raise ConfigError(f"--out and --curves name the same file {args.curves!r}")
-        for path, _ in outputs:
-            if os.path.isdir(path):  # else it fails at its rename, after the other is in place
-                raise ConfigError(f"cannot write output file {path!r}: Is a directory")
         for path, pieces in outputs:
-            fd, tmp = tempfile.mkstemp(prefix=".cdfdr-", dir=os.path.dirname(os.path.abspath(path)))
-            tmps.append(tmp)
-            with os.fdopen(fd, "w", newline="") as handle:
+            stages.append(tempfile.mkdtemp(prefix=".cdfdr-", dir=os.path.dirname(os.path.abspath(path))))
+            with open(os.path.join(stages[-1], "new"), "w", newline="") as handle:
                 handle.writelines(pieces)
-            os.chmod(tmp, 0o666 & ~umask)
-        for tmp, (path, _) in zip(tmps, outputs):
-            os.replace(tmp, path)
+        _check_outputs(args)  # again, so a directory made meanwhile is never moved aside
+        for stage, (path, _) in zip(stages, outputs):
+            moves = [(path, os.path.join(stage, "old"))] if os.path.lexists(path) else []
+            for src, dst in moves + [(os.path.join(stage, "new"), path)]:
+                os.rename(src, dst)
+                undo.append((dst, src))
     except BaseException as exc:
-        for tmp in tmps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for src, dst in reversed(undo):
+            os.rename(src, dst)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
         raise
+    finally:
+        for stage in stages:
+            shutil.rmtree(stage)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +488,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            _check_outputs(args)
             return args.func(args)
         except _INPUT_ERRORS as exc:
             print(f"cdfdr: input error: {exc}", file=sys.stderr)

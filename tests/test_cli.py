@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file formats, determinism, round-trips."""
 
+import errno
 import json
 import math
 import os
@@ -58,6 +59,18 @@ def _model_from_report(report):
         threshold=report["coefficients"]["threshold"],
     )
     return ComparisonDensityModel(fit=fit, coeffs=coeffs), report["pi0"]["pi0_hat"]
+
+
+def _forbid_work(monkeypatch):
+    """Make the fit and the replicate run raise, for a command that must refuse first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command did its work before checking its output paths")
+    monkeypatch.setattr(cdfdr.cli, "fit_cdfdr", refuse)
+    monkeypatch.setattr(cdfdr.cli, "run_replicates", refuse)
+
+
+def _stages(directory):
+    return [p for p in directory.iterdir() if p.name.startswith(".cdfdr-")]
 
 
 @pytest.fixture
@@ -362,8 +375,9 @@ class TestFdrCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("target", ["out", "curves"])
-    def test_unwritable_output_exits_2(self, mixture_csv, tmp_path, capsys, target):
+    def test_unwritable_output_exits_2(self, mixture_csv, tmp_path, capsys, monkeypatch, target):
         csv_path, _ = mixture_csv
+        _forbid_work(monkeypatch)
         paths = {"out": tmp_path / "r.json", "curves": tmp_path / "c.csv"}
         paths[target] = tmp_path / "missing" / "x.out"
         code = main(["fdr", "--input", str(csv_path), "--column", "stat",
@@ -574,6 +588,61 @@ def test_failed_curves_write_leaves_out_as_it_was(name, earlier, mixture_csv, tm
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".cdfdr-")]
 
 
+def _spy_renames(monkeypatch, before):
+    """Call ``before(src, dst)`` ahead of every ``os.rename`` and ``os.replace``."""
+    for name in ("rename", "replace"):
+        def spy(src, dst, _real=getattr(os, name)):
+            before(os.fspath(src), os.fspath(dst))
+            return _real(src, dst)
+        monkeypatch.setattr(os, name, spy)
+
+
+def test_failed_curves_rename_restores_the_earlier_pair(mixture_csv, tmp_path, monkeypatch,
+                                                        capsys):
+    argv, _ = _command_argv("fdr-stat", mixture_csv, tmp_path)
+    out, curves = tmp_path / "out.json", tmp_path / "curves.csv"
+    out.write_text("an earlier run's report\n")
+    curves.write_text("an earlier run's curves\n")
+    failed = []
+
+    def fail_first_onto_curves(src, dst):
+        if dst == str(curves) and not failed:
+            failed.append(src)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    _spy_renames(monkeypatch, fail_first_onto_curves)
+    assert main(argv + ["--out", str(out), "--curves", str(curves)]) == 2
+    assert capsys.readouterr().err == (
+        f"cdfdr: input error: cannot write output file {str(curves)!r}: {os.strerror(errno.EIO)}\n")
+    assert failed
+    assert out.read_text() == "an earlier run's report\n"
+    assert curves.read_text() == "an earlier run's curves\n"
+    assert not _stages(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["fdr-stat", "simulate-mixunif"])
+def test_rerun_never_renames_onto_an_existing_name(name, mixture_csv, tmp_path, monkeypatch):
+    # On ext4 a rename onto an existing file writes the new file to disk at
+    # once, and the next run waits for its blocks to be freed.
+    argv, _ = _command_argv(name, mixture_csv, tmp_path)
+    fresh_out, fresh_curves = tmp_path / "fresh.json", tmp_path / "fresh.csv"
+    assert main(argv + ["--out", str(fresh_out), "--curves", str(fresh_curves)]) == 0
+    out, curves, target = tmp_path / "out.json", tmp_path / "curves.csv", tmp_path / "target"
+    target.write_text("the symlink's target\n")
+    out.symlink_to(target)
+    curves.write_text("an earlier run's curves\n")
+    onto = []
+    _spy_renames(monkeypatch, lambda src, dst: os.path.lexists(dst) and onto.append(dst))
+    for _ in range(2):
+        assert main(argv + ["--out", str(out), "--curves", str(curves)]) == 0
+        assert not out.is_symlink()
+        assert out.read_bytes() == fresh_out.read_bytes()
+        assert curves.read_bytes() == fresh_curves.read_bytes()
+    assert onto == []
+    assert target.read_text() == "the symlink's target\n"
+    assert not _stages(tmp_path)
+
+
 _scalars = (
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
     | st.text(max_size=6) | st.floats().map(np.float64)
@@ -690,8 +759,10 @@ def test_finest_grid_step_runs(command, mixture_csv, tmp_path):
 @pytest.mark.parametrize("command", ["fdr", "pi0", "simulate"])
 def test_out_and_curves_naming_one_file_exits_2(command, mixture_csv, tmp_path, monkeypatch,
                                                 capsys):
-    # Written in turn, the curves CSV would replace the report.
+    # Written in turn, the curves CSV would replace the report.  The paths are
+    # refused before the fit or the replicates run.
     monkeypatch.chdir(tmp_path)
+    _forbid_work(monkeypatch)
     before = sorted(tmp_path.iterdir())
     code = main(_tuning_argv(command, mixture_csv[0]) + ["--out", "x", "--curves", "./x"])
     assert code == 2
