@@ -27,6 +27,7 @@ from cdfdr.cli import (
     _default,
     _json_text,
     _parse_rows,
+    _records_text,
     _write_outputs,
     main,
     parse_null_spec,
@@ -67,6 +68,13 @@ def _forbid_work(monkeypatch):
         raise AssertionError("the command did its work before checking its output paths")
     monkeypatch.setattr(cdfdr.cli, "fit_cdfdr", refuse)
     monkeypatch.setattr(cdfdr.cli, "run_replicates", refuse)
+
+
+def _child_env():
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cdfdr.cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _stages(directory):
@@ -649,10 +657,23 @@ _scalars = (
     | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
 )
 _floats = st.lists(st.floats(), max_size=6)
+_texts = st.text(alphabet="a%\u00e9\u4e2d\"\\\n\x00", max_size=5)
+_field_values = [_texts, st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(), st.booleans()]
+# Lists of records that share their keys, one kind of value to a field, as
+# discoveries.cases holds them.
+_records = st.lists(
+    st.tuples(_texts, st.sampled_from(_field_values)), min_size=1, max_size=4,
+    unique_by=lambda field: field[0],
+).flatmap(lambda fields: st.lists(
+    st.tuples(*(values for _, values in fields)).map(
+        lambda row: dict(zip((key for key, _ in fields), row))),
+    max_size=5))
 _json_values = st.recursive(
     _scalars
     | _floats.map(np.array)
-    | st.lists(st.text(alphabet="a\u00e9\u4e2d\"\\\n\x00", max_size=5), max_size=5),
+    | st.lists(st.text(alphabet="a\u00e9\u4e2d\"\\\n\x00", max_size=5), max_size=5)
+    | _records,
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(st.text(max_size=4), children, max_size=4)),
     max_leaves=25,
@@ -674,6 +695,119 @@ def test_json_writer_matches_stdlib_across_blocks(items):
     assert "".join(_json_text(payload)) == json.dumps(payload, indent=1, default=_default)
 
 
+@pytest.mark.parametrize("records, template", [
+    ([{"index": 3, "id": "g3", "stat": 2.5, "pvalue": 0.00125, "fdr": 0.1},
+      {"index": 17, "id": "g\u00e917", "stat": -1e-300, "pvalue": 1.0, "fdr": 0.2}], True),
+    ([{"100%": 1.0, "%s": "x"}, {"100%": 2.0, "%s": "y"}], True),
+    ([{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}], False),
+    ([{"a": 1.0}, {"a": math.nan}], False),
+    ([{"a": 1}, {"a": 1.0}], False),
+    ([{"a": True}], False),
+    ([{"a": 1}, [1]], False),
+    ([{}], False),
+    ([], False),
+], ids=["hits", "percent-keys", "key-order", "nan", "mixed-kinds", "bool", "not-a-dict",
+        "empty-record", "empty"])
+def test_records_match_stdlib(records, template):
+    payload = {"discoveries": {"cases": records}}
+    assert "".join(_json_text(payload)) == json.dumps(payload, indent=1)
+    assert (_records_text(records, "  ") is not None) == template
+
+
+def _float_payload(n):
+    """Floats of every magnitude, nested two levels deep."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return {"outer": {"floats": floats, "after": [1]}}
+
+
+def _written_report(tmp_path, payload):
+    args = SimpleNamespace(out=str(tmp_path / "report.json"), curves=str(tmp_path / "curves.csv"))
+    _write_outputs(args, payload, ["x"], [["1.0"]])
+    return (tmp_path / "report.json").read_text()
+
+
+@pytest.mark.parametrize("n", [1, _JSON_BLOCK - 1, _JSON_BLOCK, _JSON_BLOCK + 1,
+                               3 * _JSON_BLOCK + 1])
+def test_written_report_matches_stdlib(n, tmp_path, monkeypatch):
+    # Each full block's second half is the helper's answer.
+    answers = []
+    answer = cdfdr.cli._Renderer._answer
+    monkeypatch.setattr(cdfdr.cli._Renderer, "_answer",
+                        lambda self: answers.append(answer(self)) or answers[-1])
+    payload = _float_payload(n)
+    text = _written_report(tmp_path, payload)
+    assert text == json.dumps(payload, indent=1, default=_default) + "\n"
+    assert len(answers) == n // _JSON_BLOCK
+    assert None not in answers
+
+
+_FAILING_HELPERS = {
+    "exits-at-once": "",
+    # Answers the first block in full, then sends half of the second answer.
+    "dies-mid-stream": """
+import sys
+from array import array
+read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
+for cut in (1, 2):
+    count, size = array("q", read(16))
+    sep = read(size).decode()
+    text = sep.join(map(float.__repr__, array("d", read(8 * count)).tolist())).encode()
+    write(array("q", [len(text)]).tobytes() + text[:len(text) // cut])
+    sys.stdout.buffer.flush()
+""",
+}
+
+
+@pytest.mark.parametrize("helper", list(_FAILING_HELPERS))
+def test_failing_helper_leaves_the_same_bytes(helper, tmp_path, monkeypatch):
+    script = tmp_path / "helper.py"
+    script.write_text(_FAILING_HELPERS[helper])
+    monkeypatch.setattr(cdfdr.cli, "_RENDER", str(script))
+    payload = _float_payload(3 * _JSON_BLOCK + 1)
+    assert _written_report(tmp_path, payload) == json.dumps(payload, indent=1,
+                                                             default=_default) + "\n"
+    assert not _stages(tmp_path)
+
+
+def test_error_mid_write_leaves_no_stage_and_no_helper(tmp_path):
+    """A write that fails while the helper holds a block exits 2, removes its
+    stages and reaps the helper.  It runs in a child interpreter with a
+    timeout, so that a deadlock fails the test instead of hanging the suite."""
+    rng = np.random.Generator(np.random.Philox(23))
+    csv_path = tmp_path / "in.csv"
+    _write_stats_csv(csv_path, rng.normal(0, 1, _JSON_BLOCK + 1))
+    out, curves = tmp_path / "out.json", tmp_path / "curves.csv"
+    code = (
+        "import errno, os, sys\n"
+        "import cdfdr.cli\n"
+        "real, halves = cdfdr.cli._float_text, []\n"
+        "def fail_on_second_half(values):\n"
+        "    if len(values) == cdfdr.cli._JSON_BLOCK // 2:\n"
+        "        halves.append(values)\n"
+        "        if len(halves) == 2:\n"
+        "            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))\n"
+        "    return real(values)\n"
+        "cdfdr.cli._float_text = fail_on_second_half\n"
+        "code = cdfdr.cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print(code, 'no child')\n"
+        "else:\n"
+        "    print(code, 'a child is left')\n"
+    )
+    env = _child_env()
+    run = subprocess.run([sys.executable, "-c", code, "fdr", "--input", str(csv_path),
+                          "--column", "stat", "--out", str(out), "--curves", str(curves)],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout == "2 no child\n"
+    assert run.stderr == (f"cdfdr: input error: cannot write output file {str(out)!r}: "
+                          f"{os.strerror(errno.ENOSPC)}\n")
+    assert not out.exists() and not curves.exists()
+    assert not _stages(tmp_path)
+
+
 def test_report_is_streamed(tmp_path):
     """The text held while report.json is written stays well below its size."""
     n = 300_000
@@ -692,22 +826,29 @@ def test_report_is_streamed(tmp_path):
 
 
 def test_fdr_run_leaves_slow_imports_alone(tmp_path):
-    """A fresh `cdfdr fdr` run on tied densities imports neither the process
-    pool (only parallel simulations use it) nor numpy.ma."""
+    """A fresh `cdfdr fdr` run on tied densities imports neither a process
+    pool nor numpy.ma, and the helper that renders half of each full float
+    block imports no numpy."""
     rng = np.random.Generator(np.random.Philox(17))
     stats = np.round(np.concatenate([rng.normal(0, 1, 900), rng.normal(3, 1, 100)]), 1)
     csv_path = tmp_path / "ties.csv"
     _write_stats_csv(csv_path, stats)
     argv = ["fdr", "--input", str(csv_path), "--column", "stat",
             "--out", str(tmp_path / "out.json"), "--curves", str(tmp_path / "curves.csv")]
-    code = ("import sys\nimport cdfdr.cli\ncode = cdfdr.cli.main(sys.argv[1:])\n"
-            "print(code, sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
-    src = os.path.dirname(os.path.dirname(cdfdr.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\nimport cdfdr.cli\ncode = cdfdr.cli.main(sys.argv[1:])\nprint(code, "
+            "sorted({'concurrent.futures', 'multiprocessing', 'numpy.ma'} & set(sys.modules)))")
+    env = _child_env()
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "0 []\n"
+    # The helper runs here where numpy is importable, and answers one request.
+    helper = ("import runpy, sys\nrunpy.run_path(sys.argv[1], run_name='__main__')\n"
+              "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('numpy'))))")
+    request = np.array([2, 2], dtype=np.int64).tobytes() + b", " + np.array([0.1, -2e300]).tobytes()
+    run = subprocess.run([sys.executable, "-c", helper, cdfdr.cli._RENDER], input=request,
+                         env=env, capture_output=True, check=True)
+    assert run.stdout == np.array([12], dtype=np.int64).tobytes() + b"0.1, -2e+300"
+    assert run.stderr == b"[]"
 
 
 def _tuning_argv(command, csv_path):
