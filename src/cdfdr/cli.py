@@ -2,14 +2,10 @@
 
 Outputs are a structured JSON report plus plot-ready CSV curves.  Floats are
 serialized with shortest round-trip precision (up to 17 significant digits),
-decimal point and LF line endings regardless of locale.  A helper process
-(``_render.py``, standard library only) renders the second half of each full
-block of 65,536 report floats on another core while the CLI renders the first;
-the bytes are the same as without it, and on one CPU it costs no measurable
-time.  The output paths are checked before any work.  Both files are staged in
-``.cdfdr-*`` directories beside them and committed together, never renamed
-onto an earlier run's files, so a failed run leaves no partial file and no
-mixed pair (:func:`_write_outputs`).
+decimal point and LF line endings regardless of locale.  The output paths are
+checked before any work.  Both files are staged in ``.cdfdr-*`` directories
+beside them and committed together, never renamed onto an earlier run's files,
+so a failed run leaves no partial file and no mixed pair (:func:`_write_outputs`).
 
 Exit codes: 0 success, 2 input/configuration error (an output file that
 cannot be written included), 3 numerical failure (message carries the
@@ -64,9 +60,6 @@ _INPUT_ERRORS = (InputError, ConfigError, InsufficientDataError, DegenerateSampl
 # so the text held while it is written does not grow with the number of cases.
 _JSON_BLOCK = 65_536
 
-# The script that renders the second half of each full float block (_Renderer).
-_RENDER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_render.py")
-
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -83,66 +76,6 @@ def _join_floats(sep: str, block) -> str:
 
 def _join_strings(sep: str, block) -> str:
     return sep.join(map(encode_basestring_ascii, block))
-
-
-class _Renderer:
-    """Joins the text of float blocks as :func:`_join_floats` does, with the
-    second half of each full :data:`_JSON_BLOCK` block rendered on another
-    core by the ``_render.py`` script, which the first full block starts.
-
-    A helper that cannot start, exits or answers short is asked nothing more,
-    and the halves it did not render are rendered here, so the text is the
-    same either way.  :meth:`close` kills and reaps it.
-    """
-
-    def __init__(self) -> None:
-        self._proc = None  # the helper, once the first full block starts it
-        self._broken = not sys.executable  # no interpreter to start it with
-
-    def join(self, sep: str, block) -> str:
-        half = _JSON_BLOCK // 2
-        if len(block) < _JSON_BLOCK or not self._ask(sep, block[half:]):
-            return _join_floats(sep, block)
-        first = _join_floats(sep, block[:half])
-        second = self._answer()
-        if second is None:
-            second = _join_floats(sep, block[half:])
-        return f"{first}{sep}{second}"
-
-    def _ask(self, sep: str, block) -> bool:
-        """Send the helper ``block``, starting it first if need be; False if it cannot take it."""
-        if self._broken:
-            return False
-        data = sep.encode()
-        try:
-            if self._proc is None:
-                import subprocess  # here, so that importing the CLI does not pay for it
-                self._proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", _RENDER], stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-            self._proc.stdin.write(np.array([len(block), len(data)], dtype=np.int64).tobytes() + data)
-            self._proc.stdin.write(block.tobytes())
-            self._proc.stdin.flush()
-        except OSError:
-            self._broken = True
-        return not self._broken
-
-    def _answer(self) -> str | None:
-        """The helper's text of the block last sent, or None if it answers short."""
-        head = self._proc.stdout.read(8)
-        if len(head) == 8:
-            size = int(np.frombuffer(head, dtype=np.int64)[0])
-            text = self._proc.stdout.read(size)
-            if len(text) == size:
-                return text.decode()
-        self._broken = True
-        return None
-
-    def close(self) -> None:
-        """Kill the helper, if one was started, close its pipes and reap it."""
-        if self._proc is not None:
-            self._proc.kill()  # first, so that nothing waits on a helper that reads no more
-            self._proc.communicate()
 
 
 def _default(obj):
@@ -182,28 +115,28 @@ def _records_text(records: list, pad: str) -> str | None:
     return f"[\n{inner}" + (",\n" + inner).join(map(template.__mod__, zip(*columns))) + f"\n{pad}]"
 
 
-def _json_text(value, join_floats=_join_floats, pad: str = ""):
+def _json_text(value, pad: str = ""):
     """The text of ``json.dumps(value, indent=1, default=_default)`` in pieces,
     nested ``len(pad)`` levels deep.
 
     Dicts with string keys, lists of strings and 1-d float64 arrays are written
-    here, an array or list :data:`_JSON_BLOCK` items at a time, each float block
-    joined by ``join_floats(sep, block)``; lists of like records go through
-    :func:`_records_text`; everything else is left to ``json.dumps``.  ``json``
-    writes non-finite floats as ``NaN``/``Infinity`` where ``repr`` writes
-    ``nan``/``inf``, so an array holding one is left to ``json.dumps`` too.
+    here, an array or list :data:`_JSON_BLOCK` items at a time; lists of like
+    records go through :func:`_records_text`; everything else is left to
+    ``json.dumps``.  ``json`` writes non-finite floats as ``NaN``/``Infinity``
+    where ``repr`` writes ``nan``/``inf``, so an array holding one is left to
+    ``json.dumps`` too.
     """
     inner = pad + " "
     if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
             and value.size and np.isfinite(value).all()):
-        join = join_floats
+        join = _join_floats
     elif type(value) is list and set(map(type, value)) == {str}:
         join = _join_strings
     elif type(value) is dict and value and all(type(key) is str for key in value):
         sep = "{\n" + inner
         for key, item in value.items():
             yield f"{sep}{encode_basestring_ascii(key)}: "
-            yield from _json_text(item, join_floats, inner)
+            yield from _json_text(item, inner)
             sep = ",\n" + inner
         yield f"\n{pad}}}"
         return
@@ -239,14 +172,8 @@ def _write_outputs(args, payload: dict, header: list[str], columns: list[list[st
     existing name: on ext4 that writes the new file to disk at once, and the
     next run waits to free its blocks.  Any failure renames everything back.
     Each name is absent for a moment, and nothing is flushed to disk.
-
-    A helper process (:class:`_Renderer`) renders the second half of each full
-    :data:`_JSON_BLOCK` float block on another core while this one renders the
-    first; the bytes are the same as with no helper.  The ``finally`` kills
-    and reaps it before the stages are removed, so no helper outlives the call.
     """
-    renderer = _Renderer()
-    outputs = [(args.out, chain(_json_text(payload, renderer.join), "\n")),
+    outputs = [(args.out, chain(_json_text(payload), "\n")),
                (args.curves, ["\n".join([",".join(header), *map(",".join, zip(*columns)), ""])])]
     stages: list[str] = []
     undo: list[tuple[str, str]] = []
@@ -268,7 +195,6 @@ def _write_outputs(args, payload: dict, header: list[str], columns: list[list[st
             raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
         raise
     finally:
-        renderer.close()
         for stage in stages:
             shutil.rmtree(stage)
 
@@ -416,10 +342,11 @@ def cmd_fdr(args) -> int:
     hits = disc.indices
     diag_f1 = None if model.pi0 >= 1.0 else integrate_nonnull_density(model)
     report = {
-        "config": _config_echo(args, [
-            "input", "column", "null", "transform", "df",
+        # The input's base name, so the bytes do not depend on its directory.
+        "config": {"input": os.path.basename(args.input), **_config_echo(args, [
+            "column", "null", "transform", "df",
             "m_density", "m_mdc", "lambda_step", "fdr_threshold",
-        ]),
+        ])},
         "n": fit.n,
         "beta_fit": {
             "alpha": fit.alpha,
@@ -457,9 +384,7 @@ def cmd_fdr(args) -> int:
         },
         "cases": {
             "id": ids,
-            "stat": model.stats,
             "pvalue": fitted.u,
-            "smooth_pvalue": fitted.v,
             "d_hat": fitted.d,
             "fdr": fitted.fdr,
         },

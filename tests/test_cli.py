@@ -34,7 +34,7 @@ from cdfdr.cli import (
     read_input_table,
 )
 from cdfdr.errors import ConfigError, InputError
-from cdfdr.pipeline import NullSpec, fit_cdfdr, local_fdr_many
+from cdfdr.pipeline import NullSpec, fit_cdfdr, local_fdr_many, t_to_z, to_pvalues
 
 
 def _write_stats_csv(path, values, ids=None, column="stat"):
@@ -259,8 +259,10 @@ class TestFdrCommand:
         disc = report["discoveries"]
         assert disc["n_discoveries"] == disc["n_left"] + disc["n_right"]
         cases = report["cases"]
-        for key in ("id", "stat", "pvalue", "smooth_pvalue", "d_hat", "fdr"):
-            assert len(cases[key]) == stats.size
+        assert list(cases) == ["id", "pvalue", "d_hat", "fdr"]
+        for column in cases.values():
+            assert len(column) == stats.size
+        assert report["config"]["input"] == "stats.csv"
 
     def test_discoveries_follow_case_fdr(self, mixture_csv, tmp_path):
         csv_path, _ = mixture_csv
@@ -300,6 +302,17 @@ class TestFdrCommand:
         _, out2, curves2 = self._run(csv_path, tmp_path)
         assert (out2.read_bytes(), curves2.read_bytes()) == first
 
+    def test_report_does_not_depend_on_the_input_directory(self, mixture_csv, tmp_path):
+        csv_path, _ = mixture_csv
+        _, out, _ = self._run(csv_path, tmp_path)
+        first = out.read_bytes()
+        elsewhere = tmp_path / "a" / "longer" / "directory"
+        elsewhere.mkdir(parents=True)
+        moved = elsewhere / csv_path.name
+        moved.write_bytes(csv_path.read_bytes())
+        _, out, _ = self._run(moved, tmp_path)
+        assert out.read_bytes() == first
+
     def test_pvalue_column_mode(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(77))
         pvals = rng.random(1500)
@@ -313,13 +326,14 @@ class TestFdrCommand:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["cases"]["stat"] is None
+        assert list(report["cases"]) == ["id", "pvalue", "d_hat", "fdr"]
+        assert report["cases"]["pvalue"] == pvals.tolist()
         first_row = curves.read_text().strip().split("\n")[1]
         assert first_row.startswith(",")
 
     def test_t_to_z_preprocessing(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(78))
-        t = rng.standard_t(100, size=1500)
+        t = np.concatenate([rng.standard_t(100, size=1350), rng.standard_t(100, size=150) + 3.5])
         path = tmp_path / "t.csv"
         _write_stats_csv(path, t)
         out = tmp_path / "r.json"
@@ -330,10 +344,13 @@ class TestFdrCommand:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        # Reported stats are the z-converted values.
-        zs = np.array(report["cases"]["stat"])
-        assert np.max(np.abs(zs - t)) < 0.5
-        assert not np.array_equal(zs, t)
+        # The p-values and the discoveries' stats are those of the z-converted values.
+        z = t_to_z(t, 100)
+        pvalues = np.array(report["cases"]["pvalue"])
+        assert pvalues.tobytes() == to_pvalues(z, NullSpec.standard_normal()).tobytes()
+        disc = report["discoveries"]
+        assert disc["indices"]
+        assert [case["stat"] for case in disc["cases"]] == z[disc["indices"]].tolist()
 
     def test_out_of_range_pvalue_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
@@ -546,6 +563,20 @@ def test_curves_evaluate_the_fitted_model(name, mixture_csv, tmp_path):
     assert fdr.tobytes() == np.minimum(pi0 / expected, 1.0).tobytes()
 
 
+@pytest.mark.parametrize("name", ["fdr-stat", "fdr-pvalue"])
+def test_smooth_pvalues_follow_from_the_report(name, mixture_csv, tmp_path):
+    # v is not written: the report's p-values and beta fit give it bit for bit.
+    out, _, _ = _run_command(name, mixture_csv, tmp_path)
+    report = json.loads(out.read_text())
+    argv, _ = _command_argv(name, mixture_csv, tmp_path)
+    column = argv[argv.index("--column") + 1]
+    _, values = read_input_table(argv[argv.index("--input") + 1], column)
+    null = NullSpec.standard_normal() if column == "stat" else NullSpec.precomputed()
+    model, _ = _model_from_report(report)
+    v = smooth_pvalues(np.array(report["cases"]["pvalue"]), model.fit)
+    assert v.tobytes() == fit_cdfdr(values, null).fitted.v.tobytes()
+
+
 def test_floor_hits_count_the_floored_cases(tmp_path):
     # A sparse bump at 0.6 beside signal near 0 drives the 16-term series
     # below the floor at some fitted cases.
@@ -729,50 +760,15 @@ def _written_report(tmp_path, payload):
 
 @pytest.mark.parametrize("n", [1, _JSON_BLOCK - 1, _JSON_BLOCK, _JSON_BLOCK + 1,
                                3 * _JSON_BLOCK + 1])
-def test_written_report_matches_stdlib(n, tmp_path, monkeypatch):
-    # Each full block's second half is the helper's answer.
-    answers = []
-    answer = cdfdr.cli._Renderer._answer
-    monkeypatch.setattr(cdfdr.cli._Renderer, "_answer",
-                        lambda self: answers.append(answer(self)) or answers[-1])
+def test_written_report_matches_stdlib(n, tmp_path):
     payload = _float_payload(n)
     text = _written_report(tmp_path, payload)
     assert text == json.dumps(payload, indent=1, default=_default) + "\n"
-    assert len(answers) == n // _JSON_BLOCK
-    assert None not in answers
-
-
-_FAILING_HELPERS = {
-    "exits-at-once": "",
-    # Answers the first block in full, then sends half of the second answer.
-    "dies-mid-stream": """
-import sys
-from array import array
-read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
-for cut in (1, 2):
-    count, size = array("q", read(16))
-    sep = read(size).decode()
-    text = sep.join(map(float.__repr__, array("d", read(8 * count)).tolist())).encode()
-    write(array("q", [len(text)]).tobytes() + text[:len(text) // cut])
-    sys.stdout.buffer.flush()
-""",
-}
-
-
-@pytest.mark.parametrize("helper", list(_FAILING_HELPERS))
-def test_failing_helper_leaves_the_same_bytes(helper, tmp_path, monkeypatch):
-    script = tmp_path / "helper.py"
-    script.write_text(_FAILING_HELPERS[helper])
-    monkeypatch.setattr(cdfdr.cli, "_RENDER", str(script))
-    payload = _float_payload(3 * _JSON_BLOCK + 1)
-    assert _written_report(tmp_path, payload) == json.dumps(payload, indent=1,
-                                                             default=_default) + "\n"
-    assert not _stages(tmp_path)
 
 
 def test_error_mid_write_leaves_no_stage_and_no_helper(tmp_path):
-    """A write that fails while the helper holds a block exits 2, removes its
-    stages and reaps the helper.  It runs in a child interpreter with a
+    """A write that fails on the second full float block exits 2, removes its
+    stages and leaves no child process.  It runs in a child interpreter with a
     timeout, so that a deadlock fails the test instead of hanging the suite."""
     rng = np.random.Generator(np.random.Philox(23))
     csv_path = tmp_path / "in.csv"
@@ -781,14 +777,14 @@ def test_error_mid_write_leaves_no_stage_and_no_helper(tmp_path):
     code = (
         "import errno, os, sys\n"
         "import cdfdr.cli\n"
-        "real, halves = cdfdr.cli._float_text, []\n"
-        "def fail_on_second_half(values):\n"
-        "    if len(values) == cdfdr.cli._JSON_BLOCK // 2:\n"
-        "        halves.append(values)\n"
-        "        if len(halves) == 2:\n"
+        "real, blocks = cdfdr.cli._float_text, []\n"
+        "def fail_on_second_block(values):\n"
+        "    if len(values) == cdfdr.cli._JSON_BLOCK:\n"
+        "        blocks.append(values)\n"
+        "        if len(blocks) == 2:\n"
         "            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))\n"
         "    return real(values)\n"
-        "cdfdr.cli._float_text = fail_on_second_half\n"
+        "cdfdr.cli._float_text = fail_on_second_block\n"
         "code = cdfdr.cli.main(sys.argv[1:])\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
@@ -810,11 +806,10 @@ def test_error_mid_write_leaves_no_stage_and_no_helper(tmp_path):
 
 def test_report_is_streamed(tmp_path):
     """The text held while report.json is written stays well below its size."""
-    n = 300_000
+    n = 480_000  # about the bytes of the five float columns at 300,000 cases
     rng = np.random.default_rng(7)
     payload = {"cases": {"id": [f"c{i:06d}" for i in range(n)],
-                         **{key: rng.random(n) for key in ("stat", "pvalue", "smooth_pvalue",
-                                                           "d_hat", "fdr")}}}
+                         **{key: rng.random(n) for key in ("pvalue", "d_hat", "fdr")}}}
     args = SimpleNamespace(out=str(tmp_path / "report.json"), curves=str(tmp_path / "curves.csv"))
     tracemalloc.start()
     try:
@@ -826,29 +821,21 @@ def test_report_is_streamed(tmp_path):
 
 
 def test_fdr_run_leaves_slow_imports_alone(tmp_path):
-    """A fresh `cdfdr fdr` run on tied densities imports neither a process
-    pool nor numpy.ma, and the helper that renders half of each full float
-    block imports no numpy."""
+    """A fresh `cdfdr fdr` run on tied densities, with more than one full block
+    of report floats, imports neither a process pool, subprocess nor numpy.ma."""
     rng = np.random.Generator(np.random.Philox(17))
-    stats = np.round(np.concatenate([rng.normal(0, 1, 900), rng.normal(3, 1, 100)]), 1)
+    stats = np.round(np.concatenate([rng.normal(0, 1, 59_000), rng.normal(3, 1, 6_600)]), 1)
+    assert stats.size >= _JSON_BLOCK + 1
     csv_path = tmp_path / "ties.csv"
     _write_stats_csv(csv_path, stats)
     argv = ["fdr", "--input", str(csv_path), "--column", "stat",
             "--out", str(tmp_path / "out.json"), "--curves", str(tmp_path / "curves.csv")]
     code = ("import sys\nimport cdfdr.cli\ncode = cdfdr.cli.main(sys.argv[1:])\nprint(code, "
-            "sorted({'concurrent.futures', 'multiprocessing', 'numpy.ma'} & set(sys.modules)))")
-    env = _child_env()
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+            "sorted({'concurrent.futures', 'multiprocessing', 'numpy.ma', 'subprocess'}"
+            " & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
                          capture_output=True, text=True, check=True)
     assert run.stdout == "0 []\n"
-    # The helper runs here where numpy is importable, and answers one request.
-    helper = ("import runpy, sys\nrunpy.run_path(sys.argv[1], run_name='__main__')\n"
-              "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('numpy'))))")
-    request = np.array([2, 2], dtype=np.int64).tobytes() + b", " + np.array([0.1, -2e300]).tobytes()
-    run = subprocess.run([sys.executable, "-c", helper, cdfdr.cli._RENDER], input=request,
-                         env=env, capture_output=True, check=True)
-    assert run.stdout == np.array([12], dtype=np.int64).tobytes() + b"0.1, -2e+300"
-    assert run.stderr == b"[]"
 
 
 def _tuning_argv(command, csv_path):
