@@ -153,17 +153,10 @@ def eval_comparison_density_many(model: ComparisonDensityModel, u) -> np.ndarray
     u is clamped to the fit's range (the beta fit's 1e-10 clamp), so an
     endpoint evaluates at its clamped point.
     """
-    return _smooth_and_density(model, u)[1]
-
-
-def _smooth_and_density(model: ComparisonDensityModel, u) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth p-values v = F_B(u) and the floored density at each u, from one
-    incomplete-beta pass; the density is :func:`eval_comparison_density_many`'s."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not _within(u):
         raise DomainError("u must lie in [0, 1]")
-    v = smooth_pvalues(u, model.fit)
-    return v, _floored_density(model, u, v)
+    return _floored_density(model, u, smooth_pvalues(u, model.fit))
 
 
 def integrate_comparison_density(model: ComparisonDensityModel) -> float:

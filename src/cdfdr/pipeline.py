@@ -19,7 +19,6 @@ from .betafit import BetaFit, fit_beta_mle, smooth_pvalues
 from .density import (
     ComparisonDensityModel,
     _floored_density,
-    _smooth_and_density,
     comparison_density_raw_many,
     comparison_density_raw_reflected_many,
     score_coefficients,
@@ -175,7 +174,6 @@ class CdfrModel:
 
     null_spec: NullSpec
     cd_model: ComparisonDensityModel
-    pi0: float
     deviance_path: DeviancePath
     transform_mode: str
     stats: np.ndarray | None = field(repr=False, default=None)
@@ -184,6 +182,10 @@ class CdfrModel:
     @property
     def beta_fit(self) -> BetaFit:
         return self.cd_model.fit
+
+    @property
+    def pi0(self) -> float:
+        return self.deviance_path.pi0_hat
 
 
 def t_to_z(t_stats, df: float) -> np.ndarray:
@@ -292,7 +294,6 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
     return CdfrModel(
         null_spec=null_spec,
         cd_model=cd_model,
-        pi0=path.pi0_hat,
         deviance_path=path,
         transform_mode=mode,
         stats=stats,
@@ -314,7 +315,7 @@ def evaluate(model: CdfrModel, t) -> Evaluation:
     A query equal bit for bit to the fitted data (the statistics, or the
     p-values for a ``precomputed_pvalues`` null) returns ``model.fitted``,
     which holds exactly what a fresh evaluation gives; any other query is
-    transformed and evaluated afresh, with one incomplete-beta pass.
+    transformed and evaluated afresh by the fit's own steps 3 and 4.
     """
     q = np.asarray(t, dtype=float)
     fitted = model.fitted
@@ -324,7 +325,8 @@ def evaluate(model: CdfrModel, t) -> Evaluation:
                 and np.array_equal(q.view(np.uint64), data.view(np.uint64))):
             return fitted
     u = to_pvalues(q, model.null_spec, model.transform_mode)
-    return _evaluation(model.pi0, u, *_smooth_and_density(model.cd_model, u))
+    v = smooth_pvalues(u, model.beta_fit)
+    return _evaluation(model.pi0, u, v, _floored_density(model.cd_model, u, v))
 
 
 def local_fdr_many(model: CdfrModel, t) -> np.ndarray:

@@ -7,14 +7,16 @@ The normal, t and beta kernels walk their arrays ``_BLOCK`` lanes at a time,
 all through :func:`_blocks`, so that beyond block-sized scratch they allocate
 little more than their result; the incomplete beta's continued fraction solves
 each gathered block across both sides of the symmetry pivot and retires its
-converged lanes.  The t CDF has two regions: from df 30 on, where t^2 <= 3 df/7,
-the asymptotic expansion BGRAT (DiDonato & Morris 1992), within 5e-15 relative
-of mpmath at df 30 and 100, 3.5e-14 at df 867.5 and 2 ulp of 1/2 near t = 0;
-elsewhere the continued fraction, within about 2e-13 relative in the far
-tails.  Every elementary function is a numpy ufunc on an array:
-the exp of a normal tail or density takes an exactly split square, and the t
-density's exponent is compensated, so that neither rounds its argument.  The
-gamma family serves the scalar Newton fit of the beta shapes and stays scalar.
+converged lanes.  The t CDF solves each block's fraction lanes in that
+block; ``beta_cdf_many`` runs its lanes in side order (see there).  The t CDF
+has two regions: from df 30 on, where t^2 <= 3 df/7, the asymptotic expansion
+BGRAT (DiDonato & Morris 1992), within 5e-15 relative of mpmath at df 30 and
+100, 3.5e-14 at df 867.5 and 2 ulp of 1/2 near t = 0; elsewhere the continued
+fraction, within about 2e-13 relative in the far tails.  Every elementary
+function is a numpy ufunc on an array: the exp of a normal tail or density
+takes an exactly split square, and the t density's exponent is compensated,
+so that neither rounds its argument.  The gamma family serves the scalar
+Newton fit of the beta shapes and stays scalar.
 
 No probability clamping happens here: these primitives are exact over their
 domains, and callers clamp at their own named clamp points.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -481,38 +483,29 @@ def _clamp_tiny(y: np.ndarray, scratch: np.ndarray) -> None:
         np.copyto(y, _CF_FPMIN, where=scratch < _CF_FPMIN)
 
 
-def _betainc_lanes(alpha: float, beta: float, lanes: np.ndarray, n_lo: int,
-                   pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   log_b: float, out: np.ndarray) -> None:
-    """Write I_x(alpha, beta) into the flat ``out`` at ``lanes``, whose first
-    ``n_lo`` lie below the symmetry pivot (alpha+1)/(alpha+beta+2).
+def _betainc(alpha: float, beta: float, x: np.ndarray, xc: np.ndarray, cut: int,
+             log_b: float) -> np.ndarray:
+    """I_x(alpha, beta) at the gathered 1-d lanes ``x`` (overwritten), the
+    first ``cut`` below the pivot (alpha+1)/(alpha+beta+2), with xc = 1 - x
+    (exact from the t CDF, as t^2/(df+t^2)) and ``log_b`` = log B(alpha, beta).
 
-    ``pair(idx)`` returns x and its complement xc = 1 - x at the lanes
-    ``idx``: a caller that knows the complement exactly (the t CDF, where x
-    and xc are the two ratios df/(df+t^2) and t^2/(df+t^2)) forms it without
-    the cancellation of 1 - x near 1.  ``log_b`` is log B(alpha, beta).  The
-    symmetry switch keeps the continued fraction in its fast-converging
-    regime on both sides: one fraction runs I_x(alpha, beta) below the pivot
-    and I_xc(beta, alpha) at and above it.  The lanes run in that side
-    order, the slow ones below the pivot first, in blocks (:func:`_blocks`)
-    that are gathered, solved and scattered into ``out``.  The front factor
-    x^alpha xc^beta / B(alpha, beta) is 0 at x = 0 and at xc = 0, which
-    gives exactly 0.0 and 1.0 there.
+    One fraction runs I_x(alpha, beta) below the pivot and I_xc(beta, alpha)
+    at and above it.  A lane whose front factor x^alpha xc^beta / B is
+    exactly 0 (at x = 0, xc = 0 or by underflow at large shapes, where the
+    fraction's terms can overflow) is 0.0 below the pivot and 1.0 above it.
     """
-    for (idx,) in _blocks(lanes):
-        # The block's below-pivot lanes come first: ``cut`` of the ``n_lo`` left.
-        cut = min(n_lo, idx.size)
-        n_lo -= cut
-        xg, xcg = pair(idx)
-        with np.errstate(divide="ignore"):
-            front = np.exp(alpha * np.log(xg) + beta * np.log(xcg) - log_b)
-        xg[cut:] = xcg[cut:]
-        value = _betacf_many(alpha, beta, xg, cut)
-        value *= front
-        value[:cut] /= alpha
-        value[cut:] /= beta
-        np.subtract(1.0, value[cut:], out=value[cut:])
-        out[idx] = value
+    with np.errstate(divide="ignore"):
+        value = np.exp(alpha * np.log(x) + beta * np.log(xc) - log_b)
+    x[cut:] = xc[cut:]
+    live = np.flatnonzero(value)
+    if live.size == value.size:
+        value *= _betacf_many(alpha, beta, x, cut)
+    elif live.size:
+        value[live] *= _betacf_many(alpha, beta, x[live], int(np.searchsorted(live, cut)))
+    value[:cut] /= alpha
+    value[cut:] /= beta
+    np.subtract(1.0, value[cut:], out=value[cut:])
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +547,22 @@ def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
     flat = u.ravel()
     below = flat < (alpha + 1.0) / (alpha + beta + 2.0)
     n_lo = int(np.count_nonzero(below))
+    # The lanes run in side order, below the pivot first, so that only one
+    # block holds both sides.  Solving each block's lanes where they lie, as
+    # the t CDF does with its few tail lanes, read 5-7% slower and 4.5%
+    # higher in peak RSS on the lib-t-500k benchmark.
     lanes = np.empty(flat.size, dtype=np.intp)
     lanes[:n_lo] = np.flatnonzero(below)
     lanes[n_lo:] = np.flatnonzero(np.logical_not(below, out=below))
     out = np.empty(u.shape)
-
-    def pair(idx):
+    flat_out = out.reshape(-1)
+    log_b = log_beta(alpha, beta)
+    for (idx,) in _blocks(lanes):
+        # The block's below-pivot lanes come first: ``cut`` of the ``n_lo`` left.
+        cut = min(n_lo, idx.size)
+        n_lo -= cut
         x = flat[idx]
-        return x, 1.0 - x
-
-    _betainc_lanes(alpha, beta, lanes, n_lo, pair, log_beta(alpha, beta), out.reshape(-1))
+        flat_out[idx] = _betainc(alpha, beta, x, 1.0 - x, cut, log_b)
     return out
 
 
@@ -622,7 +621,8 @@ def _bgrat_half(a: float, yc: np.ndarray) -> np.ndarray:
     log_y = np.log1p(-yc)
     z = log_y * -nu
     e = np.exp(-z)
-    s = np.sqrt(z + z)
+    # Capped where e^-z is already exactly 0, so that Cody's ratio stays finite.
+    s = np.minimum(np.sqrt(z + z), _Z_ZERO_TAIL)
     j = _anorm_ratio(s)
     j *= e
     centre = np.flatnonzero(s <= _ANORM_CENTRE)
@@ -648,7 +648,9 @@ def _bgrat_half(a: float, yc: np.ndarray) -> np.ndarray:
         live = np.greater(np.abs(term, out=term), np.multiply(total, _BGRAT_EPS, out=scratch))
         if not live.any():
             break
-    total *= math.exp(_log_t_scale(2.0 * a) + 0.5 * math.log(2.0 * a * math.pi / nu))
+    # 2 a pi overflows from df 5.7e307 on; there nu = a.
+    ratio = 2.0 * a * math.pi / nu if a < 2.8e307 else 2.0 * math.pi
+    total *= math.exp(_log_t_scale(2.0 * a) + 0.5 * math.log(ratio))
     # Near z = 0 the sum can round above 1, which the value never exceeds.
     np.minimum(total, 1.0, out=total)
     total[yc == 0.0] = 1.0
@@ -667,17 +669,19 @@ def _t_ratios(t: np.ndarray, df: float) -> tuple[np.ndarray, np.ndarray]:
 def student_t_cdf_many(t, df: float) -> np.ndarray:
     """Student-t distribution function at each t; monotone in t, any real df > 0.
 
-    The lower-tail mass is I_y(df/2, 1/2)/2 with y = df/(df+t^2); y and its
-    complement t^2/(df+t^2) are formed directly from t, a block at a time
-    (:func:`_blocks`), so the tail keeps full relative accuracy at every
-    scale.  From df = 30 on, the lanes with y >= 0.7 (t^2 <= 3 df/7) take
+    The lower-tail mass is I_y(df/2, 1/2)/2 with y = df/(df+t^2).  One walk
+    (:func:`_blocks`) forms y and 1 - y = t^2/(df+t^2) from t directly (so
+    the tail keeps full relative accuracy) and evaluates, halves and reflects
+    each block.  From df = 30 on, lanes with y >= 0.7 (t^2 <= 3 df/7) take
     the asymptotic expansion BGRAT (:func:`_bgrat_half`).  Against mpmath on
     t in [-0.65 sqrt(df), 0) it is within 1.6e-15 relative at df 30, 4.9e-15
     at df 100 and 3.5e-14 at df 867.5 (about t^2 ulp, the size of the
     rounding of t itself), and within 2 ulp of 1/2 near t = 0.  Every other
-    lane takes the continued fraction, whose normalizer log B(df/2, 1/2)
-    comes from :func:`_log_t_scale` from df = 16 on; in the far tails it is
-    within about 2e-13 relative.  At t = +-0 the value is exactly 1/2.
+    lane takes the continued fraction (:func:`_betainc`), solved in its own
+    block, below the pivot first; its normalizer log B(df/2, 1/2) comes from
+    :func:`_log_t_scale` from df = 16 on; in the far tails it is within
+    about 2e-13 relative.  At t = +-0 the value is exactly 1/2, and at every
+    finite df and t the value is finite, with no numpy warning.
     A one-ulp step of t moves the tail by about t^2 ulps; where that is below
     the rounding (near t^2 = 3 df/7 at df 30 to 100, say), two adjacent floats
     can fall by a few ulps.  At steps of 8 ulps it is nondecreasing across
@@ -688,27 +692,21 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
     a = 0.5 * df
     pivot = (a + 1.0) / (a + 2.5)
     y_bgrat = _BGRAT_MIN_Y if a >= _BGRAT_MIN_A else math.inf
+    log_b = log_beta(a, 0.5) if df < _T_SCALE_MIN_DF else -_log_t_scale(df) - 0.5 * math.log(df)
     out = np.empty(t.shape)
-    # Each block's continued-fraction lanes, below its pivot and at or above it.
-    below: list[np.ndarray] = []
-    above: list[np.ndarray] = []
-    for k, (tb, ob) in enumerate(_blocks(t, out)):
+    for tb, ob in _blocks(t, out):
         y, yc = _t_ratios(tb, df)
         bgrat = y >= y_bgrat
         if bgrat.all():
             ob[...] = _bgrat_half(a, yc)
-            continue
-        if bgrat.any():
-            ob[bgrat] = _bgrat_half(a, yc[bgrat])
-        lo = y < pivot
-        below.append(np.flatnonzero(lo & ~bgrat) + k * _BLOCK)
-        above.append(np.flatnonzero(~lo & ~bgrat) + k * _BLOCK)
-    lanes = np.concatenate([np.empty(0, dtype=np.intp), *below, *above])
-    flat = t.ravel()
-    log_b = log_beta(a, 0.5) if df < _T_SCALE_MIN_DF else -_log_t_scale(df) - 0.5 * math.log(df)
-    _betainc_lanes(a, 0.5, lanes, sum(lo.size for lo in below),
-                   lambda idx: _t_ratios(flat[idx], df), log_b, out.reshape(-1))
-    for tb, ob in _blocks(t, out):
+        else:
+            if bgrat.any():
+                ob[bgrat] = _bgrat_half(a, yc[bgrat])
+            # The block's fraction lanes, those below the pivot first.
+            lo = y < pivot
+            below = np.flatnonzero(lo & ~bgrat)
+            lanes = np.concatenate((below, np.flatnonzero(~(lo | bgrat))))
+            ob[lanes] = _betainc(a, 0.5, y[lanes], yc[lanes], below.size, log_b)
         ob *= 0.5
         np.subtract(1.0, ob, out=ob, where=tb > 0.0)
     return out

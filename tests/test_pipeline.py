@@ -71,7 +71,7 @@ def _manual_cdfr_model(pi0, theta_hat, alpha=1.0, beta=1.0):
     return CdfrModel(
         null_spec=NullSpec.precomputed(),
         cd_model=ComparisonDensityModel(fit=fit, coeffs=coeffs),
-        pi0=pi0, deviance_path=path, transform_mode="pit",
+        deviance_path=path, transform_mode="pit",
     )
 
 
@@ -412,6 +412,7 @@ def density_calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(cdfdr.density, "smooth_pvalues")
+    counting(cdfdr.pipeline, "smooth_pvalues")
     counting(cdfdr.betafit, "beta_cdf_many")
     return calls
 
@@ -836,13 +837,13 @@ class TestAllocationBudget:
     budget, in units of one float array of that length (8 bytes a case)."""
 
     @pytest.mark.parametrize("name, budget", [
-        ("student_t_cdf_many", 5.5),
+        ("student_t_cdf_many", 2.5),
         ("normal_cdf_many", 2.0),
         ("normal_quantile_many", 2.5),
         ("beta_cdf_many", 3.5),
         ("beta_pdf_many", 1.5),
         ("smooth_pvalues", 4.5),
-        ("t_to_z", 5.5),
+        ("t_to_z", 3.5),
         ("to_pvalues-pit", 3.0),
         ("to_pvalues-two_sided", 3.0),
         ("fit_cdfdr", 7.0),

@@ -27,6 +27,7 @@ from cdfdr.special import (
     _ANORM_ROOT32,
     _BLOCK,
     _CF_MAX_ITER,
+    _FLOAT_MAX,
     _betacf_many,
     beta_cdf_many,
     beta_pdf_many,
@@ -196,14 +197,26 @@ class TestStudentT:
                 student_t_pdf_many(1.0, df)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("df", [0.5, 7.0, 30.0, 1e4])
+    @pytest.mark.parametrize("df", [0.5, 7.0, 30.0, 1e4, 1e100, 1e160, 1e300])
     def test_square_overflow_gives_limits_without_warning(self, df):
         # t * t overflows at |t| = 1e200: the CDF and density take their
         # limits, and t_to_z its clamped quantiles, with no RuntimeWarning.
+        # From df 1e100 on, so do t = +-1e40 and +-1e80: the fraction's terms
+        # overflow above df 1.3e154, and sqrt(2z) in the expansion passes 1e40.
         t = [-1e200, 1e200]
-        assert student_t_cdf_many(t, df).tolist() == [0.0, 1.0]
-        assert student_t_pdf_many(t, df).tolist() == [0.0, 0.0]
-        assert t_to_z(t, df).tolist() == normal_quantile_many([1e-15, 1.0 - 1e-15]).tolist()
+        if df >= 1e100:
+            t = [-1e200, -1e80, -1e40, 1e40, 1e80, 1e200]
+        half = len(t) // 2
+        assert student_t_cdf_many(t, df).tolist() == [0.0] * half + [1.0] * half
+        assert student_t_pdf_many(t, df).tolist() == [0.0] * len(t)
+        assert t_to_z(t, df).tolist() == normal_quantile_many([1e-15] * half
+                                                              + [1.0 - 1e-15] * half).tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_df_gives_the_normal_cdf(self):
+        # 2 a pi in the expansion's constant overflows from df 5.7e307 on.
+        t = [-1e40, -1.0, 0.0, 1.0, 1e40]
+        assert student_t_cdf_many(t, _FLOAT_MAX) == pytest.approx(normal_cdf_many(t), rel=1e-15)
 
     def test_pdf_matches_numeric_derivative(self):
         for t, df in [(0.0, 5.0), (1.3, 5.0), (-2.0, 12.0)]:
@@ -517,7 +530,8 @@ def _assert_same_bits(actual, expected):
 _BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
-_BLOCKED_KERNELS = ["cdf", "pdf", "quantile", "t_cdf", "beta_cdf", "beta_pdf", "density"]
+_BLOCKED_KERNELS = ["cdf", "pdf", "quantile", "t_cdf", "t_cdf_df5", "beta_cdf", "beta_pdf",
+                    "density"]
 
 
 def _blocked_kernel_input(kernel, shape, seed):
@@ -534,6 +548,10 @@ def _blocked_kernel_input(kernel, shape, seed):
         # At df = 100 the asymptotic expansion takes |t| <= 6.55 and the
         # continued fraction the rest, all below its pivot.
         return (lambda t: student_t_cdf_many(t, 100.0)), rng.normal(0.0, 3.0, shape)
+    if kernel == "t_cdf_df5":
+        # At df = 5 every lane takes the continued fraction, and each block
+        # holds lanes on both sides of its pivot, at |t| = 1.46.
+        return (lambda t: student_t_cdf_many(t, 5.0)), rng.normal(0.0, 3.0, shape)
     u = rng.random(shape)
     u.flat[::997] = 0.0
     u.flat[1::997] = 1.0
