@@ -491,17 +491,16 @@ def _betainc(alpha: float, beta: float, x: np.ndarray, xc: np.ndarray, cut: int,
 
     One fraction runs I_x(alpha, beta) below the pivot and I_xc(beta, alpha)
     at and above it.  A lane whose front factor x^alpha xc^beta / B is
-    exactly 0 (at x = 0, xc = 0 or by underflow at large shapes, where the
-    fraction's terms can overflow) is 0.0 below the pivot and 1.0 above it.
+    exactly 0 (at x = 0, xc = 0 or by underflow at large shapes) is 0.0
+    below the pivot and 1.0 above it.  Where every lane's factor is 0 the
+    fraction is not run: from a shape of about 1.3e154 on, where its terms
+    overflow, no lane's factor is above 0.
     """
     with np.errstate(divide="ignore"):
         value = np.exp(alpha * np.log(x) + beta * np.log(xc) - log_b)
     x[cut:] = xc[cut:]
-    live = np.flatnonzero(value)
-    if live.size == value.size:
+    if value.any():
         value *= _betacf_many(alpha, beta, x, cut)
-    elif live.size:
-        value[live] *= _betacf_many(alpha, beta, x[live], int(np.searchsorted(live, cut)))
     value[:cut] /= alpha
     value[cut:] /= beta
     np.subtract(1.0, value[cut:], out=value[cut:])

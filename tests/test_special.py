@@ -202,7 +202,7 @@ class TestStudentT:
         # t * t overflows at |t| = 1e200: the CDF and density take their
         # limits, and t_to_z its clamped quantiles, with no RuntimeWarning.
         # From df 1e100 on, so do t = +-1e40 and +-1e80: the fraction's terms
-        # overflow above df 1.3e154, and sqrt(2z) in the expansion passes 1e40.
+        # overflow above df 2.7e154, and sqrt(2z) in the expansion passes 1e40.
         t = [-1e200, 1e200]
         if df >= 1e100:
             t = [-1e200, -1e80, -1e40, 1e40, 1e80, 1e200]
