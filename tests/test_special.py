@@ -29,9 +29,11 @@ from cdfdr.special import (
     _CF_MAX_ITER,
     _FLOAT_MAX,
     _betacf_many,
+    _betainc,
     beta_cdf_many,
     beta_pdf_many,
     digamma,
+    log_beta,
     normal_cdf_many,
     normal_pdf_many,
     normal_quantile_many,
@@ -39,6 +41,7 @@ from cdfdr.special import (
     student_t_pdf_many,
     trigamma,
 )
+from beta_cdf_table import BETA_CDF, BETA_CDF_BOUNDS
 from normal_tables import (
     NORMAL_CDF,
     NORMAL_CDF_BOUNDS,
@@ -217,6 +220,13 @@ class TestStudentT:
         # 2 a pi in the expansion's constant overflows from df 5.7e307 on.
         t = [-1e40, -1.0, 0.0, 1.0, 1e40]
         assert student_t_cdf_many(t, _FLOAT_MAX) == pytest.approx(normal_cdf_many(t), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("df", [1e301, 1.5e308])
+    def test_pdf_at_huge_df_gives_the_normal_density(self, df):
+        # The Veltkamp split of (df + 1)/2 overflows from df 2.7e300 on.
+        t = [-3.0, -1.0, 0.0, 0.5, 1.0]
+        assert student_t_pdf_many(t, df) == pytest.approx(normal_pdf_many(t), rel=1e-15)
 
     def test_pdf_matches_numeric_derivative(self):
         for t, df in [(0.0, 5.0), (1.3, 5.0), (-2.0, 12.0)]:
@@ -530,15 +540,15 @@ def _assert_same_bits(actual, expected):
 _BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
-_BLOCKED_KERNELS = ["cdf", "pdf", "quantile", "t_cdf", "t_cdf_df5", "beta_cdf", "beta_pdf",
-                    "density"]
-
+_BLOCKED_KERNELS = ["cdf", "pdf", "quantile", "t_cdf", "t_cdf_df5", "beta_cdf",
+                    "beta_cdf_series", "beta_pdf", "density"]
 
 def _blocked_kernel_input(kernel, shape, seed):
     """The kernel named ``kernel`` and a seeded input for it: z over every Phi
     branch and into the underflow, p in (0, 1) for the quantile, t or u with
-    lanes on both sides of the incomplete beta's pivot in every block, and u
-    with both ends for the beta density and the comparison density."""
+    lanes on both sides of the incomplete beta's pivot (or of 1/2, for its
+    power series) in every block, and u with both ends for the beta density
+    and the comparison density."""
     rng = np.random.Generator(np.random.Philox(seed))
     if kernel == "quantile":
         return normal_quantile_many, rng.random(shape) * (1.0 - 2e-16) + 1e-16
@@ -557,6 +567,8 @@ def _blocked_kernel_input(kernel, shape, seed):
     u.flat[1::997] = 1.0
     if kernel == "beta_cdf":
         return (lambda x: beta_cdf_many(x, 2.5, 0.7)), u  # pivot at 0.67
+    if kernel == "beta_cdf_series":
+        return (lambda x: beta_cdf_many(x, 0.59, 0.79)), u  # power series, both sides of 1/2
     if kernel == "beta_pdf":
         return (lambda x: beta_pdf_many(x, 1.0, 0.6)), u  # patched at u = 0
     theta = np.array([0.1, -0.05, 0.02, 0.0, 0.01, 0.0])
@@ -724,21 +736,37 @@ def _incomplete_beta_input(alpha, beta, seed):
                            np.nextafter(pivot, [0.0, 1.0])])
 
 
+def _fraction_beta_cdf(u, alpha, beta):
+    """I_u(alpha, beta) by the continued fraction, :func:`_betainc` on all of
+    ``u`` at once with its lanes in side order, as ``beta_cdf_many`` runs it
+    where a shape is above 1."""
+    flat = u.ravel()
+    below = flat < (alpha + 1.0) / (alpha + beta + 2.0)
+    lanes = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below)])
+    x = flat[lanes]
+    out = np.empty(flat.size)
+    out[lanes] = _betainc(alpha, beta, x, 1.0 - x, int(below.sum()), log_beta(alpha, beta))
+    return out.reshape(u.shape)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestIncompleteBetaAgainstTwoBranches:
     """The incomplete beta with one fraction call equals the two-branch
-    evaluation bit for bit, and takes no log of 0 outside ``np.errstate``."""
+    evaluation bit for bit, and takes no log of 0 outside ``np.errstate``.
+    Where both shapes are at most 1, ``beta_cdf_many`` takes the power
+    series, so there the fraction is called directly."""
 
     @pytest.mark.parametrize("alpha, beta", _SHAPES)
     def test_beta_cdf(self, alpha, beta):
         u = _incomplete_beta_input(alpha, beta, int(alpha * 1000 + beta))
-        _assert_same_bits(beta_cdf_many(u, alpha, beta), _two_branch_betainc(alpha, beta, u, 1.0 - u))
+        fraction = _fraction_beta_cdf if alpha <= 1.0 and beta <= 1.0 else beta_cdf_many
+        _assert_same_bits(fraction(u, alpha, beta), _two_branch_betainc(alpha, beta, u, 1.0 - u))
 
     def test_beta_cdf_2d(self):
         u = _incomplete_beta_input(0.59, 0.79, 5)[:4000].reshape(2000, 2)
         expected = _two_branch_betainc(0.59, 0.79, u, 1.0 - u)
-        _assert_same_bits(beta_cdf_many(u, 0.59, 0.79), expected)
-        _assert_same_bits(beta_cdf_many(u.T, 0.59, 0.79), expected.T)
+        _assert_same_bits(_fraction_beta_cdf(u, 0.59, 0.79), expected)
+        _assert_same_bits(_fraction_beta_cdf(u.T, 0.59, 0.79), expected.T)
 
     @pytest.mark.parametrize("df", [0.5, 1.0, 3.0])
     def test_student_t_cdf(self, df):
@@ -764,6 +792,45 @@ def _t_cdf_input(df):
     rng = np.random.Generator(np.random.Philox(int(df * 10)))
     return np.concatenate([rng.standard_normal(3000) * 5.0,
                            [0.0, -0.0, 1e-10, -1e-10, 40.0, 1e150, -1e150]])
+
+
+# The shapes the benchmark fitted at seed 1: lib-t-500k, sim-mixunif-5k's
+# first replicate and cli-fdr-200k.
+_BENCH_SHAPES = ["0.5871254293556618/0.788753398178155",
+                 "0.6994596028352208/0.9223812615785585",
+                 "0.8410730492404506/0.6674190538302847"]
+
+
+def _beta_cdf_table_pairs():
+    return sorted({key.rsplit("/", 1)[0] for key in BETA_CDF})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBetaCdfSeriesAgainstTable:
+    """Where both shapes are at most 1, the power series: each band of the
+    frozen mpmath table within its bound, no worse than the continued
+    fraction in the body at the benchmark's shapes, and the ends exact."""
+
+    @pytest.mark.parametrize("pair", _beta_cdf_table_pairs())
+    def test_beta_cdf(self, pair):
+        a, b = map(float, pair.split("/"))
+        for key in (key for key in BETA_CDF if key.rsplit("/", 1)[0] == pair):
+            assert _max_ulp_error(lambda x: beta_cdf_many(x, a, b), BETA_CDF[key]) \
+                <= BETA_CDF_BOUNDS[key], key
+
+    @pytest.mark.parametrize("pair", _BENCH_SHAPES)
+    def test_body_no_worse_than_fraction(self, pair):
+        a, b = map(float, pair.split("/"))
+        x, head, tail = _table(BETA_CDF[f"{pair}/body"])
+        series = _ulp_errors(beta_cdf_many(x, a, b), head, tail).max()
+        assert series <= _ulp_errors(_fraction_beta_cdf(x, a, b), head, tail).max()
+
+    @pytest.mark.parametrize("pair", _beta_cdf_table_pairs())
+    def test_ends(self, pair):
+        a, b = map(float, pair.split("/"))
+        assert beta_cdf_many([0.0, -0.0, 1.0], a, b).tolist() == [0.0, 0.0, 1.0]
+        edge = beta_cdf_many([5e-324, 1.0 - 2.0 ** -53], a, b)
+        assert np.all((edge >= 0.0) & (edge <= 1.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
