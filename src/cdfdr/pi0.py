@@ -9,6 +9,7 @@ fraction of p-values it captures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
     ``density`` holds the floored comparison density at each p-value, as
     fitted on these same p-values (``CdfrModel.fitted.d``); it must be finite.
     ``m`` is an integer in [1, M_MAX] and ``grid_step`` a number (not a bool)
-    in [1e-4, 2.5].  Ties at the minimum break toward the smallest lambda
+    in [1e-4, 2.5]; the levels are 1, 1 + step, ..., up to the last that is at
+    most 3.5 (3.1 at step 0.7).  Ties at the minimum break toward the smallest lambda
     (most conservative null set); the scan is performed in ascending lambda
     order, so the result is deterministic bit for bit.
     """
@@ -90,7 +92,9 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
         members = order[runs]
         order[runs] = members[np.lexsort((u[members], dens[members]))]
 
-    n_grid = int(round((_LAMBDA_MAX - _LAMBDA_MIN) / grid_step)) + 1
+    # The most levels whose top, 1 + (n - 1) step, is at most 3.5: a step that
+    # divides 2.5 up to the rounding of the quotient ends there.
+    n_grid = math.floor((_LAMBDA_MAX - _LAMBDA_MIN) / grid_step + 1e-9) + 1
     lambdas = _LAMBDA_MIN + grid_step * np.arange(n_grid)
     counts = np.searchsorted(sorted_dens, lambdas, side="left")
     del sorted_dens

@@ -35,10 +35,11 @@ from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
     _FLOAT_MAX,
+    _blocks,
+    _lower_quantile,
     _within,
     normal_cdf_many,
     normal_pdf_many,
-    normal_quantile_many,
     student_t_cdf_many,
     student_t_pdf_many,
 )
@@ -62,7 +63,8 @@ __all__ = [
 TRANSFORM_MODES = ("pit", "two_sided")
 _MIN_CASES = 100  # the fewest cases a fit takes; the simulation designs hold n to it too
 
-# Named clamp point for probabilities entering the normal quantile.
+# Named clamp point below which t_to_z's tail probabilities do not enter the
+# normal quantile.
 _QUANTILE_CLAMP = 1e-15
 
 
@@ -125,13 +127,29 @@ class NullSpec:
             return 0.5
         return 0.0
 
-    def cdf_many(self, t) -> np.ndarray:
-        """Null distribution function at each t, as an array of at least one dimension."""
+    def cdf_many(self, t, *, fold: bool = False) -> np.ndarray:
+        """Null distribution function at each t, as an array of at least one
+        dimension.  With ``fold``, at the statistic folded below the null
+        median, m - |t - m|: the smaller tail min(F0(t), 1 - F0(t)) of the
+        symmetric null, formed directly, never as 1 - F0, so it keeps full
+        relative accuracy at either end.  For the t and the normal(0, 1)
+        nulls it is the same at t and -t, bit for bit."""
+        if self.kind == "precomputed_pvalues":
+            raise ConfigError("precomputed_pvalues null has no distribution function")
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "student_t":
-            return student_t_cdf_many(t, self.df)
-        if self.kind == "normal":
-            return normal_cdf_many((np.asarray(t, dtype=float) - self.mu0) / self.sigma0)
-        raise ConfigError("precomputed_pvalues null has no distribution function")
+            if not fold:
+                return student_t_cdf_many(t, self.df)
+            # A block at a time, so that -|t| takes no array of t's length.
+            out = np.empty(t.shape)
+            for tb, ob in _blocks(t, out):
+                ob[...] = student_t_cdf_many(-np.abs(tb), self.df)
+            return out
+        z = t - self.mu0
+        z /= self.sigma0
+        if fold:
+            np.negative(np.abs(z, out=z), out=z)
+        return normal_cdf_many(z)
 
 
 @dataclass(frozen=True)
@@ -191,21 +209,33 @@ class CdfrModel:
 def t_to_z(t_stats, df: float) -> np.ndarray:
     """Convert t statistics to z scale through the t CDF and normal quantile.
 
-    Probabilities are clamped to [1e-15, 1 - 1e-15] before inversion (the
-    named clamp point for this operation); the map is order-preserving and
-    returns an array of at least one dimension.
+    One walk a block at a time: each block's exact lower tail
+    F_t(-|t|) (never 1 - F), clamped below at 1e-15 (the named clamp point
+    for this operation), goes through the normal quantile and takes the sign
+    of t.  So ``t_to_z(-t) == -t_to_z(t)`` bit for bit, |z| is at most
+    7.9413 on either side, the upper tail keeps full relative accuracy and
+    no probability array of the input's length is formed.  The map is
+    order-preserving and returns an array of at least one dimension.
     """
     if not (df > 0.0 and math.isfinite(df)):
         raise ConfigError(f"df must be finite and positive, got {df!r}")
-    p = student_t_cdf_many(t_stats, df)
-    return normal_quantile_many(np.clip(p, _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP, out=p))
+    t = np.atleast_1d(np.asarray(t_stats, dtype=float))
+    out = np.empty(t.shape)
+    for tb, zb in _blocks(t, out):
+        tail = student_t_cdf_many(-np.abs(tb), df)
+        _lower_quantile(np.maximum(tail, _QUANTILE_CLAMP, out=tail), zb)
+        np.copysign(zb, tb, out=zb)
+    return out
 
 
 def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     """Rank-null transform of statistics to p-values.
 
     ``pit`` uses u = F0(t), putting signal in both tails of u; ``two_sided``
-    uses u = 2 min(F0(t), 1 - F0(t)), folding signal toward 0.  With a
+    uses u = 2 min(F0(t), 1 - F0(t)), folding signal toward 0, as twice the
+    smaller tail that ``NullSpec.cdf_many(..., fold=True)`` forms directly,
+    so that u keeps full relative accuracy (and, for the t and normal(0, 1)
+    nulls, is the same at t and -t).  With a
     ``precomputed_pvalues`` null the input passes through after validation.
     The result has at least one dimension.
     """
@@ -217,11 +247,11 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
         if not _within(stats):
             raise ConfigError("precomputed p-values must lie in [0, 1]")
         return stats.copy()
-    f0 = null_spec.cdf_many(stats)
-    if mode == "two_sided":
-        np.minimum(f0, 1.0 - f0, out=f0)
-        f0 *= 2.0
-    return f0
+    two_sided = mode == "two_sided"
+    u = null_spec.cdf_many(stats, fold=two_sided)
+    if two_sided:
+        u *= 2.0
+    return u
 
 
 def _check_mode(null_spec: NullSpec, mode: str) -> None:

@@ -22,7 +22,10 @@ its lanes of either region in side order (see there).  The t CDF has two
 regions: from df 30 on, where t^2 <= 3 df/7, the asymptotic expansion
 BGRAT (DiDonato & Morris 1992), within 5e-15 relative of mpmath at df 30
 and 100, 3.5e-14 at df 867.5 and 2 ulp of 1/2 near t = 0; elsewhere the
-continued fraction, within about 2e-13 relative in the far tails.  Every
+continued fraction, within about 2e-13 relative in the far tails.  The
+normal quantile is Wichura's AS241 on the smaller tail min(p, 1 - p), its
+two tail branches refined by one Halley step against Cody's tail: within
+3.5 ulp of mpmath in the centre and about an ulp in the tails.  Every
 elementary function is a numpy ufunc on an array: the exp of a normal tail
 or density takes an exactly split square, and the t density's exponent is
 compensated, so that neither rounds its argument.  The gamma family serves
@@ -262,64 +265,114 @@ def normal_pdf_many(z) -> np.ndarray:
     return prod + (prod_err + prod * (_C_LO / _INV_SQRT_2PI - low))
 
 
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
+# Wichura's AS241 (PPND16, Applied Statistics 37, 1988), the approximation
+# behind R's qnorm and Python's statistics.NormalDist.inv_cdf, whose pure-
+# Python form these coefficients are taken from.  Each branch is a ratio of
+# two degree-7 polynomials, listed from the highest power down; each
+# denominator's constant term is 1.  The centre, |p - 1/2| <= 0.425, is in
+# r = 0.180625 - (p - 1/2)^2; the lower tail in r = sqrt(-log p), less 1.6
+# up to r = 5 (p >= e^-25) and less 5 beyond.
+_AS241_SPLIT = 0.425
+_AS241_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
 )
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0),
 )
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
 )
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e+00, 3.754408661907416e+00,
-)
-_ACKLAM_P_LOW = 0.02425
 
 
-def _acklam_tail(q: np.ndarray) -> np.ndarray:
-    """Lower-tail branch of Acklam's approximation at q = sqrt(-2 ln p)."""
-    c, d = _ACKLAM_C, _ACKLAM_D
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+def _as241_terms(coefficients: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A branch's numerator and denominator at r, each by Horner's rule."""
+    num, den = coefficients
+    top = num[0] * r
+    bottom = den[0] * r
+    for a, b in zip(num[1:-1], den[1:-1]):
+        top += a
+        top *= r
+        bottom += b
+        bottom *= r
+    top += num[-1]
+    bottom += den[-1]
+    return top, bottom
+
+
+def _lower_quantile(p: np.ndarray, x: np.ndarray) -> None:
+    """Write Phi^-1(p) <= 0 into ``x`` for the 1-d block ``p`` in (0, 1/2].
+
+    AS241, with each branch's arithmetic in the order of the stdlib's
+    ``_normal_dist_inv_cdf``.  The centre branch stands as it is.  A tail
+    lane (p < 0.075, so x < -1.43) takes one Halley step,
+    x - d/(1 + x d/2) with d = (Phi(x) - p)/phi(x), here in y = -x > 0 and
+    with Phi(-y) from Cody's tail (:func:`_anorm_tail`), except where
+    exp(y^2/2) would overflow (y^2 >= 1400, p below about 1e-306).
+    """
+    q = p - 0.5
+    centre = np.flatnonzero(q >= -_AS241_SPLIT)
+    qc = q[centre]
+    top, bottom = _as241_terms(_AS241_CENTRE, 0.180625 - qc * qc)
+    top *= qc
+    x[centre] = np.divide(top, bottom, out=top)
+    tail = np.flatnonzero(q < -_AS241_SPLIT)
+    if not tail.size:
+        return
+    pt = p[tail]
+    r = np.sqrt(-np.log(pt))
+    top, bottom = _as241_terms(_AS241_NEAR, r - 1.6)
+    xt = np.divide(top, bottom, out=top)
+    far = np.flatnonzero(r > 5.0)
+    if far.size:
+        top, bottom = _as241_terms(_AS241_FAR, r[far] - 5.0)
+        xt[far] = top / bottom
+    refine = xt * xt < 1400.0
+    y, pr = xt[refine], pt[refine]
+    # d at x = -y; the refined -x is y + d/(1 - y d/2).
+    d = (_anorm_tail(y) - pr) * _SQRT_2PI * np.exp(0.5 * y * y)
+    xt[refine] = y + d / (1.0 - 0.5 * y * d)
+    x[tail] = -xt
 
 
 def normal_quantile_many(p) -> np.ndarray:
     """Inverse of :func:`normal_cdf_many` on the open interval (0, 1).
 
-    Acklam's rational approximation (relative error ~1e-9; one branch for each
-    tail and one for the centre) refined by one Halley step against
-    :func:`normal_cdf_many`, which brings the result to within the rounding
-    of Phi(x) - p (within an ulp in the lower tail).  ``p`` equal to 0 or 1 is a
-    domain error; callers clamp first.  Runs a block at a time (:func:`_blocks`).
+    Wichura's AS241 (:func:`_lower_quantile`) on the smaller tail
+    min(p, 1 - p), where 1 - p is exact above 1/2, negated above 1/2: so
+    Phi^-1(1 - p) is exactly -Phi^-1(p) wherever 1 - p is a float.  The
+    centre branch is used as it is; the two tail branches take one Halley
+    step against Cody's tail.  Against the mpmath values of
+    ``tests/normal_tables.py`` it is within 3.5 ulp in the centre (where
+    p - 1/2 rounds, below p = 1/4), 1.03 ulp at the branch edges, 0.68 ulp
+    in either tail out to p = 1e-300 and 1 - 1e-15 (the quantile of that
+    float itself) and 2.6 ulp across the refinement's cut-off.  A one-ulp
+    step of p can lower the value by an ulp just inside a tail; at 8-ulp
+    steps it is nondecreasing across every branch switch.  ``p`` equal to 0
+    or 1 is a domain error; callers clamp first.
+    Runs a block at a time (:func:`_blocks`).
     """
     p = _finite_1d("p", p)
     if not _within(p, math.ulp(0.0), math.nextafter(1.0, 0.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
     out = np.empty(p.shape)
-    a, b = _ACKLAM_A, _ACKLAM_B
     for pb, x in _blocks(p, out):
-        low = pb < _ACKLAM_P_LOW
-        high = pb > 1.0 - _ACKLAM_P_LOW
-        centre = ~(low | high)
-        x[low] = _acklam_tail(np.sqrt(-2.0 * np.log(pb[low])))
-        x[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - pb[high])))
-        q = pb[centre] - 0.5
-        r = q * q
-        x[centre] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        # One Halley step, x - d/(1 + x d/2) with d = (Phi(x) - p)/phi(x); skipped
-        # where exp(x^2/2) would overflow (|x| > ~37.4, i.e. p below ~1e-306, far
-        # outside any clamped caller input).
-        refine = x * x < 1400.0
-        xr = x[refine]
-        step = (normal_cdf_many(xr) - pb[refine]) * _SQRT_2PI * np.exp(0.5 * xr * xr)
-        x[refine] = xr - step / (1.0 + 0.5 * xr * step)
+        _lower_quantile(np.minimum(pb, 1.0 - pb), x)
+        np.negative(x, out=x, where=pb > 0.5)
     return out
 
 

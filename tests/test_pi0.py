@@ -163,6 +163,19 @@ class TestInvariants:
         with pytest.raises(TypeError):
             estimate_pi0(u, _unit_density(u), lambda_max=4.0)
 
+    @pytest.mark.parametrize("step, n_levels", [
+        (0.01, 251), (1e-4, 25_001), (0.3, 9), (2.5, 2), (0.7, 4), (1.5, 2),
+    ])
+    def test_grid_stops_at_three_and_a_half(self, step, n_levels):
+        # The levels run from 1 in steps of ``step`` up to the last at most
+        # 3.5; a step that does not divide 2.5 stops short of it (0.7 at 3.1,
+        # 1.5 at 2.5), and one that does ends on it.
+        rng = np.random.Generator(np.random.Philox(41))
+        u = rng.random(500)
+        lambdas = estimate_pi0(u, _unit_density(u), grid_step=step).lambdas
+        assert np.array_equal(lambdas, 1.0 + step * np.arange(n_levels))
+        assert lambdas[-1] <= 3.5 < lambdas[-1] + step * (1.0 - 1e-9)
+
     def test_lambda_star_attains_minimum(self):
         rng = np.random.Generator(np.random.Philox(43))
         u = np.concatenate([rng.random(1500), rng.beta(0.25, 1.0, 500)])

@@ -156,6 +156,20 @@ class TestTtoZ:
         assert z[0] == t_to_z(np.array([2.0, -1.0]), 10.0)[0]
 
 
+@settings(max_examples=80, deadline=None)
+@given(t=st.lists(st.floats(-40.0, 40.0) | st.floats(-1e250, 1e250), min_size=1, max_size=30),
+       df=st.floats(0.5, 1e4))
+def test_transforms_are_mirror_exact(t, df):
+    # t_to_z, and the two-sided p-values of the t and standard normal nulls,
+    # map -t to the mirror image of their value at t, bit for bit: both take
+    # the one tail F(-|t|) and never 1 - F.
+    t = np.array(t)
+    assert np.array_equal(_bits(t_to_z(-t, df)), _bits(-t_to_z(t, df)))
+    for null in (NullSpec.student_t(df), NullSpec.standard_normal()):
+        assert np.array_equal(_bits(to_pvalues(-t, null, "two_sided")),
+                              _bits(to_pvalues(t, null, "two_sided")))
+
+
 class TestToPvalues:
     def test_pit_median(self):
         u = to_pvalues(np.array([0.0]), NullSpec.standard_normal(), "pit")

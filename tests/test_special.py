@@ -20,7 +20,7 @@ from scipy import stats as sp_stats
 from cdfdr.betafit import BetaFit
 from cdfdr.density import CoefficientSet, ComparisonDensityModel, eval_comparison_density_many
 from cdfdr.errors import DomainError
-from cdfdr.pipeline import t_to_z
+from cdfdr.pipeline import NullSpec, t_to_z, to_pvalues
 from cdfdr.quadrature import integrate_unit
 from cdfdr.special import (
     _ANORM_CENTRE,
@@ -53,6 +53,7 @@ from normal_tables import (
     STUDENT_T_PDF_BOUNDS,
 )
 from student_t_cdf_table import STUDENT_T_CDF, STUDENT_T_CDF_BOUNDS
+from t_to_z_table import T_TO_Z, T_TO_Z_BOUNDS, TWO_SIDED_U, TWO_SIDED_U_BOUNDS
 
 # Frozen from mpmath (dps=50): Phi(z) = erfc(-z/sqrt 2)/2.
 NORMAL_CDF_REF = {
@@ -203,7 +204,8 @@ class TestStudentT:
     @pytest.mark.parametrize("df", [0.5, 7.0, 30.0, 1e4, 1e100, 1e160, 1e300])
     def test_square_overflow_gives_limits_without_warning(self, df):
         # t * t overflows at |t| = 1e200: the CDF and density take their
-        # limits, and t_to_z its clamped quantiles, with no RuntimeWarning.
+        # limits, and t_to_z the quantile of its clamped tail, mirrored for
+        # t > 0, with no RuntimeWarning.
         # From df 1e100 on, so do t = +-1e40 and +-1e80: the fraction's terms
         # overflow above df 2.7e154, and sqrt(2z) in the expansion passes 1e40.
         t = [-1e200, 1e200]
@@ -212,8 +214,8 @@ class TestStudentT:
         half = len(t) // 2
         assert student_t_cdf_many(t, df).tolist() == [0.0] * half + [1.0] * half
         assert student_t_pdf_many(t, df).tolist() == [0.0] * len(t)
-        assert t_to_z(t, df).tolist() == normal_quantile_many([1e-15] * half
-                                                              + [1.0 - 1e-15] * half).tolist()
+        z = normal_quantile_many(1e-15)[0]
+        assert t_to_z(t, df).tolist() == [z] * half + [-z] * half
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, df", [(1e154, 1.5e308), (1.2e154, 1.7e308)])
@@ -440,6 +442,27 @@ class TestNormalKernels:
             assert _max_ulp_error(normal_quantile_many, NORMAL_QUANTILE[band]) \
                 <= NORMAL_QUANTILE_BOUNDS[band], band
 
+    @pytest.mark.parametrize("edge", [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+    def test_quantile_nondecreasing_across_branch_switches(self, edge):
+        # AS241's centre ends at |p - 1/2| = 0.425 and its near tail at
+        # p = e^-25, on either side of 1/2.  Just below 0.075 a one-ulp step
+        # of p moves x by about half an ulp, less than the refined tail's
+        # rounding, so the walk steps 8 ulps at a time.  Both tail branches are
+        # refined: refining only beyond e^-25, the e^-25 walk falls 10 times.
+        assert np.all(np.diff(normal_quantile_many(_walk(edge, 8))) >= 0.0)
+
+    @pytest.mark.parametrize("df", [3.0, 30.0, 100.0, 1e4])
+    def test_t_to_z_table(self, df):
+        for band in ("zero", "body", "lower", "upper"):
+            key = f"{df!r}/{band}"
+            assert _max_ulp_error(lambda t: t_to_z(t, df), T_TO_Z[key]) <= T_TO_Z_BOUNDS[key], key
+
+    def test_two_sided_u_table(self):
+        null = NullSpec.standard_normal()
+        for band, text in TWO_SIDED_U.items():
+            assert _max_ulp_error(lambda z: to_pvalues(z, null, "two_sided"), text) \
+                <= TWO_SIDED_U_BOUNDS[band], band
+
     def test_cdf_through_underflow(self):
         # Subnormal from z = -37.52; exactly 0.0 from z = -38.48528.
         z = np.concatenate([np.linspace(-40.0, -36.0, 4001), np.linspace(-9.0, 9.0, 4001)])
@@ -476,9 +499,10 @@ class TestNormalKernels:
         lower = np.geomspace(1e-300, 0.5, 100_001)
         np.testing.assert_allclose(normal_quantile_many(lower), sp_special.ndtri(lower),
                                    rtol=1e-12, atol=0)
+        # Above 1/2 the quantile inverts the exact 1 - p, as ndtri does.
         upper = 1.0 - np.geomspace(1e-15, 0.5, 100_001)
         np.testing.assert_allclose(normal_quantile_many(upper), sp_special.ndtri(upper),
-                                   rtol=0, atol=1e-8)
+                                   rtol=1e-12, atol=0)
 
 
 _reals = st.floats(-60.0, 60.0, allow_nan=False)
