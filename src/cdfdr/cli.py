@@ -464,12 +464,16 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                         help="statistic-to-p-value transform")
     parser.add_argument("--df", type=float, default=None,
                         help="convert input t statistics to z scale with this df first")
-    parser.add_argument("--m-density", type=int, default=6, dest="m_density",
-                        help="series length for the density estimate")
-    parser.add_argument("--m-mdc", type=int, default=10, dest="m_mdc",
+    _add_tuning_flags(parser)
+
+
+def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m-density", type=int, default=EstimatorConfig.m_density,
+                        dest="m_density", help="series length for the density estimate")
+    parser.add_argument("--m-mdc", type=int, default=EstimatorConfig.m_mdc, dest="m_mdc",
                         help="series length for the deviance scan")
-    parser.add_argument("--lambda-step", type=float, default=0.01, dest="lambda_step",
-                        help="grid step of the deviance scan over [1, 3.5]")
+    parser.add_argument("--lambda-step", type=float, default=EstimatorConfig.grid_step,
+                        dest="lambda_step", help="grid step of the deviance scan over [1, 3.5]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,9 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mu-redraw", choices=["once", "per-rep"], default="once",
                        dest="mu_redraw", help="draw non-null means once or per replicate")
-    p_sim.add_argument("--m-density", type=int, default=6, dest="m_density")
-    p_sim.add_argument("--m-mdc", type=int, default=10, dest="m_mdc")
-    p_sim.add_argument("--lambda-step", type=float, default=0.01, dest="lambda_step")
+    _add_tuning_flags(p_sim)
     p_sim.add_argument("--out", required=True, help="output JSON report path")
     p_sim.add_argument("--curves", required=True, help="output curves CSV path")
     p_sim.set_defaults(func=cmd_simulate)

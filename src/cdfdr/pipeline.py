@@ -303,6 +303,13 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
 
     u = step("step 1 (rank-null transform)", lambda: to_pvalues(data, null_spec, mode))
     fit = step("step 2 (beta fit)", lambda: fit_beta_mle(u))
+    if not fit.converged:
+        warnings.warn(
+            f"step 2 (beta fit): the fit stopped unconverged after {fit.iterations} steps at "
+            f"alpha = {fit.alpha:.6g}, beta = {fit.beta:.6g}; every later step rests on them",
+            UserWarning,
+            stacklevel=2,
+        )
     if mode == "two_sided" and fit.beta < 1.0:
         warnings.warn(
             f"step 2 (beta fit): two-sided p-values fit alpha = {fit.alpha:.6g}, "

@@ -8,6 +8,7 @@ from scipy import optimize as sp_optimize
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
+from cdfdr import betafit
 from cdfdr.betafit import CLAMP, fit_beta_mle, smooth_pvalues
 from cdfdr.errors import DegenerateSampleError, InsufficientDataError
 from cdfdr.simulate import MixtureUniformDesign, gen_mixture_uniform
@@ -154,6 +155,39 @@ class TestConvergence:
         alpha, beta = _score_root(u)
         assert fit.alpha == pytest.approx(alpha, rel=1e-7)
         assert fit.beta == pytest.approx(beta, rel=1e-7)
+
+
+class TestStopPaths:
+    """Each way the scoring loop can stop returns a fit, and ``converged``
+    reports whether the gradient reached its tolerance."""
+
+    def test_step_halving(self, monkeypatch):
+        # The first full step from the moment start overshoots to alpha near
+        # 1e-4 and is halved once: 9 trial steps give 8 accepted ones.
+        trials = []
+        mean_loglik = betafit._mean_loglik
+        monkeypatch.setattr(betafit, "_mean_loglik",
+                            lambda *args: trials.append(args) or mean_loglik(*args))
+        fit = fit_beta_mle([0.0, 0.0, 0.6466848276025736, 0.46927412718968736,
+                            0.6259769511912705, 0.5599509404100991, 0.6610714802677884,
+                            0.4358648503790788, 0.7747312978403161, 0.6217511072136774])
+        assert fit.converged
+        assert fit.iterations == 8
+        assert len(trials) == 1 + 9  # the start's log-likelihood, then each trial
+
+    def test_singular_scoring_matrix(self):
+        # Pinned at the upper clamp, alpha runs to about 3e16, where the
+        # scoring matrix's determinant is no longer above 0.
+        fit = fit_beta_mle([0.9999999998963881] + [1.0] * 75)
+        assert fit.iterations == 29
+        assert not fit.converged
+
+    def test_step_limit(self):
+        # Pinned at the lower clamp, the steps wander without the gradient
+        # reaching 1e-8 (ROADMAP item 4).
+        fit = fit_beta_mle([1.2517002258981547e-10] + [0.0] * 123)
+        assert fit.iterations == 200
+        assert not fit.converged
 
 
 class TestFitValidation:

@@ -435,6 +435,15 @@ class TestFdrCommand:
         assert err.startswith("cdfdr: warning: step 2 (beta fit)")
         assert "cli.py" not in err
 
+    def test_unconverged_fit_warns(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        _write_stats_csv(path, [1.2517002258981547e-10] + [0.0] * 123, column="pvalue")
+        code = main(["fdr", "--input", str(path), "--column", "pvalue",
+                     "--out", str(tmp_path / "r.json"), "--curves", str(tmp_path / "c.csv")])
+        assert code == 0
+        assert ("cdfdr: warning: step 2 (beta fit): the fit stopped unconverged after 200 steps"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("column,flags", [
         ("pvalue", ["--null", "garbage"]),
         ("pvalue", ["--null", "t:5"]),
@@ -873,6 +882,16 @@ def test_mixunif_without_pi0_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--design mixunif requires --pi0 and --a" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fdr", "pi0", "simulate"])
+def test_tuning_flags_share_defaults_and_help(command, capsys):
+    args = cdfdr.cli.build_parser().parse_args(_tuning_argv(command, "in.csv")
+                                               + ["--out", "o", "--curves", "c"])
+    assert (args.m_density, args.m_mdc, args.lambda_step) == (6, 10, 0.01)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "series length for the density estimate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["fdr", "pi0", "simulate"])

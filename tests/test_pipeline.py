@@ -672,6 +672,24 @@ class TestTwoSidedBetaWarning:
         assert not [w for w in caught if str(w.message).startswith("step 2")]
 
 
+# Clamp-pinned samples (ROADMAP item 4) whose beta fit stops unconverged:
+# at 200 steps, and after 3 at a singular scoring matrix (alpha near 1.7e18).
+_UNCONVERGED_FITS = {
+    "200-steps": [1.2517002258981547e-10] + [0.0] * 123,
+    "singular-scoring-matrix": [0.9999999998963881] + [1.0] * 123,
+}
+
+
+class TestUnconvergedBetaFitWarning:
+    @pytest.mark.filterwarnings("ignore:n = 124 is small")
+    @pytest.mark.parametrize("name", list(_UNCONVERGED_FITS))
+    def test_warns_at_step_2(self, name):
+        with pytest.warns(UserWarning, match=r"^step 2 \(beta fit\): the fit stopped unconverged "
+                                             r"after \d+ steps at alpha = .*, beta = "):
+            model = fit_cdfdr(_UNCONVERGED_FITS[name], NullSpec.precomputed())
+        assert not model.beta_fit.converged
+
+
 class TestNonnullDensity:
     def test_requires_signal(self):
         model = _manual_cdfr_model(1.0, np.zeros(6))
@@ -854,9 +872,9 @@ class TestAllocationBudget:
         ("student_t_cdf_many", 2.5),
         ("normal_cdf_many", 2.0),
         ("normal_quantile_many", 2.5),
-        ("beta_cdf_many", 3.5),
+        ("beta_cdf_many", 2.5),
         ("beta_pdf_many", 1.5),
-        ("smooth_pvalues", 4.5),
+        ("smooth_pvalues", 3.5),
         ("t_to_z", 3.5),
         ("to_pvalues-pit", 3.0),
         ("to_pvalues-two_sided", 3.0),

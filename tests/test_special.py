@@ -29,7 +29,7 @@ from cdfdr.special import (
     _CF_MAX_ITER,
     _FLOAT_MAX,
     _betacf_many,
-    _betainc,
+    _bfrac,
     beta_cdf_many,
     beta_pdf_many,
     digamma,
@@ -683,9 +683,9 @@ class TestBlockedKernels:
 
 
 def _two_sided_input(a, b, n, split, seed):
-    """x and xc for :func:`_betainc` at shapes (a, b): the first ``split``
-    lanes of x below the pivot, the rest of xc below the reflected pivot,
-    cubed so that lanes freeze from the first step to the last."""
+    """x and xc = 1 - x at shapes (a, b): the first ``split`` lanes of x
+    below the pivot, the rest of xc below the reflected pivot, cubed so that
+    lanes freeze from the first step to the last."""
     rng = np.random.Generator(np.random.Philox(seed))
     lo = rng.random(n) ** 3
     lo[:split] *= (a + 1.0) / (a + b + 2.0)
@@ -696,10 +696,12 @@ def _two_sided_input(a, b, n, split, seed):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTwoSidedContinuedFraction:
-    """The incomplete beta runs one fraction call on each side of the pivot:
-    wherever the sides meet, an empty side included, each side equals the
-    whole-array fraction on that side bit for bit, and ``x`` is left as it
-    was."""
+    """The continued fraction takes one side of the pivot a call
+    (:func:`_bfrac`): I_x(a, b) below it and I_xc(b, a) on the reflected
+    lanes each equal the whole-array fraction bit for bit, an empty side
+    included, and leave their lanes as they were.  ``beta_cdf_many`` equals
+    the two-branch evaluation whether its below-pivot lanes end just before,
+    at or just after a block edge."""
 
     _N = 2 * _BLOCK + 7
 
@@ -707,19 +709,26 @@ class TestTwoSidedContinuedFraction:
     @pytest.mark.parametrize("a, b", [(2.5, 0.7), (50.0, 0.5)])
     def test_sides_meet_anywhere(self, split, a, b):
         x, xc = _two_sided_input(a, b, self._N, split, split + 11)
+        assert np.count_nonzero(x < (a + 1.0) / (a + b + 2.0)) == split
         log_b = log_beta(a, b)
         front = np.exp(a * np.log(x) + b * np.log(xc) - log_b)
-        lo = front[:split] * _whole_array_betacf(a, b, x[:split]) / a
-        hi = 1.0 - front[split:] * _whole_array_betacf(b, a, xc[split:]) / b
-        expected = np.concatenate([lo, hi])
-        _assert_same_bits(_betainc(a, b, x, xc, split, log_b), expected)
+        lo, hi = slice(None, split), slice(split, None)
+        _assert_same_bits(_bfrac(a, b, x[lo], xc[lo], log_b),
+                          front[lo] * _whole_array_betacf(a, b, x[lo]) / a)
+        _assert_same_bits(_bfrac(b, a, xc[hi], x[hi], log_b),
+                          front[hi] * _whole_array_betacf(b, a, xc[hi]) / b)
+        # Shuffled, so that the blocks of either side gather from all over u.
+        u = x[np.random.Generator(np.random.Philox(split)).permutation(self._N)]
+        _assert_same_bits(beta_cdf_many(u, a, b), _two_branch_betainc(a, b, u, 1.0 - u))
 
     @pytest.mark.parametrize("a, b", [(2.5, 0.7), (50.0, 0.5)])
     def test_leaves_x_unchanged(self, a, b):
         x, xc = _two_sided_input(a, b, 1000, 400, 13)
-        kept = x.copy()
-        _betainc(a, b, x, xc, 400, log_beta(a, b))
-        _assert_same_bits(x, kept)
+        kept = x.copy(), xc.copy()
+        _bfrac(a, b, x[:400], xc[:400], log_beta(a, b))
+        _bfrac(b, a, xc[400:], x[400:], log_beta(a, b))
+        _assert_same_bits(x, kept[0])
+        _assert_same_bits(xc, kept[1])
 
 
 def _two_branch_betainc(alpha, beta, x, xc):
@@ -759,15 +768,17 @@ def _incomplete_beta_input(alpha, beta, seed):
 
 
 def _fraction_beta_cdf(u, alpha, beta):
-    """I_u(alpha, beta) by the continued fraction, :func:`_betainc` on all of
-    ``u`` at once with its lanes in side order, as ``beta_cdf_many`` runs it
+    """I_u(alpha, beta) by the continued fraction, :func:`_bfrac` once on
+    each side of the pivot over all of ``u``, as ``beta_cdf_many`` solves it
     where a shape is above 1."""
     flat = u.ravel()
     below = flat < (alpha + 1.0) / (alpha + beta + 2.0)
-    lanes = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below)])
-    x = flat[lanes]
+    log_b = log_beta(alpha, beta)
     out = np.empty(flat.size)
-    out[lanes] = _betainc(alpha, beta, x, 1.0 - x, int(below.sum()), log_beta(alpha, beta))
+    x = flat[below]
+    out[below] = _bfrac(alpha, beta, x, 1.0 - x, log_b)
+    x = flat[~below]
+    out[~below] = 1.0 - _bfrac(beta, alpha, 1.0 - x, x, log_b)
     return out.reshape(u.shape)
 
 
