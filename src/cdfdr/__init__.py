@@ -30,6 +30,7 @@ from .pi0 import DeviancePath, estimate_pi0
 from .pipeline import (
     CdfrModel,
     DiscoveryReport,
+    EstimatorConfig,
     Evaluation,
     NullSpec,
     discoveries,
@@ -42,7 +43,6 @@ from .pipeline import (
     to_pvalues,
 )
 from .simulate import (
-    EstimatorConfig,
     MixtureNormalDesign,
     MixtureUniformDesign,
     SimReport,

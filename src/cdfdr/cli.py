@@ -38,6 +38,7 @@ from .errors import (
 )
 from .pipeline import (
     CdfrModel,
+    EstimatorConfig,
     NullSpec,
     discoveries,
     evaluate,
@@ -46,7 +47,6 @@ from .pipeline import (
     t_to_z,
 )
 from .simulate import (
-    EstimatorConfig,
     MixtureNormalDesign,
     MixtureUniformDesign,
     run_replicates,

@@ -31,21 +31,22 @@ def _check_m(m, name: str = "m", error: type[Exception] = DomainError) -> int:
     return int(m)
 
 
-def _terms(m: int, v) -> Iterator[np.ndarray]:
+def _terms(m: int, v, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """S_1(v), ..., S_m(v) in turn, each of v's shape; m and v are checked here.
 
-    One recurrence pass writes each term into one array, which the next step
-    overwrites, and keeps P_{k-1} and P_k in two reused buffers, so memory
-    does not grow with m.  Every operation is elementwise.
+    One recurrence pass keeps P_{k-1} and P_k in two reused buffers, so memory
+    does not grow with m.  It writes S_k into the column ``out[:, k - 1]``
+    when ``out`` is given, else into one array that the next step
+    overwrites.  Every operation is elementwise.
     """
     m = _check_m(m, "basis size")
     v = np.asarray(v, dtype=float)
     if not _within(v):
         raise DomainError("evaluation points must lie in [0, 1]")
-    return _recurrence(m, 2.0 * v - 1.0)
+    return _recurrence(m, 2.0 * v - 1.0, out)
 
 
-def _recurrence(m: int, x: np.ndarray) -> Iterator[np.ndarray]:
+def _recurrence(m: int, x: np.ndarray, out: np.ndarray | None) -> Iterator[np.ndarray]:
     term, spare = np.empty_like(x), (np.empty_like(x), np.empty_like(x))
     p_prev, p_cur = 1.0, x
     for k in range(m):
@@ -58,7 +59,7 @@ def _recurrence(m: int, x: np.ndarray) -> Iterator[np.ndarray]:
             p_next -= term
             p_next /= k + 1
             p_prev, p_cur = p_cur, p_next
-        yield np.multiply(p_cur, math.sqrt(2.0 * k + 3.0), out=term)
+        yield np.multiply(p_cur, math.sqrt(2.0 * k + 3.0), out=term if out is None else out[:, k])
 
 
 def basis_matrix(m: int, v, out=None) -> np.ndarray:
@@ -68,8 +69,8 @@ def basis_matrix(m: int, v, out=None) -> np.ndarray:
     such as a chunk of a caller's buffer.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    terms = _terms(m, v)  # checks m before it sizes ``out``
-    out = np.empty((v.size, int(m))) if out is None else out
-    for j, term in enumerate(terms):
-        out[:, j] = term
+    m = _check_m(m, "basis size")  # before it sizes ``out``
+    out = np.empty((v.size, m)) if out is None else out
+    for _ in _terms(m, v, out):
+        pass
     return out

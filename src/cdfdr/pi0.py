@@ -79,18 +79,8 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
         raise DomainError("evaluation points must lie in [0, 1]")
     n = int(u.size)
 
-    # Canonical (density, p-value) ordering makes the prefix sums, and hence
-    # every deviance, invariant under permutation of the input.  Only runs of
-    # tied densities need the p-value as a second key.
-    order = np.argsort(dens)
+    order = _scan_order(dens, u)
     sorted_dens = dens[order]
-    tied = np.flatnonzero(sorted_dens[1:] == sorted_dens[:-1])
-    if tied.size:
-        in_run = np.zeros(n, dtype=bool)
-        in_run[tied] = in_run[tied + 1] = True
-        runs = np.flatnonzero(in_run)
-        members = order[runs]
-        order[runs] = members[np.lexsort((u[members], dens[members]))]
 
     # The most levels whose top, 1 + (n - 1) step, is at most 3.5: a step that
     # divides 2.5 up to the rounding of the quotient ends there.
@@ -131,6 +121,38 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
         m=m,
         flat=flat,
     )
+
+
+def _scan_order(dens: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cases in canonical (density, p-value) order, which makes the prefix
+    sums, and hence every deviance, invariant under permutation of the input.
+
+    One in-place sort of one int64 key per case: the density's bits, mapped
+    so that they ascend with every finite density (-0.0 taken as +0.0, so
+    that zeros tie), with the low ``bits`` bits holding the case index.  The
+    key array then becomes the order.  Only runs of equal truncated keys
+    (exact ties and densities that differ in those low bits alone) need the
+    full density and the p-value as keys.
+    """
+    n = dens.size
+    bits = max(1, (n - 1).bit_length())
+    mask = (1 << bits) - 1
+    keys = np.add(dens, 0.0).view(np.int64)
+    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    keys &= ~mask
+    keys |= np.arange(n)
+    keys.sort()
+    high = keys >> bits
+    tied = np.flatnonzero(high[1:] == high[:-1])
+    del high
+    order = np.bitwise_and(keys, mask, out=keys)
+    if tied.size:
+        in_run = np.zeros(n, dtype=bool)
+        in_run[tied] = in_run[tied + 1] = True
+        runs = np.flatnonzero(in_run)
+        members = order[runs]
+        order[runs] = members[np.lexsort((u[members], dens[members]))]
+    return order
 
 
 def _prefix_sums(m: int, u: np.ndarray, order: np.ndarray, ends: np.ndarray) -> np.ndarray:

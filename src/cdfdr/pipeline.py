@@ -48,6 +48,7 @@ __all__ = [
     "NullSpec",
     "CdfrModel",
     "DiscoveryReport",
+    "EstimatorConfig",
     "Evaluation",
     "TRANSFORM_MODES",
     "t_to_z",
@@ -274,8 +275,23 @@ def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
         raise ConfigError(f"grid_step must lie in [{_STEP_MIN}, {span}], got {grid_step!r}")
 
 
-def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = 6, m_mdc: int = 10,
-              grid_step: float = 0.01, mode: str = "pit") -> CdfrModel:
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """The estimator's tuning: the series length of the density (step 4),
+    that of the pi0 scan and its grid step (step 5).  Its field defaults are
+    the defaults of :func:`fit_cdfdr` and of the CLI flags."""
+
+    m_density: int = 6
+    m_mdc: int = 10
+    grid_step: float = 0.01
+
+    def __post_init__(self):
+        _check_tuning(self.m_density, self.m_mdc, self.grid_step)
+
+
+def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = EstimatorConfig.m_density,
+              m_mdc: int = EstimatorConfig.m_mdc, grid_step: float = EstimatorConfig.grid_step,
+              mode: str = "pit") -> CdfrModel:
     """Run the five fitting steps in order and assemble the model.
 
     ``data`` holds statistics (transformed through ``null_spec``) or, with a

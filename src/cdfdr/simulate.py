@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CdfdrError, ConfigError, SimulationError
-from .pipeline import _MIN_CASES, NullSpec, _check_tuning, fit_cdfdr, local_fdr_many
+from .pipeline import _MIN_CASES, EstimatorConfig, NullSpec, fit_cdfdr, local_fdr_many
 from .special import normal_pdf_many
 
 __all__ = [
@@ -95,16 +95,6 @@ class MixtureUniformDesign:
         if not 0.0 < self.a < 1.0:
             raise ConfigError(f"a must lie in (0, 1), got {self.a}")
         _check_study(self.n, self.replicates, self.seed)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    m_density: int = 6
-    m_mdc: int = 10
-    grid_step: float = 0.01
-
-    def __post_init__(self):
-        _check_tuning(self.m_density, self.m_mdc, self.grid_step)
 
 
 @dataclass(frozen=True)

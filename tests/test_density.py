@@ -168,6 +168,18 @@ class TestSmoothDensityEval:
         # sum |theta_j| sqrt(2j + 1) is 0.77, so the density stays above 0.23.
         self._assert_matches_basis([0.1, -0.05, 0.03, 0.02, -0.04, 0.06])
 
+    def test_zero_coefficients_bitwise(self):
+        # Zero coefficients before, between and after nonzero ones: the
+        # series trimmed after the last nonzero one gives the bits of a sum
+        # that adds every term.
+        theta = np.array([0.0, 0.12, 0.0, 0.0, -0.07, 0.0, 0.03, 0.0, 0.0, 0.0])
+        v = np.concatenate([[0.0, 0.5, 1.0], np.random.Generator(np.random.Philox(23)).random(999)])
+        series = np.zeros(v.size)
+        for theta_j, column in zip(theta, basis_matrix(theta.size, v).T):
+            series += column * theta_j
+        actual = eval_smooth_density_many(_manual_coeffs(theta), v)
+        assert np.array_equal(actual.view(np.int64), (series + 1.0).view(np.int64))
+
 
 class TestComparisonDensityEval:
     def test_uniform_model_is_one(self):

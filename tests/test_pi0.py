@@ -9,7 +9,7 @@ from cdfdr.betafit import BetaFit
 from cdfdr.density import ComparisonDensityModel, CoefficientSet, eval_comparison_density_many
 from cdfdr.errors import DomainError, EstimationError, InsufficientDataError
 from cdfdr.legendre import basis_matrix
-from cdfdr.pi0 import _SCAN_CHUNK, _prefix_sums, estimate_pi0
+from cdfdr.pi0 import _SCAN_CHUNK, _prefix_sums, _scan_order, estimate_pi0
 from cdfdr.pipeline import NullSpec, fit_cdfdr
 
 
@@ -233,6 +233,72 @@ class TestChunkedScan:
         assert {1, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK,
                 n} <= set(path.n_lambda.tolist())
         _assert_matches_reference(u, dens, m)
+
+
+def _lexsort_scan(u, dens, m):
+    """The deviances, lambda* and pi0_hat of the scan's own sums at the
+    order ``np.lexsort((u, dens))``, for the default grid."""
+    order = np.lexsort((u, dens))
+    lambdas = 1.0 + 0.01 * np.arange(251)
+    counts = np.searchsorted(dens[order], lambdas, side="left")
+    valid = counts > 0
+    sizes = counts[valid]
+    ends = np.unique(sizes)
+    theta = _prefix_sums(m, u, order, ends)[np.searchsorted(ends, sizes)] / sizes[:, None]
+    deviances = np.full(lambdas.size, np.nan)
+    deviances[valid] = np.sum(theta ** 2, axis=1)
+    valid_dev = deviances[valid]
+    star = (int(np.flatnonzero(valid)[0]) if np.max(valid_dev) - np.min(valid_dev) <= 1e-12
+            else int(np.nanargmin(deviances)))
+    return deviances, float(lambdas[star]), float(counts[star]) / u.size
+
+
+def _near_tie_input(n, seed):
+    """p-values and densities whose packed sort keys collide once the case
+    index takes their low bits: runs of one-ulp steps above 1.7 and below
+    -0.3, and equal densities around the levels 1.0 and 1.5, exact ties,
+    -0.0 beside 0.0, negative densities and rounded (tied) p-values among
+    N(1.5, 1) densities."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = np.where(rng.random(n) < 0.3, np.round(rng.random(n), 2), rng.random(n))
+    steps = rng.integers(0, 64, n).astype(float)
+    kind = rng.integers(0, 6, n)
+    dens = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+        [1.7 + steps * np.spacing(1.7), -0.3 - steps * np.spacing(0.3),
+         rng.choice([1.0 - np.spacing(0.5), 1.0, 1.5, 1.5 + np.spacing(1.5)], n),
+         rng.choice([-0.0, 0.0, -1.25, 2.0], n), np.round(rng.normal(1.5, 1.0, n), 1)],
+        rng.normal(1.5, 1.0, n))
+    return u, dens
+
+
+class TestScanOrder:
+    """The scan orders its cases by one integer sort of packed keys; the
+    order, and so the deviance path, lambda* and pi0_hat, equal those of the
+    order ``np.lexsort((u, dens))`` bit for bit, also where keys collide
+    once truncated, for negative densities and for -0.0."""
+
+    # Each pair straddles a power of two, where the index field widens.
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 2 * _SCAN_CHUNK, 2 * _SCAN_CHUNK + 1])
+    def test_order_is_lexsort(self, n):
+        u, dens = _near_tie_input(n, n)
+        assert np.array_equal(_scan_order(dens, u), np.lexsort((u, dens)))
+
+    @pytest.mark.parametrize("n", [1024, 1025, _SCAN_CHUNK, _SCAN_CHUNK + 1])
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_path_equals_lexsort_scan(self, n, m):
+        u, dens = _near_tie_input(n, n + m)
+        assert np.any(dens < 0.0) and np.any(np.signbit(dens) & (dens == 0.0))
+        path = estimate_pi0(u, dens, m=m)
+        deviances, lambda_star, pi0_hat = _lexsort_scan(u, dens, m)
+        assert np.array_equal(path.deviances.view(np.int64), deviances.view(np.int64))
+        assert (path.lambda_star, path.pi0_hat) == (lambda_star, pi0_hat)
+
+    def test_negative_densities_in_order(self):
+        # The key's sign map: without it, -2.0 would sort above -1.0.
+        dens = np.array([-1.0, 2.0, -2.0, 1.5, -1e-300, 0.5])
+        u = np.linspace(0.1, 0.6, dens.size)
+        assert _scan_order(dens, u).tolist() == [2, 0, 4, 5, 3, 1]
 
 
 class TestErrors:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -31,9 +32,10 @@ from cdfdr.errors import (
     PipelineError,
 )
 from cdfdr.legendre import basis_matrix
-from cdfdr.pi0 import DeviancePath
+from cdfdr.pi0 import DeviancePath, estimate_pi0
 from cdfdr.pipeline import (
     CdfrModel,
+    EstimatorConfig,
     NullSpec,
     discoveries,
     evaluate,
@@ -212,6 +214,12 @@ class TestFitCdfdr:
     def test_small_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_cdfdr(np.linspace(-2, 2, 99), NullSpec.standard_normal())
+
+    def test_tuning_defaults_are_estimator_config(self):
+        # One home for the defaults: the CLI flags read EstimatorConfig too.
+        params = inspect.signature(fit_cdfdr).parameters
+        defaults = {name: params[name].default for name in ("m_density", "m_mdc", "grid_step")}
+        assert defaults == dataclasses.asdict(EstimatorConfig())
 
     def test_small_sample_warns(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -860,6 +868,7 @@ def _budget_call(name):
         "to_pvalues-two_sided": lambda: to_pvalues(z, NullSpec.standard_normal(), "two_sided"),
         "fit_cdfdr": lambda: fit_cdfdr(z, NullSpec.standard_normal(), mode="two_sided"),
         "evaluate": lambda: evaluate(dataclasses.replace(model, fitted=None), z),
+        "estimate_pi0": lambda: estimate_pi0(model.fitted.u, model.fitted.d),
     }[name]
 
 
@@ -880,6 +889,8 @@ class TestAllocationBudget:
         ("to_pvalues-two_sided", 3.0),
         ("fit_cdfdr", 7.0),
         ("evaluate", 5.5),
+        # 3.48 when the scan ordered by argsort; a key array beside the order would add 1.
+        ("estimate_pi0", 3.5),
     ])
     def test_peak_within_budget(self, name, budget):
         call = _budget_call(name)
