@@ -10,6 +10,7 @@ fraction of p-values it captures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ _STEP_MIN = 1e-4
 # Rows of the basis the scan builds at a time, so its memory does not grow
 # with the number of p-values.
 _SCAN_CHUNK = 32_768
+
+
+def _check_grid_step(step, error: type[Exception] = DomainError) -> None:
+    """``error`` unless ``step`` is a real number, not a bool, in [1e-4, 2.5]."""
+    span = _LAMBDA_MAX - _LAMBDA_MIN
+    if isinstance(step, bool) or not (isinstance(step, numbers.Real) and _STEP_MIN <= step <= span):
+        raise error(f"grid_step must lie in [{_STEP_MIN}, {span}], got {step!r}")
 
 
 @dataclass(frozen=True)
@@ -56,15 +64,14 @@ def estimate_pi0(pvalues, density, m: int = 10, grid_step: float = 0.01) -> Devi
 
     ``density`` holds the floored comparison density at each p-value, as
     fitted on these same p-values (``CdfrModel.fitted.d``); it must be finite.
-    ``m`` is an integer in [1, M_MAX] and ``grid_step`` a number (not a bool)
+    ``m`` is an integer in [1, M_MAX] and ``grid_step`` a real number (not a bool)
     in [1e-4, 2.5]; the levels are 1, 1 + step, ..., up to the last that is at
     most 3.5 (3.1 at step 0.7).  Ties at the minimum break toward the smallest lambda
     (most conservative null set); the scan is performed in ascending lambda
     order, so the result is deterministic bit for bit.
     """
     m = _check_m(m)
-    if isinstance(grid_step, bool) or not _STEP_MIN <= grid_step <= _LAMBDA_MAX - _LAMBDA_MIN:
-        raise DomainError(f"invalid grid step {grid_step!r}")
+    _check_grid_step(grid_step)
     u = np.asarray(pvalues, dtype=float).ravel()
     if u.size == 0:
         raise InsufficientDataError("no p-values supplied")

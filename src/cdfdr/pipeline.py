@@ -9,7 +9,6 @@ every intermediate artifact for audit; evaluation operations are pure.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,11 +30,12 @@ from .errors import (
     PipelineError,
 )
 from .legendre import _check_m
-from .pi0 import _LAMBDA_MAX, _LAMBDA_MIN, _STEP_MIN, DeviancePath, estimate_pi0
+from .pi0 import DeviancePath, _check_grid_step, estimate_pi0
 from .quadrature import integrate_unit
 from .special import (
-    _FLOAT_MAX,
     _blocks,
+    _check_df,
+    _finite_1d,
     _lower_quantile,
     _within,
     normal_cdf_many,
@@ -90,9 +90,8 @@ class NullSpec:
             raise ConfigError(f"mu0 and sigma0 must be finite, got {self.mu0!r}, {self.sigma0!r}")
         if self.kind == "normal" and not self.sigma0 > 0.0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0!r}")
-        if self.kind == "student_t" and not (self.df is not None and self.df > 0.0
-                                             and math.isfinite(self.df)):
-            raise ConfigError(f"student_t null needs finite df > 0, got {self.df!r}")
+        if self.kind == "student_t":
+            object.__setattr__(self, "df", _check_df(self.df, ConfigError))
 
     @staticmethod
     def standard_normal() -> "NullSpec":
@@ -104,7 +103,7 @@ class NullSpec:
 
     @staticmethod
     def student_t(df: float) -> "NullSpec":
-        return NullSpec(kind="student_t", df=float(df))
+        return NullSpec(kind="student_t", df=df)
 
     @staticmethod
     def precomputed() -> "NullSpec":
@@ -218,8 +217,7 @@ def t_to_z(t_stats, df: float) -> np.ndarray:
     no probability array of the input's length is formed.  The map is
     order-preserving and returns an array of at least one dimension.
     """
-    if not (df > 0.0 and math.isfinite(df)):
-        raise ConfigError(f"df must be finite and positive, got {df!r}")
+    df = _check_df(df, ConfigError)
     t = np.atleast_1d(np.asarray(t_stats, dtype=float))
     out = np.empty(t.shape)
     for tb, zb in _blocks(t, out):
@@ -241,9 +239,7 @@ def to_pvalues(stats, null_spec: NullSpec, mode: str = "pit") -> np.ndarray:
     The result has at least one dimension.
     """
     _check_mode(null_spec, mode)
-    stats = np.atleast_1d(np.asarray(stats, dtype=float))
-    if not _within(stats, -_FLOAT_MAX, _FLOAT_MAX):
-        raise ConfigError("statistics must be finite")
+    stats = _finite_1d("statistics", stats, ConfigError)
     if null_spec.kind == "precomputed_pvalues":
         if not _within(stats):
             raise ConfigError("precomputed p-values must lie in [0, 1]")
@@ -263,30 +259,22 @@ def _check_mode(null_spec: NullSpec, mode: str) -> None:
         raise ConfigError("the two-sided transform applies to statistics, not to precomputed p-values")
 
 
-def _check_tuning(m_density: int, m_mdc: int, grid_step: float) -> None:
-    """ConfigError unless both series lengths are integers in [1, M_MAX] and the
-    pi0 grid step is a real number in [1e-4, 2.5], none a bool: no finer than
-    the scan's finest step, no wider than the scanned density range."""
-    for name, m in (("m_density", m_density), ("m_mdc", m_mdc)):
-        _check_m(m, name, ConfigError)
-    span = _LAMBDA_MAX - _LAMBDA_MIN
-    if isinstance(grid_step, bool) or not (isinstance(grid_step, numbers.Real)
-                                           and _STEP_MIN <= grid_step <= span):
-        raise ConfigError(f"grid_step must lie in [{_STEP_MIN}, {span}], got {grid_step!r}")
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """The estimator's tuning: the series length of the density (step 4),
     that of the pi0 scan and its grid step (step 5).  Its field defaults are
-    the defaults of :func:`fit_cdfdr` and of the CLI flags."""
+    the defaults of :func:`fit_cdfdr` and of the CLI flags.  ConfigError
+    unless both series lengths are integers in [1, M_MAX] and the grid step
+    is a real number in [1e-4, 2.5], none a bool."""
 
     m_density: int = 6
     m_mdc: int = 10
     grid_step: float = 0.01
 
     def __post_init__(self):
-        _check_tuning(self.m_density, self.m_mdc, self.grid_step)
+        _check_m(self.m_density, "m_density", ConfigError)
+        _check_m(self.m_mdc, "m_mdc", ConfigError)
+        _check_grid_step(self.grid_step, ConfigError)
 
 
 def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = EstimatorConfig.m_density,
@@ -299,7 +287,7 @@ def fit_cdfdr(data, null_spec: NullSpec, *, m_density: int = EstimatorConfig.m_d
     identical inputs produce an identical model.
     """
     _check_mode(null_spec, mode)
-    _check_tuning(m_density, m_mdc, grid_step)
+    EstimatorConfig(m_density, m_mdc, grid_step)  # checks the tuning before any work
     data = np.asarray(data, dtype=float).ravel()
     if data.size < _MIN_CASES:
         raise InsufficientDataError(f"large-scale method needs n >= {_MIN_CASES}, got {data.size}")

@@ -25,9 +25,10 @@ and 100, 3.5e-14 at df 867.5 and 2 ulp of 1/2 near t = 0; elsewhere the
 continued fraction, within about 2e-13 relative in the far tails.  The
 normal quantile is Wichura's AS241 on the smaller tail min(p, 1 - p), its
 two tail branches refined by one Halley step against Cody's tail: within
-3.5 ulp of mpmath in the centre and about an ulp in the tails.  Every
-elementary function is a numpy ufunc on an array: the exp of a normal tail
-or density takes an exactly split square, and the t density's exponent is
+3.5 ulp of mpmath in the centre and about an ulp in the tails.  Cody's and
+Wichura's polynomials and the t scale's series go through one :func:`_horner`.
+Every elementary function is a numpy ufunc on an array: the exp of a normal
+tail or density takes an exactly split square, and the t density's exponent is
 compensated, so that neither rounds its argument.  The gamma family serves
 the scalar Newton fit of the beta shapes and stays scalar.
 
@@ -38,6 +39,7 @@ domains, and callers clamp at their own named clamp points.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Callable, Iterator
 
@@ -88,11 +90,11 @@ def _blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         yield tuple(flat[start:start + _BLOCK] for flat in flats)
 
 
-def _finite_1d(name: str, x) -> np.ndarray:
-    """``x`` as a float array of at least one dimension, all finite."""
+def _finite_1d(name: str, x, error: type[Exception] = DomainError) -> np.ndarray:
+    """``x`` as a float array of at least one dimension; ``error`` unless all finite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not _within(x, -_FLOAT_MAX, _FLOAT_MAX):
-        raise DomainError(f"{name} must be finite")
+        raise error(f"{name} must be finite")
     return x
 
 
@@ -115,13 +117,14 @@ def _unit_1d(name: str, x) -> np.ndarray:
 # below it the compensated centre stays within 0.57 ulp.
 _ANORM_CENTRE = 0.67448975
 _ANORM_ROOT32 = 5.656854249492381
+# Each polynomial is its coefficients from the highest power down (:func:`_horner`).
 # Centre: Phi(z) - 1/2 = z N(s) / D(s), s = z^2, with D monic of degree 4.
-# _ANORM_S holds (N(s) - c D(s)) / s, c = 1/sqrt(2 pi), from s^3 down: each
+# _ANORM_S holds (N(s) - c D(s)) / s, c = 1/sqrt(2 pi): each
 # coefficient is Cody's A_i - c B_i, rounded from its exact value.  The
 # constant term of N - c D (-1e-12, i.e. Cody's A_3/B_3 less c) is dropped,
 # so that Phi(z) - 1/2 = c z + z^3 S(s) with S = _ANORM_S / D.
 _ANORM_B = (
-    47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
+    1.0, 47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
     45507.789335026729956,
 )
 _ANORM_S = (
@@ -131,22 +134,22 @@ _ANORM_S = (
 _C_LO = -2.49232720227773e-17
 # _ANORM_CENTRE < |z| <= sqrt(32): Phi(-|z|) = exp(-z^2/2) C(|z|) / D(|z|).
 _ANORM_C = (
-    0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
-    597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326,
-    11602.651437647350124, 9842.7148383839780218, 1.0765576773720192317e-8,
+    1.0765576773720192317e-8, 0.39894151208813466764, 8.8831497943883759412,
+    93.506656132177855979, 597.27027639480026226, 2494.5375852903726711,
+    6848.1904505362823326, 11602.651437647350124, 9842.7148383839780218,
 )
 _ANORM_D = (
-    22.266688044328115691, 235.38790178262499861, 1519.3775994075548050,
+    1.0, 22.266688044328115691, 235.38790178262499861, 1519.3775994075548050,
     6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
     38912.003286093271411, 19685.429676859990727,
 )
 # |z| > sqrt(32): Phi(-|z|) = exp(-z^2/2) (c - w P(w) / Q(w)) / |z|, w = 1/z^2.
 _ANORM_P = (
-    0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
-    0.001421619193227893466, 2.9112874951168792e-5, 0.02307344176494017303,
+    0.02307344176494017303, 0.21589853405795699, 0.1274011611602473639,
+    0.022235277870649807, 0.001421619193227893466, 2.9112874951168792e-5,
 )
 _ANORM_Q = (
-    1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+    1.0, 1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
     0.00378239633202758244, 7.29751555083966205e-5,
 )
 # Beyond this |z|, Phi(-|z|) and phi(z) are exactly 0.0 (below 2^-1074).
@@ -179,16 +182,26 @@ def _exp_half_square(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(-0.5 * sq), 0.5 * err
 
 
+def _horner(coefficients: tuple[float, ...], x):
+    """The polynomial with ``coefficients`` (highest power first, at least two)
+    at x by Horner's rule: a new array for an array x, a float for a float.  A
+    monic polynomial starts with 1.0, whose product 1.0 x is exact."""
+    acc = coefficients[0] * x
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefficients[-1]
+    return acc
+
+
 def _anorm_centre(z: np.ndarray) -> np.ndarray:
     """Phi(z) for |z| <= _ANORM_CENTRE, to about half an ulp.
 
     c z is formed exactly as a two-product and 1/2 + c z as a two-sum, so
     only the small z^3 S(z^2) term and the last addition round.
     """
-    b, e = _ANORM_B, _ANORM_S
     s = z * z
-    den = (((s + b[0]) * s + b[1]) * s + b[2]) * s + b[3]
-    tail = (((e[0] * s + e[1]) * s + e[2]) * s + e[3]) / den
+    tail = _horner(_ANORM_S, s) / _horner(_ANORM_B, s)
     prod, prod_err = _two_product(z, _INV_SQRT_2PI)
     total = 0.5 + prod
     return total + (((0.5 - total) + prod) + (prod_err + z * (_C_LO + s * tail)))
@@ -196,29 +209,13 @@ def _anorm_centre(z: np.ndarray) -> np.ndarray:
 
 def _anorm_ratio(y: np.ndarray) -> np.ndarray:
     """Cody's tail ratio, Phi(-y) exp(y^2/2), for y > _ANORM_CENTRE."""
-    c, d, p, q = _ANORM_C, _ANORM_D, _ANORM_P, _ANORM_Q
-    num = c[8] * y
-    den = y.copy()
-    for i in range(7):
-        num += c[i]
-        num *= y
-        den += d[i]
-        den *= y
-    num += c[7]
-    den += d[7]
-    ratio = np.divide(num, den, out=num)
+    num = _horner(_ANORM_C, y)
+    ratio = np.divide(num, _horner(_ANORM_D, y), out=num)
     far = np.flatnonzero(y > _ANORM_ROOT32)
     if far.size:
         yf = y[far]
         w = 1.0 / (yf * yf)
-        num = p[5] * w
-        den = w.copy()
-        for i in range(4):
-            num += p[i]
-            num *= w
-            den += q[i]
-            den *= w
-        ratio[far] = (_INV_SQRT_2PI - w * (num + p[4]) / (den + q[4])) / yf
+        ratio[far] = (_INV_SQRT_2PI - w * _horner(_ANORM_P, w) / _horner(_ANORM_Q, w)) / yf
     return ratio
 
 
@@ -299,21 +296,6 @@ _AS241_FAR = (
 )
 
 
-def _as241_terms(coefficients: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A branch's numerator and denominator at r, each by Horner's rule."""
-    num, den = coefficients
-    top = num[0] * r
-    bottom = den[0] * r
-    for a, b in zip(num[1:-1], den[1:-1]):
-        top += a
-        top *= r
-        bottom += b
-        bottom *= r
-    top += num[-1]
-    bottom += den[-1]
-    return top, bottom
-
-
 def _lower_quantile(p: np.ndarray, x: np.ndarray) -> None:
     """Write Phi^-1(p) <= 0 into ``x`` for the 1-d block ``p`` in (0, 1/2].
 
@@ -327,20 +309,22 @@ def _lower_quantile(p: np.ndarray, x: np.ndarray) -> None:
     q = p - 0.5
     centre = np.flatnonzero(q >= -_AS241_SPLIT)
     qc = q[centre]
-    top, bottom = _as241_terms(_AS241_CENTRE, 0.180625 - qc * qc)
+    r = 0.180625 - qc * qc
+    top = _horner(_AS241_CENTRE[0], r)
     top *= qc
-    x[centre] = np.divide(top, bottom, out=top)
+    x[centre] = np.divide(top, _horner(_AS241_CENTRE[1], r), out=top)
     tail = np.flatnonzero(q < -_AS241_SPLIT)
     if not tail.size:
         return
     pt = p[tail]
     r = np.sqrt(-np.log(pt))
-    top, bottom = _as241_terms(_AS241_NEAR, r - 1.6)
-    xt = np.divide(top, bottom, out=top)
+    near = r - 1.6
+    top = _horner(_AS241_NEAR[0], near)
+    xt = np.divide(top, _horner(_AS241_NEAR[1], near), out=top)
     far = np.flatnonzero(r > 5.0)
     if far.size:
-        top, bottom = _as241_terms(_AS241_FAR, r[far] - 5.0)
-        xt[far] = top / bottom
+        rf = r[far] - 5.0
+        xt[far] = _horner(_AS241_FAR[0], rf) / _horner(_AS241_FAR[1], rf)
     refine = xt * xt < 1400.0
     y, pr = xt[refine], pt[refine]
     # d at x = -y; the refined -x is y + d/(1 - y d/2).
@@ -675,12 +659,11 @@ def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
 # Student t
 # ---------------------------------------------------------------------------
 
-def _check_df(df) -> float:
-    """``df`` as a float, which must be finite and positive."""
-    df = float(df)
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"df must be positive, got {df!r}")
-    return df
+def _check_df(df, error: type[Exception] = DomainError) -> float:
+    """``df`` as a float; ``error`` unless it is a finite positive real number, not a bool."""
+    if isinstance(df, bool) or not isinstance(df, numbers.Real) or not 0.0 < df < math.inf:
+        raise error(f"df must be finite and positive, got {df!r}")
+    return float(df)
 
 
 # BGRAT (DiDonato & Morris 1992, TOMS 708): the asymptotic expansion of
@@ -824,11 +807,11 @@ def student_t_cdf_many(t, df: float) -> np.ndarray:
 
 
 # Odd-order terms of log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) ~ sum_k C_k a^-(2k+1),
-# C_k = (2^-n - 2) B_(n+1) / (n (n+1)) with n = 2k + 1 (Bernoulli numbers B).
+# C_k = (2^-n - 2) B_(n+1) / (n (n+1)) with n = 2k + 1 (Bernoulli numbers B), C_8 first.
 _T_SCALE_SERIES = (
-    -0.125, 0.005208333333333333, -0.0015625, 0.0011858258928571428,
-    -0.001681857638888889, 0.0038341175426136365, -0.012819730318509616,
-    0.059100405375162764, -0.359287374159869,
+    -0.359287374159869, 0.059100405375162764, -0.012819730318509616,
+    0.0038341175426136365, -0.001681857638888889, 0.0011858258928571428,
+    -0.0015625, 0.005208333333333333, -0.125,
 )
 _HALF_LOG_2PI = 0.9189385332046728
 
@@ -847,11 +830,7 @@ def _log_t_scale(df: float) -> float:
     if df < _T_SCALE_MIN_DF:
         return math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
     inv = 2.0 / df
-    inv2 = inv * inv
-    acc = 0.0
-    for coeff in reversed(_T_SCALE_SERIES):
-        acc = acc * inv2 + coeff
-    return acc * inv - _HALF_LOG_2PI
+    return _horner(_T_SCALE_SERIES, inv * inv) * inv - _HALF_LOG_2PI
 
 
 def student_t_pdf_many(t, df: float) -> np.ndarray:

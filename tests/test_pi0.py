@@ -7,7 +7,7 @@ import pytest
 
 from cdfdr.betafit import BetaFit
 from cdfdr.density import ComparisonDensityModel, CoefficientSet, eval_comparison_density_many
-from cdfdr.errors import DomainError, EstimationError, InsufficientDataError
+from cdfdr.errors import ConfigError, DomainError, EstimationError, InsufficientDataError
 from cdfdr.legendre import basis_matrix
 from cdfdr.pi0 import _SCAN_CHUNK, _prefix_sums, _scan_order, estimate_pi0
 from cdfdr.pipeline import NullSpec, fit_cdfdr
@@ -330,6 +330,16 @@ class TestErrors:
         with pytest.raises(DomainError):
             estimate_pi0(u, _unit_density(u), grid_step=1e-5)
         assert estimate_pi0(u, _unit_density(u), grid_step=1e-4).lambdas.size == 25_001
+
+    @pytest.mark.parametrize("step", ["0.01", None, 0.01j])
+    def test_grid_step_not_a_real_number(self, step):
+        # A DomainError, with the text that fit_cdfdr gives as a ConfigError.
+        u = np.full(100, 0.5)
+        with pytest.raises(DomainError, match=r"^grid_step must lie in \[0\.0001, 2\.5\], got ") as info:
+            estimate_pi0(u, _unit_density(u), grid_step=step)
+        with pytest.raises(ConfigError) as config:
+            fit_cdfdr(np.zeros(5), NullSpec.standard_normal(), grid_step=step)
+        assert str(info.value) == str(config.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_density_rejected(self, bad):

@@ -87,9 +87,20 @@ class TestNullSpec:
             NullSpec.student_t(-3.0)
         for build in (lambda: NullSpec.normal(math.nan, 1.0),
                       lambda: NullSpec.normal(0.0, math.inf),
-                      lambda: NullSpec.student_t(math.inf)):
+                      lambda: NullSpec.student_t(math.inf),
+                      lambda: NullSpec(kind="student_t")):
             with pytest.raises(ConfigError, match="finite"):
                 build()
+
+    def test_student_t_df_is_a_real_number(self):
+        # The kernels' df rule: a bool, a string or None is no df, and a numpy
+        # scalar is the float it holds.
+        for df in (True, np.True_, "5", None):
+            with pytest.raises(ConfigError, match="df must be finite and positive"):
+                NullSpec.student_t(df)
+        for df in (np.float64(5.0), np.int64(5), 5):
+            spec = NullSpec.student_t(df)
+            assert type(spec.df) is float and spec == NullSpec.student_t(5.0)
 
     def test_standard_normal_is_unit_normal(self):
         assert NullSpec.standard_normal() == NullSpec.normal(0.0, 1.0)
@@ -148,8 +159,8 @@ class TestTtoZ:
         np.testing.assert_allclose(z, ref, rtol=1e-9)
 
     def test_bad_df(self):
-        for df in (0.0, math.inf, math.nan):
-            with pytest.raises(ConfigError):
+        for df in (0.0, math.inf, math.nan, None, "3", True):
+            with pytest.raises(ConfigError, match="df must be finite and positive"):
                 t_to_z(np.array([1.0]), df)
 
     def test_scalar_input_gives_one_element_array(self):

@@ -17,6 +17,7 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
+from cdfdr import special
 from cdfdr.betafit import BetaFit
 from cdfdr.density import CoefficientSet, ComparisonDensityModel, eval_comparison_density_many
 from cdfdr.errors import DomainError
@@ -194,11 +195,17 @@ class TestStudentT:
         assert values[0] <= 1e-9 and values[-1] >= 1.0 - 1e-9
 
     def test_bad_df_rejected(self):
-        for df in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError):
+        for df in (0.0, -1.0, math.nan, math.inf, np.float32("inf"), True, np.True_, None, "3"):
+            with pytest.raises(DomainError, match="df must be finite and positive"):
                 student_t_cdf_many(1.0, df)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="df must be finite and positive"):
                 student_t_pdf_many(1.0, df)
+
+    def test_numpy_scalar_df_is_the_float(self):
+        t = np.linspace(-8.0, 8.0, 101)
+        for df in (np.float64(5.0), np.int64(5), np.float32(5.0), 5):
+            assert np.array_equal(student_t_cdf_many(t, df), student_t_cdf_many(t, 5.0))
+            assert np.array_equal(student_t_pdf_many(t, df), student_t_pdf_many(t, 5.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("df", [0.5, 7.0, 30.0, 1e4, 1e100, 1e160, 1e300])
@@ -996,3 +1003,161 @@ def test_student_t_cdf_at_large_df_against_scipy(df, t):
     reference = sp_stats.t.cdf(lower, df)
     normal = reference >= np.finfo(float).tiny
     assert np.all(np.abs(values - reference)[normal] <= 2e-12 * reference[normal])
+
+
+# ---------------------------------------------------------------------------
+# special._horner against the hand-written polynomial forms it replaced
+# ---------------------------------------------------------------------------
+
+# The coefficient tuples in the order of the hand-written forms below, which
+# held Cody's and the t scale's tuples in other orders than highest power first.
+_LOOP_ANORM_B = (
+    47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
+    45507.789335026729956,
+)
+_LOOP_ANORM_C = (
+    0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
+    597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326,
+    11602.651437647350124, 9842.7148383839780218, 1.0765576773720192317e-8,
+)
+_LOOP_ANORM_D = (
+    22.266688044328115691, 235.38790178262499861, 1519.3775994075548050,
+    6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+    38912.003286093271411, 19685.429676859990727,
+)
+_LOOP_ANORM_P = (
+    0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
+    0.001421619193227893466, 2.9112874951168792e-5, 0.02307344176494017303,
+)
+_LOOP_ANORM_Q = (
+    1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+    0.00378239633202758244, 7.29751555083966205e-5,
+)
+_LOOP_T_SCALE_SERIES = (
+    -0.125, 0.005208333333333333, -0.0015625, 0.0011858258928571428,
+    -0.001681857638888889, 0.0038341175426136365, -0.012819730318509616,
+    0.059100405375162764, -0.359287374159869,
+)
+
+
+def _loop_anorm_centre(z):
+    b, e = _LOOP_ANORM_B, special._ANORM_S
+    s = z * z
+    den = (((s + b[0]) * s + b[1]) * s + b[2]) * s + b[3]
+    tail = (((e[0] * s + e[1]) * s + e[2]) * s + e[3]) / den
+    prod, prod_err = special._two_product(z, special._INV_SQRT_2PI)
+    total = 0.5 + prod
+    return total + (((0.5 - total) + prod) + (prod_err + z * (special._C_LO + s * tail)))
+
+
+def _loop_anorm_ratio(y):
+    c, d, p, q = _LOOP_ANORM_C, _LOOP_ANORM_D, _LOOP_ANORM_P, _LOOP_ANORM_Q
+    num = c[8] * y
+    den = y.copy()
+    for i in range(7):
+        num += c[i]
+        num *= y
+        den += d[i]
+        den *= y
+    num += c[7]
+    den += d[7]
+    ratio = np.divide(num, den, out=num)
+    far = np.flatnonzero(y > _ANORM_ROOT32)
+    if far.size:
+        yf = y[far]
+        w = 1.0 / (yf * yf)
+        num = p[5] * w
+        den = w.copy()
+        for i in range(4):
+            num += p[i]
+            num *= w
+            den += q[i]
+            den *= w
+        ratio[far] = (special._INV_SQRT_2PI - w * (num + p[4]) / (den + q[4])) / yf
+    return ratio
+
+
+def _as241_terms(coefficients, r):
+    num, den = coefficients
+    top = num[0] * r
+    bottom = den[0] * r
+    for a, b in zip(num[1:-1], den[1:-1]):
+        top += a
+        top *= r
+        bottom += b
+        bottom *= r
+    top += num[-1]
+    bottom += den[-1]
+    return top, bottom
+
+
+def _loop_log_t_scale(df):
+    inv = 2.0 / df
+    inv2 = inv * inv
+    acc = 0.0
+    for coeff in reversed(_LOOP_T_SCALE_SERIES):
+        acc = acc * inv2 + coeff
+    return acc * inv - special._HALF_LOG_2PI
+
+
+def _with_edges(x, *edges):
+    """``x`` with each edge and its two neighbouring floats appended."""
+    edges = np.array(edges)
+    return np.concatenate([x, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+class TestHornerMatchesHandWrittenForms:
+    """Every polynomial goes through the one evaluator, each with the same
+    operations in the same order as the form it replaced, so every bit stays:
+    at 100,000 seeded points a branch and at each branch edge."""
+
+    N = 100_000
+
+    def _rng(self, seed):
+        return np.random.Generator(np.random.Philox(seed))
+
+    def test_cody_centre(self):
+        z = _with_edges(self._rng(1).uniform(-_ANORM_CENTRE, _ANORM_CENTRE, self.N),
+                        -_ANORM_CENTRE, 0.0, _ANORM_CENTRE)
+        z = z[np.abs(z) <= _ANORM_CENTRE]
+        _assert_same_bits(special._anorm_centre(z), _loop_anorm_centre(z))
+
+    @pytest.mark.parametrize("lo, hi", [(_ANORM_CENTRE, _ANORM_ROOT32),
+                                        (_ANORM_ROOT32, special._Z_ZERO_TAIL)])
+    def test_cody_tail_ratio(self, lo, hi):
+        y = _with_edges(self._rng(2).uniform(lo, hi, self.N), lo, hi)
+        y = y[(y > lo) & (y <= hi)]
+        _assert_same_bits(special._anorm_ratio(y), _loop_anorm_ratio(y))
+
+    @pytest.mark.parametrize("branch, lo, hi", [
+        ("centre", 0.075, 0.5), ("near", math.exp(-25.0), 0.075), ("far", 1e-300, math.exp(-25.0)),
+    ])
+    def test_as241(self, branch, lo, hi):
+        # p log-uniform on the branch's range, edges included; r as the
+        # quantile forms it.
+        p = _with_edges(np.exp(self._rng(3).uniform(math.log(lo), math.log(hi), self.N)), lo, hi)
+        p = p[(p >= lo) & (p <= hi)]
+        if branch == "centre":
+            q = p - 0.5
+            r, coefficients = 0.180625 - q * q, special._AS241_CENTRE
+        else:
+            r = np.sqrt(-np.log(p))
+            shift = 1.6 if branch == "near" else 5.0
+            r, coefficients = r - shift, getattr(special, f"_AS241_{branch.upper()}")
+        top, bottom = _as241_terms(coefficients, r)
+        _assert_same_bits(special._horner(coefficients[0], r), top)
+        _assert_same_bits(special._horner(coefficients[1], r), bottom)
+
+    def test_t_scale_series(self):
+        edges = [16.0, 30.0, 1e4, 1e300]
+        dfs = np.concatenate([np.exp(self._rng(4).uniform(math.log(16.0), math.log(1e300), self.N)),
+                              edges, np.nextafter(edges, np.inf)])
+        got = np.array([special._log_t_scale(df) for df in dfs.tolist()])
+        _assert_same_bits(got, np.array([_loop_log_t_scale(df) for df in dfs.tolist()]))
+
+    def test_float_or_new_array(self):
+        value = special._horner((2.0, 3.0, 5.0), 2.0)
+        assert type(value) is float and value == 19.0
+        x = np.array([2.0])
+        value = special._horner((2.0, 3.0, 5.0), x)
+        assert value is not x and x[0] == 2.0 and value[0] == 19.0
