@@ -51,6 +51,7 @@ from .simulate import (
     MixtureUniformDesign,
     run_replicates,
 )
+from .special import _blocks
 
 __all__ = ["main"]
 
@@ -65,13 +66,215 @@ _JSON_BLOCK = 65_536
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _float_text(values) -> list[str]:
-    """Shortest round-trip text of each float, as ``repr`` writes it."""
-    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+def _power_table(low: int, high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**q = (hi + lo) * 2**exp for q in [low, high], hi in [1, 2] and lo
+    within 2**-53 of it, from the 106-bit rounding of Python integers."""
+    his, los, exps = [], [], []
+    for q in range(low, high + 1):
+        power = 10 ** abs(q)
+        if q >= 0:
+            exp = power.bit_length() - 1
+            mant = power << 105 - exp if exp <= 105 else ((power >> exp - 106) + 1) >> 1
+        else:
+            exp = -power.bit_length()
+            mant = ((1 << 106 - exp) // power + 1) >> 1
+        hi, lo = mant >> 53, mant & ((1 << 53) - 1)
+        if lo >= 1 << 52:  # round hi to nearest; lo takes the sign
+            hi, lo = hi + 1, lo - (1 << 53)
+        his.append(math.ldexp(hi, -52))
+        los.append(math.ldexp(lo, -105))
+        exps.append(exp)
+    return np.array(his), np.array(los), np.array(exps, dtype=np.int32)
+
+
+# Decimal exponents q that scale a normal double into [1e16, 1e17).
+_Q_LOW = -292
+_TEN_HI, _TEN_LO, _TEN_EXP = _power_table(_Q_LOW, 324)
+# Dekker's split of each hi into two halves of at most 26 bits.
+_SPLITTER = 134217729.0  # 2**27 + 1
+_TEN_HI_HEAD = _SPLITTER * _TEN_HI - (_SPLITTER * _TEN_HI - _TEN_HI)
+_TEN_HI_TAIL = _TEN_HI - _TEN_HI_HEAD
+# A lane whose rounding or interval end lies this close to a decision is
+# left to float.__repr__; the double-double product errs by under 2**-45.
+_UNDECIDED = 2.0 ** -36
+_MIN_NORMAL = sys.float_info.min
+
+_WORD = np.dtype("<u8")  # eight text bytes, the first in the low byte
+_FOURS = np.arange(10_000)
+# The four digits of i, zero-padded, as text bytes.
+_DIGITS4 = sum(((_FOURS // 10 ** (3 - b)) % 10 + 48).astype(_WORD) << np.uint64(8 * b)
+               for b in range(4))
+# The trailing zero digits of i written with four digits (4 for 0).
+_ZEROS4 = sum((_FOURS % 10 ** b == 0).astype(np.int8) for b in range(1, 5)).astype(np.int8)
+
+
+def _byte_masks(byte: int, low: int, high: int) -> np.ndarray:
+    """Column t: three words holding ``byte`` at each byte index i with
+    t + low <= i < t + high, and 0 elsewhere, for t = 0..24."""
+    return np.ascontiguousarray(np.frombuffer(bytes(
+        byte if t + low <= i < t + high else 0 for t in range(25) for i in range(24)),
+        _WORD).reshape(25, 3).T)
+
+
+_BEFORE = _byte_masks(255, -24, 0)  # the bytes below t
+_AFTER = _byte_masks(255, 1, 24)  # the bytes above t
+_POINT = _byte_masks(ord("."), 0, 1)  # "." at byte t
+# Sign and leading "0.", "0.0", ... of repr's positional form: entry
+# 5 * negative + (1 - decimal point position, where that is 0 to -3).  The
+# six bytes of "-0.000" do not fit the five-byte slot; such lanes take repr.
+_LEADS = np.array([int.from_bytes((sign + lead).encode(), "little")
+                   for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")], _WORD)
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The digits ``repr`` writes for each positive double of ``a``: the
+    17-digit integer C = 100 * head + tail with trailing zeros for digits it
+    leaves out, the decimal point position, and ``ok``, false where this
+    function cannot decide (zero, subnormal or least normal, non-finite, a
+    close call).
+
+    repr gives the fewest digits that read back as the same double and, among
+    those, the nearest to it, ties to even (Gay's dtoa; Ryu's rule too).  Each
+    lane scales x, and the half-way points to its neighbours, by a double-double
+    10**q into [1e16, 1e17).  An interval of integers [A, B] then holds the
+    17-digit candidates; its width is below 23, so the shortest candidate is
+    the multiple of 100 in it, if any, else the nearest multiple of 10 in it,
+    else the nearest integer.  Everything is computed relative to
+    100 * (floor(y) // 100), so the offsets are small exact floats.
+    """
+    ok = (a > _MIN_NORMAL) & (a <= sys.float_info.max)
+    if not ok.all():
+        a = np.where(ok, a, 1.0)
+    frac, exp = np.frexp(a)
+    k = np.floor(np.log10(a))
+    qi = (16 - _Q_LOW - k).astype(np.intp)
+    hi, lo, hh, ht = _TEN_HI[qi], _TEN_LO[qi], _TEN_HI_HEAD[qi], _TEN_HI_TAIL[qi]
+    shift = exp + _TEN_EXP[qi]
+    # y = frac * (hi + lo) * 2**shift as yh + yl, with frac * hi exact by Dekker.
+    split = _SPLITTER * frac
+    fh = split - (split - frac)
+    fl = frac - fh
+    p = frac * hi
+    err = (((fh * hh - p) + fh * ht + fl * hh) + fl * ht) + frac * lo
+    s = p + err
+    yh = np.ldexp(s, shift)
+    yl = np.ldexp(err - (s - p), shift)
+    # The rounding interval: half an ulp up, and down (a quarter below a power of 2).
+    up = np.ldexp(hi, shift - 54)
+    down = np.ldexp(hi, shift - 54 - (frac == 0.5))
+    yfloor = np.floor(yl)
+    f = yl - yfloor
+    ok &= yh >= 1e16  # an integer from 2**53 on
+    whole = yh.astype(np.int64)
+    base = whole // 100
+    r = (whole - 100 * base).astype(float) + yfloor  # y = 100 base + r + f
+    low = f - down
+    high = f + up
+    A = np.ceil(low)
+    B = np.floor(high)
+    ok &= (np.abs(A - low - 0.5) <= 0.5 - _UNDECIDED) & (np.abs(high - B - 0.5) <= 0.5 - _UNDECIDED)
+    # Where 10**q is exact, so is y; elsewhere f must stay clear of 0, 1/2 and 1.
+    inexact = lo != 0.0
+    if inexact.any():
+        near = np.abs(f - 0.5)
+        ok &= ~inexact | ((near <= 0.5 - _UNDECIDED) & (near >= _UNDECIDED))
+    A += r
+    B += r
+    hundred = (B >= 100.0) * 100.0  # A > -31 and B < 131, so 0 or 100
+    tens = np.floor(r / 10.0)
+    units = r - 10.0 * tens
+    odd_tens = np.floor(0.5 * tens) * 2.0 != tens
+    up10 = (units > 5.0) | ((units == 5.0) & ((f > 0.0) | odd_tens))
+    low10 = 10.0 * np.ceil(A / 10.0)
+    high10 = 10.0 * np.floor(B / 10.0)
+    near10 = np.minimum(np.maximum(10.0 * (tens + up10), low10), high10)
+    up1 = (f > 0.5) | ((f == 0.5) & (np.floor(0.5 * r) * 2.0 != r))
+    c = np.minimum(np.maximum(r + up1, A), B)
+    c += (low10 <= high10) * (near10 - c)
+    c += ((A <= hundred) & (B >= 0.0)) * (hundred - c)
+    carry = np.floor(c / 100.0)
+    head = base.astype(float) + carry  # below 2**53, exact
+    ok &= (head >= 1e14) & (head < 1e15)
+    return head, c - 100.0 * carry, k.astype(np.intp) + 1, ok
+
+
+def _repr_text(x: np.ndarray, sep: bytes) -> str:
+    """``repr`` of each double of the 1-d array ``x``, each followed by ``sep``
+    (which holds no NUL).
+
+    Each lane's text is laid out in words of zero-padded bytes: sign and
+    leading "0." at byte 0, the digits with their point at byte 5, the
+    trailing "0" or exponent at byte 23 and ``sep`` at byte 28.  One translate
+    drops the padding.  Lanes :func:`_shortest` cannot decide get ``repr``.
+    """
+    head, tail, point, ok = _shortest(np.abs(x))
+    negative = np.signbit(x)
+    ok &= ~(negative & (point == -3))
+    if not ok.all():
+        head[~ok], tail[~ok] = 1e14, 0.0
+    # C's digits as chunks 0-3, 4-7, 8-11, 12-15 and 16.
+    h11, h7, h3, t1 = (np.floor(head / 1e11), np.floor(head / 1e7), np.floor(head / 1e3),
+                       np.floor(tail / 10.0))
+    d1 = h11.astype(np.intp)
+    d2 = (h7 - 1e4 * h11).astype(np.intp)
+    d3 = (h3 - 1e4 * h7).astype(np.intp)
+    d4 = ((head - 1e3 * h3) * 10.0 + t1).astype(np.intp)
+    d5 = (tail - 10.0 * t1).astype(np.intp)
+    n = 17 - (d5 == 0) * (1 + _ZEROS4[d4] + (d4 == 0) * (
+        _ZEROS4[d3] + (d3 == 0) * (_ZEROS4[d2] + (d2 == 0) * _ZEROS4[d1])))
+    sci = (point < -3) | (point > 16)
+    lead = ~sci & (point <= 0)
+    fixed = ~sci & (point > 0)
+    trail = fixed & (point >= n)  # "123.0": the digits run to the point
+    shown = n + trail * (point - n)
+    at = 24 + fixed * (point - 24) - 23 * (sci & (n > 1))  # the point's byte; 24: none
+    suffix = trail.astype(_WORD) * np.uint64(ord("0"))
+    if sci.any():  # "e", the sign, two or three digits
+        e = np.abs(point - 1)
+        wide = (e >= 100).astype(_WORD)
+        sign = np.uint64(ord("+")) + np.uint64(2) * (point < 1).astype(_WORD)
+        exp_text = (np.uint64(ord("e")) | sign << np.uint64(8)
+                    | wide * (e // 100 + 48).astype(_WORD) << np.uint64(16)
+                    | (e // 10 % 10 + 48).astype(_WORD) << np.uint64(16) + np.uint64(8) * wide
+                    | (e % 10 + 48).astype(_WORD) << np.uint64(24) + np.uint64(8) * wide)
+        suffix = np.where(sci, exp_text, suffix)
+    # The shown digits, then the point inserted at byte `at`.
+    digits = np.empty((3, x.size), _WORD)
+    digits[0] = _DIGITS4[d1] | _DIGITS4[d2] << np.uint64(32)
+    digits[1] = _DIGITS4[d3] | _DIGITS4[d4] << np.uint64(32)
+    digits[2] = d5.astype(_WORD) + np.uint64(48)
+    digits &= np.take(_BEFORE, shown, axis=1)
+    moved = digits << np.uint64(8)
+    moved[1:] |= digits[:-1] >> np.uint64(56)
+    body = (digits & np.take(_BEFORE, at, axis=1)) | (moved & np.take(_AFTER, at, axis=1))
+    body |= np.take(_POINT, at, axis=1)
+    sep_words = np.frombuffer((b"\0" * 4 + sep).ljust(4 + len(sep) + 7 & -8, b"\0"), _WORD)
+    rows = np.empty((x.size, 3 + sep_words.size), _WORD)
+    rows[:, 0] = _LEADS[5 * negative + lead * (1 - point)] | body[0] << np.uint64(40)
+    rows[:, 1] = body[0] >> np.uint64(24) | body[1] << np.uint64(40)
+    rows[:, 2] = body[1] >> np.uint64(24) | body[2] << np.uint64(40) | suffix << np.uint64(56)
+    rows[:, 3] = suffix >> np.uint64(8) | sep_words[0]
+    rows[:, 4:] = sep_words[1:]
+    text = rows.view(np.uint8)
+    for i in np.flatnonzero(~ok).tolist():
+        line = repr(float(x[i])).encode()
+        text[i, :28] = 0
+        text[i, :len(line)] = np.frombuffer(line, np.uint8)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _join_floats(sep: str, block) -> str:
-    return sep.join(_float_text(block))
+    """``sep.join(map(repr, block))`` for a float array, rendered a
+    ``special._blocks`` block at a time."""
+    block = np.ascontiguousarray(block, dtype=float).ravel()
+    text = "".join(_repr_text(sub, sep.encode()) for sub, in _blocks(block))
+    return text[:len(text) - len(sep)]
+
+
+def _float_text(values) -> list[str]:
+    """Shortest round-trip text of each float, as ``repr`` writes it."""
+    values = np.asarray(values, dtype=float)
+    return _join_floats("\n", values).split("\n") if values.size else []
 
 
 def _join_strings(sep: str, block) -> str:
@@ -212,6 +415,9 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     """
     if column not in ("stat", "pvalue"):
         raise ConfigError(f"column must be 'stat' or 'pvalue', got {column!r}")
+    table = _read_plain(path, column)
+    if table is not None:
+        return table
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -228,13 +434,115 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
                 raise InputError(
                     f"{path!r} has no {column!r} column (header: {header})"
                 )
-            return _parse_rows(path, reader, header, column)
+            ids, values = _parse_rows(path, reader, header, column)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"cannot read {path!r} as UTF-8 CSV: {exc}") from exc
+    if not ids:
+        raise InputError(f"{path!r} contains a header but no data rows")
+    return ids, values
 
 
-def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[str], np.ndarray]:
-    """Ids and values of the data ``rows`` (lists of cells) below ``header``.
+# Bytes of a plain file that read_input_table splits at a time.
+_PLAIN_CHUNK = 1 << 16
+
+
+def _plain_cells(text: str, width: int) -> list[str] | None:
+    """The cells of ``text``'s lines, each line's followed by a NUL cell, if
+    every line has ``width`` fields none longer than csv's field limit."""
+    lines = text.count("\n")
+    cells = text.replace("\n", ",\0,").split(",")[:-1]
+    if len(cells) != lines * (width + 1) or cells[width::width + 1] != ["\0"] * lines:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:
+        return None
+    return cells
+
+
+def _plain_text(data: bytes, encoding: str = "utf-8") -> str | None:
+    """``data`` decoded, with CRLF line ends as LF; None unless it is UTF-8
+    with no quote, NUL or lone carriage return."""
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    return text
+
+
+def _read_plain(path: str, column: str) -> tuple[list[str], np.ndarray] | None:
+    """read_input_table's result for a plain file, None for any other.
+
+    A plain file is UTF-8 with no quote, NUL or lone carriage return, and
+    reads with no error.  It is read _PLAIN_CHUNK bytes of whole lines at a
+    time.  A chunk whose every line has the header's field count is split by
+    one ``str.split`` and its values parsed by one ``np.array(..., dtype=float)``,
+    which calls ``float`` on each cell.  A chunk with another line or a blank,
+    non-finite or out-of-range value goes through ``csv.reader`` and
+    :func:`_parse_rows`.  Any error returns None, so that the csv path reads
+    the whole file and gives every error message.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return None
+    with handle:
+        first = _plain_text(handle.readline(), "utf-8-sig")
+        if not first or first[-1] != "\n" or len(first) > csv.field_size_limit():
+            return None
+        header = [h.strip() for h in first[:-1].split(",")]
+        if column not in header:
+            return None
+        width = len(header) + 1  # cells to a line, with its NUL
+        value_idx = header.index(column)
+        id_idx = header.index("id") if "id" in header else None
+        ids: list[str] = []
+        values: list[np.ndarray] = []
+        rows, rest = 0, b""
+        while True:
+            data = handle.read(_PLAIN_CHUNK)
+            if data:
+                data = rest + data
+                cut = data.rfind(b"\n") + 1
+                data, rest = data[:cut], data[cut:]
+            elif rest:  # a last line with no line break
+                data, rest = rest + b"\n", b""
+            else:
+                break
+            text = _plain_text(data)
+            if text is None:
+                return None
+            lines = text.count("\n")
+            cells = _plain_cells(text, width - 1)
+            try:
+                chunk = None if cells is None else np.array(cells[value_idx::width], dtype=float)
+            except ValueError:
+                chunk = None
+            if chunk is not None and np.isfinite(chunk).all() and (
+                    column == "stat" or ((chunk >= 0.0) & (chunk <= 1.0)).all()):
+                ids += (map(str.strip, cells[id_idx::width]) if id_idx is not None
+                        else map(str, range(rows + 1, rows + lines + 1)))
+            else:
+                try:
+                    chunk_ids, chunk = _parse_rows(path, csv.reader(text.split("\n")[:-1]),
+                                                   header, column, rows + 1)
+                except (InputError, csv.Error):
+                    return None
+                ids += chunk_ids
+            values.append(chunk)
+            rows += lines
+    return (ids, np.concatenate(values)) if ids else None
+
+
+def _parse_rows(path: str, rows, header: list[str], column: str,
+                first: int = 1) -> tuple[list[str], np.ndarray]:
+    """Ids and values of the data ``rows`` (lists of cells) below ``header``,
+    numbered from ``first``.
 
     A blank row is skipped but keeps its row number; the first bad row raises.
     """
@@ -244,7 +552,7 @@ def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[s
     check_range = column == "pvalue"
     ids: list[str] = []
     values: list[float] = []
-    for row_number, row in enumerate(rows, start=1):
+    for row_number, row in enumerate(rows, start=first):
         # Only a row of the wrong width or with an empty value can be blank.
         if len(row) != width or not (cell := row[value_idx].strip()):
             if not any(map(str.strip, row)):
@@ -262,9 +570,7 @@ def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[s
             raise InputError(f"row {row_number}: p-value {value!r} outside [0, 1]")
         ids.append(row[id_idx].strip() if id_idx is not None else str(row_number))
         values.append(value)
-    if not values:
-        raise InputError(f"{path!r} contains a header but no data rows")
-    return ids, np.array(values)
+    return ids, np.array(values, dtype=float)
 
 
 def parse_null_spec(text: str) -> NullSpec:

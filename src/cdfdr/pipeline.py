@@ -9,6 +9,7 @@ every intermediate artifact for audit; evaluation operations are pure.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -86,8 +87,13 @@ class NullSpec:
     def __post_init__(self):
         if self.kind not in ("normal", "student_t", "precomputed_pvalues"):
             raise ConfigError(f"unknown null kind {self.kind!r}")
-        if not (math.isfinite(self.mu0) and math.isfinite(self.sigma0)):
-            raise ConfigError(f"mu0 and sigma0 must be finite, got {self.mu0!r}, {self.sigma0!r}")
+        pair = (self.mu0, self.sigma0)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in pair):
+            raise ConfigError(f"mu0 and sigma0 must be real numbers, got {pair[0]!r}, {pair[1]!r}")
+        if not all(map(math.isfinite, pair)):
+            raise ConfigError(f"mu0 and sigma0 must be finite, got {pair[0]!r}, {pair[1]!r}")
+        object.__setattr__(self, "mu0", float(self.mu0))
+        object.__setattr__(self, "sigma0", float(self.sigma0))
         if self.kind == "normal" and not self.sigma0 > 0.0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0!r}")
         if self.kind == "student_t":
@@ -99,7 +105,7 @@ class NullSpec:
 
     @staticmethod
     def normal(mu0: float, sigma0: float) -> "NullSpec":
-        return NullSpec(kind="normal", mu0=float(mu0), sigma0=float(sigma0))
+        return NullSpec(kind="normal", mu0=mu0, sigma0=sigma0)
 
     @staticmethod
     def student_t(df: float) -> "NullSpec":

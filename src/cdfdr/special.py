@@ -661,9 +661,12 @@ def beta_cdf_many(u, alpha: float, beta: float) -> np.ndarray:
 
 def _check_df(df, error: type[Exception] = DomainError) -> float:
     """``df`` as a float; ``error`` unless it is a finite positive real number, not a bool."""
-    if isinstance(df, bool) or not isinstance(df, numbers.Real) or not 0.0 < df < math.inf:
-        raise error(f"df must be finite and positive, got {df!r}")
-    return float(df)
+    if not isinstance(df, bool) and isinstance(df, numbers.Real) and 0.0 < df < math.inf:
+        try:
+            return float(df)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise error(f"df must be finite and positive, got {df!r}")
 
 
 # BGRAT (DiDonato & Morris 1992, TOMS 708): the asymptotic expansion of

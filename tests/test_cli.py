@@ -193,8 +193,8 @@ class TestInputTable:
 
 
 class TestBulkIngestion:
-    """read_input_table, which parses the rows as the csv reader yields them,
-    against _parse_rows on the same lines split at commas."""
+    """read_input_table, whose bulk path splits plain files by str.split,
+    against _parse_rows on the rows the csv reader yields."""
 
     cell = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
         ["0", "+1", "-2.5e-3", "1E3", "1_000", ".5", "5."])
@@ -217,6 +217,87 @@ class TestBulkIngestion:
         ref_ids, ref_values = _parse_rows(str(path), table, header, "stat")
         assert ids == ref_ids
         assert values.tolist() == ref_values.tolist()
+
+    @staticmethod
+    def _outcome(path, column, monkeypatch=None):
+        """read_input_table's ids and value bits, or its error's type and text;
+        with ``monkeypatch``, through the csv reader alone."""
+        if monkeypatch is not None:
+            monkeypatch.setattr(cdfdr.cli, "_read_plain", lambda path, column: None)
+        try:
+            ids, values = read_input_table(str(path), column)
+        except (InputError, ConfigError) as exc:
+            return type(exc), str(exc)
+        finally:
+            if monkeypatch is not None:
+                monkeypatch.undo()
+        return ids, values.tobytes()
+
+    # (name, file bytes, column, whether the bulk path reads it)
+    CASES = [
+        ("plain", b"id,stat\na,1.5\nb,-2\n", "stat", True),
+        ("quoted-id", b'id,stat\n"a",1.5\nb,2\n', "stat", False),
+        ("quoted-comma-and-line-break", b'id,stat\n"a,b",1\n"c\nd",2\n', "stat", False),
+        ("quoted-header", b'"id","stat"\na,1\n', "stat", False),
+        ("crlf", b"id,stat\r\na,1\r\nb,2\r\n", "stat", True),
+        ("lone-cr", b"id,stat\ra,1\rb,2\r", "stat", False),
+        ("cr-inside-a-line", b"id,stat\na,1\rb,2\n", "stat", False),
+        ("bom", b"\xef\xbb\xbfid,stat\na,1\n", "stat", True),
+        ("blank-row", b"id,stat\na,1\n\nb,2\n", "stat", True),
+        ("blank-rows-no-id", b"stat\n1\n\n\n2\n", "stat", True),
+        ("whitespace-rows", b"id,stat\na,1\n   \n , \t\nb,2\n", "stat", True),
+        ("trailing-blank-rows", b"id,stat\na,1\n\n\n", "stat", True),
+        ("ragged-long", b"id,stat\na,1,x\n", "stat", False),
+        ("ragged-short", b"id,stat\na,1\nb\n", "stat", False),
+        ("missing-value", b"id,stat\na,1\nb,\n", "stat", False),
+        ("non-ascii-ids", "id,stat\n\u00e9,1\n\u4e2d \u00e9,2\n".encode(), "stat", True),
+        ("underscores-and-arabic-digits", "stat\n1_000\n\u0661\u0662\u0663\n".encode(), "stat",
+         True),
+        ("hex", b"stat\n0x10\n", "stat", False),
+        ("nan", b"stat\n1\nnan\n", "stat", False),
+        ("inf", b"stat\n-inf\n", "stat", False),
+        ("overflow", b"stat\n1e400\n", "stat", False),
+        ("pvalue-range", b"pvalue\n0.5\n1.5\n", "pvalue", False),
+        ("pvalue-edges", b"pvalue\n-0.0\n1.0\n0\n", "pvalue", True),
+        ("padded-cells", b"id,stat\n a , 1.5 \n\tb\t,\t2\t\n", "stat", True),
+        ("no-final-line-break", b"id,stat\na,1\nb,2", "stat", True),
+        ("header-only", b"id,stat\n", "stat", False),
+        ("header-without-line-break", b"id,stat", "stat", False),
+        ("empty", b"", "stat", False),
+        ("missing-column", b"id,value\na,1\n", "stat", False),
+        ("nul", b"id,stat\na\x00,1\n", "stat", False),
+        ("not-utf8", b"id,stat\na\xff,1\n", "stat", False),
+        ("long-field", b"id,stat\n" + b"a" * 131_073 + b",1\n", "stat", False),
+    ]
+
+    @pytest.mark.parametrize("name, data, column, bulk", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_csv_reader(self, name, data, column, bulk, tmp_path, monkeypatch):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert (cdfdr.cli._read_plain(str(path), column) is not None) == bulk
+        assert self._outcome(path, column) == self._outcome(path, column, monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [1, 9, 10, 11, 64])
+    @pytest.mark.parametrize("rows", [1, 6, 7, 8, 13])
+    @pytest.mark.parametrize("kind", ["plain", "crlf", "blank", "no-id", "bad"])
+    def test_rows_at_chunk_edges(self, kind, rows, chunk, tmp_path, monkeypatch):
+        """Files whose lines fall on either side of a chunk boundary read as
+        the csv reader reads them."""
+        lines = [f"c{i:02d},{i / 8!r}" for i in range(rows)]  # 9 or 10 bytes with the break
+        header = "id,stat"
+        if kind == "blank":
+            lines.insert(rows // 2, "")
+        elif kind == "no-id":
+            header, lines = "stat", [line.split(",")[1] for line in lines]
+        elif kind == "bad":
+            lines[-1] = "c99,x"
+        end = "\r\n" if kind == "crlf" else "\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(end.join([header, *lines, ""]).encode())
+        monkeypatch.setattr(cdfdr.cli, "_PLAIN_CHUNK", chunk)
+        bulk = self._outcome(path, "stat")
+        assert (cdfdr.cli._read_plain(str(path), "stat") is not None) == (kind != "bad")
+        assert bulk == self._outcome(path, "stat", monkeypatch)
 
 
 class TestNullSpecParsing:
@@ -786,14 +867,14 @@ def test_error_mid_write_leaves_no_stage_and_no_helper(tmp_path):
     code = (
         "import errno, os, sys\n"
         "import cdfdr.cli\n"
-        "real, blocks = cdfdr.cli._float_text, []\n"
-        "def fail_on_second_block(values):\n"
+        "real, blocks = cdfdr.cli._join_floats, []\n"
+        "def fail_on_second_block(sep, values):\n"
         "    if len(values) == cdfdr.cli._JSON_BLOCK:\n"
         "        blocks.append(values)\n"
         "        if len(blocks) == 2:\n"
         "            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))\n"
-        "    return real(values)\n"
-        "cdfdr.cli._float_text = fail_on_second_block\n"
+        "    return real(sep, values)\n"
+        "cdfdr.cli._join_floats = fail_on_second_block\n"
         "code = cdfdr.cli.main(sys.argv[1:])\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"

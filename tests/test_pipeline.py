@@ -95,12 +95,26 @@ class TestNullSpec:
     def test_student_t_df_is_a_real_number(self):
         # The kernels' df rule: a bool, a string or None is no df, and a numpy
         # scalar is the float it holds.
-        for df in (True, np.True_, "5", None):
+        for df in (True, np.True_, "5", None, 10**400):
             with pytest.raises(ConfigError, match="df must be finite and positive"):
                 NullSpec.student_t(df)
         for df in (np.float64(5.0), np.int64(5), 5):
             spec = NullSpec.student_t(df)
             assert type(spec.df) is float and spec == NullSpec.student_t(5.0)
+
+    def test_mu0_and_sigma0_are_real_numbers(self):
+        # None, a string or a bool is no location or scale; a numpy scalar or
+        # an int is the float it holds.
+        for build in (lambda: NullSpec(kind="normal", mu0=None),
+                      lambda: NullSpec(kind="normal", sigma0="1"),
+                      lambda: NullSpec.normal(True, 1.0),
+                      lambda: NullSpec.normal(0.0, np.True_)):
+            with pytest.raises(ConfigError, match="mu0 and sigma0 must be real numbers"):
+                build()
+        for mu0, sigma0 in ((np.float64(0.5), np.int64(2)), (0.5, 2)):
+            spec = NullSpec.normal(mu0, sigma0)
+            assert type(spec.mu0) is float and type(spec.sigma0) is float
+            assert spec == NullSpec.normal(0.5, 2.0)
 
     def test_standard_normal_is_unit_normal(self):
         assert NullSpec.standard_normal() == NullSpec.normal(0.0, 1.0)
@@ -159,7 +173,7 @@ class TestTtoZ:
         np.testing.assert_allclose(z, ref, rtol=1e-9)
 
     def test_bad_df(self):
-        for df in (0.0, math.inf, math.nan, None, "3", True):
+        for df in (0.0, math.inf, math.nan, None, "3", True, 10**400):
             with pytest.raises(ConfigError, match="df must be finite and positive"):
                 t_to_z(np.array([1.0]), df)
 
