@@ -25,6 +25,7 @@ import tempfile
 import warnings
 from json.encoder import encode_basestring_ascii
 from itertools import chain
+from stat import S_ISREG
 
 import numpy as np
 
@@ -205,13 +206,18 @@ def _repr_text(x: np.ndarray, sep: bytes) -> str:
     Each lane's text is laid out in words of zero-padded bytes: sign and
     leading "0." at byte 0, the digits with their point at byte 5, the
     trailing "0" or exponent at byte 23 and ``sep`` at byte 28.  One translate
-    drops the padding.  Lanes :func:`_shortest` cannot decide get ``repr``.
+    drops the padding.  Zeros are laid out as "0.0" and "-0.0"; the other
+    lanes :func:`_shortest` cannot decide get ``repr``, written in one pass.
     """
     head, tail, point, ok = _shortest(np.abs(x))
     negative = np.signbit(x)
     ok &= ~(negative & (point == -3))
     if not ok.all():
         head[~ok], tail[~ok] = 1e14, 0.0
+        # Zero has point 1 here: no digits, then "0." and the trailing "0".
+        zero = x == 0.0
+        head[zero] = 0.0
+        ok |= zero
     # C's digits as chunks 0-3, 4-7, 8-11, 12-15 and 16.
     h11, h7, h3, t1 = (np.floor(head / 1e11), np.floor(head / 1e7), np.floor(head / 1e3),
                        np.floor(tail / 10.0))
@@ -255,11 +261,11 @@ def _repr_text(x: np.ndarray, sep: bytes) -> str:
     rows[:, 2] = body[1] >> np.uint64(24) | body[2] << np.uint64(40) | suffix << np.uint64(56)
     rows[:, 3] = suffix >> np.uint64(8) | sep_words[0]
     rows[:, 4:] = sep_words[1:]
-    text = rows.view(np.uint8)
-    for i in np.flatnonzero(~ok).tolist():
-        line = repr(float(x[i])).encode()
-        text[i, :28] = 0
-        text[i, :len(line)] = np.frombuffer(line, np.uint8)
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # repr's text, NUL-padded to 24 bytes
+        texts = np.array(list(map(repr, x[bad].tolist())), "S24")
+        rows[bad, :3] = texts.view(_WORD).reshape(-1, 3)
+        rows[bad, 3] = sep_words[0]
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -415,15 +421,18 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     """
     if column not in ("stat", "pvalue"):
         raise ConfigError(f"column must be 'stat' or 'pvalue', got {column!r}")
-    table = _read_plain(path, column)
-    if table is not None:
-        return table
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
         handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot open input file {path!r}: {exc}") from exc
     with handle:
+        # A regular file can be read a second time; a pipe cannot.
+        if S_ISREG(os.fstat(handle.fileno()).st_mode):
+            with open(path, "rb") as data:
+                table = _read_plain(data, column)
+            if table is not None:
+                return table
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -434,16 +443,45 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
                 raise InputError(
                     f"{path!r} has no {column!r} column (header: {header})"
                 )
-            ids, values = _parse_rows(path, reader, header, column)
+            return _parse_rows(path, reader, header, column)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"cannot read {path!r} as UTF-8 CSV: {exc}") from exc
-    if not ids:
-        raise InputError(f"{path!r} contains a header but no data rows")
-    return ids, values
 
 
 # Bytes of a plain file that read_input_table splits at a time.
 _PLAIN_CHUNK = 1 << 16
+
+
+def _plain_text(data: bytes, encoding: str = "utf-8") -> str | None:
+    """``data`` decoded, with CRLF line ends as LF; None unless it is UTF-8
+    with no quote, NUL, lone carriage return or empty line."""
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    newline = np.frombuffer(data, np.uint8) == ord("\n")
+    if newline[:1].any() or (newline[1:] & newline[:-1]).any():
+        return None
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError:
+        return None
+
+
+def _plain_chunks(handle):
+    """The rest of the binary ``handle``, about _PLAIN_CHUNK bytes of whole
+    lines at a time, each as :func:`_plain_text` gives it."""
+    rest = b""
+    while data := handle.read(_PLAIN_CHUNK):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield _plain_text(data[:cut])
+        rest = data[cut:]
+    if rest:  # a last line with no line break
+        yield _plain_text(rest + b"\n")
 
 
 def _plain_cells(text: str, width: int) -> list[str] | None:
@@ -459,90 +497,54 @@ def _plain_cells(text: str, width: int) -> list[str] | None:
     return cells
 
 
-def _plain_text(data: bytes, encoding: str = "utf-8") -> str | None:
-    """``data`` decoded, with CRLF line ends as LF; None unless it is UTF-8
-    with no quote, NUL or lone carriage return."""
-    try:
-        text = data.decode(encoding)
-    except UnicodeDecodeError:
-        return None
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    return text
+def _read_plain(handle, column: str) -> tuple[list[str], np.ndarray] | None:
+    """read_input_table's result for a plain file read from the binary
+    ``handle``, None for any other.
 
-
-def _read_plain(path: str, column: str) -> tuple[list[str], np.ndarray] | None:
-    """read_input_table's result for a plain file, None for any other.
-
-    A plain file is UTF-8 with no quote, NUL or lone carriage return, and
-    reads with no error.  It is read _PLAIN_CHUNK bytes of whole lines at a
-    time.  A chunk whose every line has the header's field count is split by
-    one ``str.split`` and its values parsed by one ``np.array(..., dtype=float)``,
-    which calls ``float`` on each cell.  A chunk with another line or a blank,
-    non-finite or out-of-range value goes through ``csv.reader`` and
-    :func:`_parse_rows`.  Any error returns None, so that the csv path reads
-    the whole file and gives every error message.
+    A plain file is UTF-8 with no quote, NUL, lone carriage return or empty
+    line, each of whose lines has the header's field count and a finite
+    value (in [0, 1] for p-values).  A first pass checks all but the last two
+    with C-speed scans, so a file that fails them is left to the csv reader
+    before any splitting.  The second pass splits _PLAIN_CHUNK bytes of lines
+    at a time by one ``str.split`` and parses their values by one
+    ``np.array(..., dtype=float)``, which calls ``float`` on each cell.  Any
+    line it cannot take returns None, so that the csv path reads the file and
+    gives every error message.
     """
-    try:
-        handle = open(path, "rb")
-    except OSError:
+    first = _plain_text(handle.readline(), "utf-8-sig")
+    if not first or first[-1] != "\n" or len(first) > csv.field_size_limit():
         return None
-    with handle:
-        first = _plain_text(handle.readline(), "utf-8-sig")
-        if not first or first[-1] != "\n" or len(first) > csv.field_size_limit():
+    header = [h.strip() for h in first[:-1].split(",")]
+    if column not in header:
+        return None
+    start = handle.tell()
+    if any(text is None for text in _plain_chunks(handle)):
+        return None
+    handle.seek(start)
+    width = len(header) + 1  # cells to a line, with its NUL
+    value_idx = header.index(column)
+    id_idx = header.index("id") if "id" in header else None
+    ids: list[str] = []
+    values: list[np.ndarray] = []
+    for text in _plain_chunks(handle):
+        cells = _plain_cells(text, width - 1)
+        if cells is None:
             return None
-        header = [h.strip() for h in first[:-1].split(",")]
-        if column not in header:
+        try:
+            chunk = np.array(cells[value_idx::width], dtype=float)
+        except ValueError:  # a blank or non-numeric value
             return None
-        width = len(header) + 1  # cells to a line, with its NUL
-        value_idx = header.index(column)
-        id_idx = header.index("id") if "id" in header else None
-        ids: list[str] = []
-        values: list[np.ndarray] = []
-        rows, rest = 0, b""
-        while True:
-            data = handle.read(_PLAIN_CHUNK)
-            if data:
-                data = rest + data
-                cut = data.rfind(b"\n") + 1
-                data, rest = data[:cut], data[cut:]
-            elif rest:  # a last line with no line break
-                data, rest = rest + b"\n", b""
-            else:
-                break
-            text = _plain_text(data)
-            if text is None:
-                return None
-            lines = text.count("\n")
-            cells = _plain_cells(text, width - 1)
-            try:
-                chunk = None if cells is None else np.array(cells[value_idx::width], dtype=float)
-            except ValueError:
-                chunk = None
-            if chunk is not None and np.isfinite(chunk).all() and (
-                    column == "stat" or ((chunk >= 0.0) & (chunk <= 1.0)).all()):
-                ids += (map(str.strip, cells[id_idx::width]) if id_idx is not None
-                        else map(str, range(rows + 1, rows + lines + 1)))
-            else:
-                try:
-                    chunk_ids, chunk = _parse_rows(path, csv.reader(text.split("\n")[:-1]),
-                                                   header, column, rows + 1)
-                except (InputError, csv.Error):
-                    return None
-                ids += chunk_ids
-            values.append(chunk)
-            rows += lines
+        if not np.isfinite(chunk).all() or (
+                column == "pvalue" and not ((chunk >= 0.0) & (chunk <= 1.0)).all()):
+            return None
+        ids += (map(str.strip, cells[id_idx::width]) if id_idx is not None
+                else map(str, range(len(ids) + 1, len(ids) + chunk.size + 1)))
+        values.append(chunk)
     return (ids, np.concatenate(values)) if ids else None
 
 
-def _parse_rows(path: str, rows, header: list[str], column: str,
-                first: int = 1) -> tuple[list[str], np.ndarray]:
-    """Ids and values of the data ``rows`` (lists of cells) below ``header``,
-    numbered from ``first``.
+def _parse_rows(path: str, rows, header: list[str], column: str) -> tuple[list[str], np.ndarray]:
+    """Ids and values of the data ``rows`` (lists of cells) below ``header``.
 
     A blank row is skipped but keeps its row number; the first bad row raises.
     """
@@ -552,7 +554,7 @@ def _parse_rows(path: str, rows, header: list[str], column: str,
     check_range = column == "pvalue"
     ids: list[str] = []
     values: list[float] = []
-    for row_number, row in enumerate(rows, start=first):
+    for row_number, row in enumerate(rows, start=1):
         # Only a row of the wrong width or with an empty value can be blank.
         if len(row) != width or not (cell := row[value_idx].strip()):
             if not any(map(str.strip, row)):
@@ -570,7 +572,9 @@ def _parse_rows(path: str, rows, header: list[str], column: str,
             raise InputError(f"row {row_number}: p-value {value!r} outside [0, 1]")
         ids.append(row[id_idx].strip() if id_idx is not None else str(row_number))
         values.append(value)
-    return ids, np.array(values, dtype=float)
+    if not values:
+        raise InputError(f"{path!r} contains a header but no data rows")
+    return ids, np.array(values)
 
 
 def parse_null_spec(text: str) -> NullSpec:

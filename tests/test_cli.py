@@ -223,7 +223,7 @@ class TestBulkIngestion:
         """read_input_table's ids and value bits, or its error's type and text;
         with ``monkeypatch``, through the csv reader alone."""
         if monkeypatch is not None:
-            monkeypatch.setattr(cdfdr.cli, "_read_plain", lambda path, column: None)
+            monkeypatch.setattr(cdfdr.cli, "_read_plain", lambda handle, column: None)
         try:
             ids, values = read_input_table(str(path), column)
         except (InputError, ConfigError) as exc:
@@ -232,6 +232,12 @@ class TestBulkIngestion:
             if monkeypatch is not None:
                 monkeypatch.undo()
         return ids, values.tobytes()
+
+    @staticmethod
+    def _bulk(path, column):
+        """What the bulk path makes of the file at ``path``."""
+        with open(path, "rb") as handle:
+            return cdfdr.cli._read_plain(handle, column)
 
     # (name, file bytes, column, whether the bulk path reads it)
     CASES = [
@@ -243,10 +249,10 @@ class TestBulkIngestion:
         ("lone-cr", b"id,stat\ra,1\rb,2\r", "stat", False),
         ("cr-inside-a-line", b"id,stat\na,1\rb,2\n", "stat", False),
         ("bom", b"\xef\xbb\xbfid,stat\na,1\n", "stat", True),
-        ("blank-row", b"id,stat\na,1\n\nb,2\n", "stat", True),
-        ("blank-rows-no-id", b"stat\n1\n\n\n2\n", "stat", True),
-        ("whitespace-rows", b"id,stat\na,1\n   \n , \t\nb,2\n", "stat", True),
-        ("trailing-blank-rows", b"id,stat\na,1\n\n\n", "stat", True),
+        ("blank-row", b"id,stat\na,1\n\nb,2\n", "stat", False),
+        ("blank-rows-no-id", b"stat\n1\n\n\n2\n", "stat", False),
+        ("whitespace-rows", b"id,stat\na,1\n   \n , \t\nb,2\n", "stat", False),
+        ("trailing-blank-rows", b"id,stat\na,1\n\n\n", "stat", False),
         ("ragged-long", b"id,stat\na,1,x\n", "stat", False),
         ("ragged-short", b"id,stat\na,1\nb\n", "stat", False),
         ("missing-value", b"id,stat\na,1\nb,\n", "stat", False),
@@ -274,7 +280,7 @@ class TestBulkIngestion:
     def test_matches_the_csv_reader(self, name, data, column, bulk, tmp_path, monkeypatch):
         path = tmp_path / "in.csv"
         path.write_bytes(data)
-        assert (cdfdr.cli._read_plain(str(path), column) is not None) == bulk
+        assert (self._bulk(path, column) is not None) == bulk
         assert self._outcome(path, column) == self._outcome(path, column, monkeypatch)
 
     @pytest.mark.parametrize("chunk", [1, 9, 10, 11, 64])
@@ -296,8 +302,53 @@ class TestBulkIngestion:
         path.write_bytes(end.join([header, *lines, ""]).encode())
         monkeypatch.setattr(cdfdr.cli, "_PLAIN_CHUNK", chunk)
         bulk = self._outcome(path, "stat")
-        assert (cdfdr.cli._read_plain(str(path), "stat") is not None) == (kind != "bad")
+        assert (self._bulk(path, "stat") is not None) == (kind not in ("blank", "bad"))
         assert bulk == self._outcome(path, "stat", monkeypatch)
+
+
+    @pytest.mark.parametrize("late", ['"c95"', "", "c95,x"], ids=["quote", "blank", "bad"])
+    def test_late_irregular_line_is_found_before_any_split(self, late, tmp_path, monkeypatch):
+        """A quote or blank row near the end sends the file to the csv
+        reader before any chunk is split; a bad value is found by the split."""
+        lines = [f"c{i:02d},{i / 8!r}" for i in range(100)]
+        lines[95] = late + lines[95][3:] if late == '"c95"' else late
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(["id,stat", *lines, ""]), encoding="utf-8")
+        monkeypatch.setattr(cdfdr.cli, "_PLAIN_CHUNK", 64)
+        splits = []
+        real = cdfdr.cli._plain_cells
+        monkeypatch.setattr(cdfdr.cli, "_plain_cells",
+                            lambda text, width: splits.append(text) or real(text, width))
+        assert self._bulk(path, "stat") is None
+        assert (splits == []) == (late != "c95,x")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("name", ["plain", "quoted-id", "blank-row", "nan", "not-utf8",
+                                      "header-only", "empty"])
+    def test_pipe_reads_as_the_csv_reader(self, name, tmp_path, monkeypatch):
+        """A pipe, as ``--input <(zcat in.csv.gz)`` or ``/dev/stdin`` gives,
+        can be read once only: it goes straight to the csv reader."""
+        data, column = next((d, c) for n, d, c, _ in self.CASES if n == name)
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        expected = self._outcome(path, column, monkeypatch)
+
+        def refuse(handle, column):
+            raise AssertionError("the bulk path read a pipe")
+        monkeypatch.setattr(cdfdr.cli, "_read_plain", refuse)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            write_end = None
+            pipe = f"/dev/fd/{read_end}"
+            if isinstance(expected[1], str):  # the error text names the path read
+                expected = expected[0], expected[1].replace(repr(str(path)), repr(pipe))
+            assert self._outcome(pipe, column) == expected
+        finally:
+            os.close(read_end)
+            if write_end is not None:
+                os.close(write_end)
 
 
 class TestNullSpecParsing:

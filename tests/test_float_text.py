@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdfdr.cli
 from cdfdr.cli import _JSON_BLOCK, _float_text, _join_floats
 from cdfdr.special import _BLOCK
 
@@ -47,6 +48,15 @@ def test_subnormals_zeros_and_extremes():
     tiny, big = sys.float_info.min, sys.float_info.max
     _assert_repr(np.concatenate([subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
                                                         big, -big]]))
+
+
+def test_zeros_are_laid_out_without_repr(monkeypatch):
+    """A column of exact zeros, as p-values or an fdr at pi0 = 0 give, is
+    rendered in the numpy pass: repr is called for none of its lanes."""
+    calls = []
+    monkeypatch.setattr(cdfdr.cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    _assert_repr(np.tile([0.0, -0.0, 0.5, 0.0, 1e-300, -3.0], 5000))
+    assert calls == []
 
 
 @pytest.mark.parametrize("switch", [1e-4, 1e16])
