@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -294,34 +295,21 @@ def _default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _records_text(records: list, pad: str) -> str | None:
-    """The text of ``json.dumps(records, indent=1)`` nested ``len(pad)`` levels
-    deep, for a list of dicts that share one tuple of string keys and whose
-    every field holds only strings, only ints or only finite floats; None for
-    any other list.
+class _Table(dict):
+    """A list of records held as columns: each key maps to an equal-length
+    list of the JSON texts of that field, one per record."""
 
-    Each field is rendered as one column, and each record fills one template.
-    """
-    if not (records and type(records[0]) is dict and records[0]):
-        return None
-    keys = tuple(records[0])
-    if not (all(type(key) is str for key in keys)
-            and all(type(record) is dict and tuple(record) == keys for record in records)):
-        return None
-    columns = []
-    for key in keys:
-        column = [record[key] for record in records]
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            columns.append(map(encode_basestring_ascii, column))
-        elif kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
-            columns.append(map(repr, column))
-        else:
-            return None
+
+def _table_text(table: _Table, pad: str) -> str:
+    """The text of ``json.dumps`` of ``table``'s records, with ``indent=1``,
+    nested ``len(pad)`` levels deep: one template filled per record."""
+    if not any(table.values()):
+        return "[]"
     inner, field = pad + " ", pad + "  "
     template = "{\n" + field + (",\n" + field).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + f"\n{inner}}}"
-    return f"[\n{inner}" + (",\n" + inner).join(map(template.__mod__, zip(*columns))) + f"\n{pad}]"
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in table) + f"\n{inner}}}"
+    return f"[\n{inner}" + (",\n" + inner).join(
+        map(template.__mod__, zip(*table.values()))) + f"\n{pad}]"
 
 
 def _json_text(value, pad: str = ""):
@@ -329,9 +317,9 @@ def _json_text(value, pad: str = ""):
     nested ``len(pad)`` levels deep.
 
     Dicts with string keys, lists of strings and 1-d float64 arrays are written
-    here, an array or list :data:`_JSON_BLOCK` items at a time; lists of like
-    records go through :func:`_records_text`; everything else is left to
-    ``json.dumps``.  ``json`` writes non-finite floats as ``NaN``/``Infinity``
+    here, an array or list :data:`_JSON_BLOCK` items at a time; a
+    :class:`_Table` goes through :func:`_table_text`; everything else is left
+    to ``json.dumps``.  ``json`` writes non-finite floats as ``NaN``/``Infinity``
     where ``repr`` writes ``nan``/``inf``, so an array holding one is left to
     ``json.dumps`` too.
     """
@@ -350,8 +338,8 @@ def _json_text(value, pad: str = ""):
         yield f"\n{pad}}}"
         return
     else:
-        text = _records_text(value, pad) if type(value) is list else None
-        yield text or json.dumps(value, indent=1, default=_default).replace("\n", "\n" + pad)
+        yield (_table_text(value, pad) if type(value) is _Table
+               else json.dumps(value, indent=1, default=_default).replace("\n", "\n" + pad))
         return
     sep = ",\n" + inner
     for start in range(0, len(value), _JSON_BLOCK):
@@ -359,11 +347,24 @@ def _json_text(value, pad: str = ""):
     yield f"\n{pad}]"
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether the two paths name one file, through symbolic or hard links."""
+    if os.path.realpath(path) == os.path.realpath(other):
+        return True
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # either is missing
+        return False
+
+
 def _check_outputs(args) -> None:
-    """Refuse output paths that name one file, a directory or a file in a missing directory."""
+    """Refuse output paths that name the input, one file, a directory or a
+    file in a missing directory."""
     if os.path.realpath(args.out) == os.path.realpath(args.curves):  # the CSV would replace it
         raise ConfigError(f"--out and --curves name the same file {args.curves!r}")
-    for path in (args.out, args.curves):
+    for flag, path in (("--out", args.out), ("--curves", args.curves)):
+        if hasattr(args, "input") and _same_file(path, args.input):  # the commit would delete it
+            raise ConfigError(f"{flag} names the input file {path!r}")
         if os.path.isdir(path):  # the commit would move it aside
             raise ConfigError(f"cannot write output file {path!r}: Is a directory")
         if not os.path.exists(os.path.dirname(os.path.abspath(path))):
@@ -422,18 +423,20 @@ def read_input_table(path: str, column: str) -> tuple[list[str], np.ndarray]:
     if column not in ("stat", "pvalue"):
         raise ConfigError(f"column must be 'stat' or 'pvalue', got {column!r}")
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
+        # A buffer of one 8 KiB text chunk: after a seek back, the csv reader
+        # decodes the chunks of a fresh handle, so a decode error's position holds.
+        handle = open(path, "rb", buffering=8192)
     except OSError as exc:
         raise InputError(f"cannot open input file {path!r}: {exc}") from exc
     with handle:
-        # A regular file can be read a second time; a pipe cannot.
+        # A regular file can be read again from its start; a pipe cannot.
         if S_ISREG(os.fstat(handle.fileno()).st_mode):
-            with open(path, "rb") as data:
-                table = _read_plain(data, column)
+            table = _read_plain(handle, column)
             if table is not None:
                 return table
-        reader = csv.reader(handle)
+            handle.seek(0)
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        reader = csv.reader(io.TextIOWrapper(handle, encoding="utf-8-sig", newline=""))
         try:
             header = next(reader, None)
             if header is None:
@@ -685,12 +688,10 @@ def cmd_fdr(args) -> int:
             "n_left": disc.n_left,
             "n_right": disc.n_right,
             "indices": disc.indices,
-            "cases": [
-                {"index": i, "id": ids[i], "stat": stat, "pvalue": pvalue, "fdr": case_fdr}
-                for i, stat, pvalue, case_fdr in zip(
-                    hits, report_stats[hits].tolist(), fitted.u[hits].tolist(),
-                    fitted.fdr[hits].tolist())
-            ],
+            "cases": _Table(
+                index=list(map(str, hits)), id=[encode_basestring_ascii(ids[i]) for i in hits],
+                stat=_float_text(report_stats[hits]), pvalue=_float_text(fitted.u[hits]),
+                fdr=_float_text(fitted.fdr[hits])),
         },
         "cases": {
             "id": ids,

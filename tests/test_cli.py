@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file formats, determinism, round-trips."""
 
+import builtins
 import errno
 import json
 import math
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +27,12 @@ from cdfdr.density import (
 )
 from cdfdr.cli import (
     _JSON_BLOCK,
+    _Table,
     _default,
+    _float_text,
     _json_text,
     _parse_rows,
-    _records_text,
+    _table_text,
     _write_outputs,
     main,
     parse_null_spec,
@@ -63,9 +68,11 @@ def _model_from_report(report):
 
 
 def _forbid_work(monkeypatch):
-    """Make the fit and the replicate run raise, for a command that must refuse first."""
+    """Make reading the input, the fit and the replicate run raise, for a
+    command that must refuse first."""
     def refuse(*args, **kwargs):
         raise AssertionError("the command did its work before checking its output paths")
+    monkeypatch.setattr(cdfdr.cli, "read_input_table", refuse)
     monkeypatch.setattr(cdfdr.cli, "fit_cdfdr", refuse)
     monkeypatch.setattr(cdfdr.cli, "run_replicates", refuse)
 
@@ -336,19 +343,89 @@ class TestBulkIngestion:
         def refuse(handle, column):
             raise AssertionError("the bulk path read a pipe")
         monkeypatch.setattr(cdfdr.cli, "_read_plain", refuse)
+        assert self._pipe_outcome(data, column, path) == expected
+
+    @classmethod
+    def _pipe_outcome(cls, data, column, path):
+        """:meth:`_outcome` of ``data`` (at most a pipe's 64 KiB) written whole
+        to a pipe, with the pipe's name in an error text replaced by ``path``."""
         read_end, write_end = os.pipe()
         try:
             os.write(write_end, data)
             os.close(write_end)
             write_end = None
             pipe = f"/dev/fd/{read_end}"
-            if isinstance(expected[1], str):  # the error text names the path read
-                expected = expected[0], expected[1].replace(repr(str(path)), repr(pipe))
-            assert self._outcome(pipe, column) == expected
+            outcome = cls._outcome(pipe, column)
         finally:
             os.close(read_end)
             if write_end is not None:
                 os.close(write_end)
+        if isinstance(outcome[1], str):  # the error text names the path read
+            outcome = outcome[0], outcome[1].replace(repr(pipe), repr(str(path)))
+        return outcome
+
+    @pytest.mark.parametrize("name", ["plain", "quoted-id"])
+    def test_opens_the_file_once(self, name, tmp_path, monkeypatch):
+        """The bulk path and the csv reader read one handle: a file that is
+        not plain is read again from its start, not opened again."""
+        data, column = next((d, c) for n, d, c, _ in self.CASES if n == name)
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        opened = []
+        monkeypatch.setattr(cdfdr.cli, "open", lambda file, *args, **kwargs: opened.append(file)
+                            or open(file, *args, **kwargs), raising=False)
+        assert self._outcome(path, column)[0] == ["a", "b"]
+        assert opened == [str(path)]
+
+    # 1,500 rows of 12 to 13 bytes: byte 9,000 lies past the csv reader's
+    # first 8 KiB text chunk, and the whole file fits a pipe's 64 KiB.
+    _ROWS = "".join(f"c{i:05d},{i / 8!r}\n" for i in range(1500)).encode()
+
+    @staticmethod
+    def _bad_byte(data, at):
+        return data[:at] + b"\xff" + data[at + 1:]
+
+    # (name, file bytes, the error text after "cannot read <path> as UTF-8
+    # CSV: ", how it is read: a file, or a pipe where it fits one)
+    FROZEN = [
+        ("late-bad-utf8", _bad_byte(b"id,stat\n" + _ROWS, 9000),
+         "'utf-8' codec can't decode byte 0xff in position 808: invalid start byte",
+         ("file", "pipe")),
+        ("quoted-header-bad-utf8", _bad_byte(b'"id",stat\n' + _ROWS, 5000),
+         "'utf-8' codec can't decode byte 0xff in position 5000: invalid start byte",
+         ("file", "pipe")),
+        ("field-over-limit", b"id,stat\n" + _ROWS + b"x" * 131_073 + b",1\n",
+         "field larger than field limit (131072)", ("file",)),
+    ]
+
+    @pytest.mark.parametrize("data, text, kind", [
+        (data, text, kind) for _, data, text, kinds in FROZEN for kind in kinds
+    ], ids=[f"{name}-{kind}" for name, _, _, kinds in FROZEN for kind in kinds])
+    def test_error_texts_are_frozen(self, data, text, kind, tmp_path):
+        """The csv reader decodes the same 8 KiB chunks whether the bulk path
+        gave up at the header, in a later chunk or never saw the input (a
+        pipe), so a decode error names the byte's position in its chunk."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        pipe = kind == "pipe"
+        outcome = self._pipe_outcome(data, "stat", path) if pipe else self._outcome(path, "stat")
+        assert outcome == (InputError, f"cannot read {str(path)!r} as UTF-8 CSV: {text}")
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_nul_reads_as_frozen(self, pipe, tmp_path):
+        """A NUL is a cell's character to the csv reader from Python 3.11 on,
+        and an error before."""
+        data = b"id,stat\n" + self._ROWS + b"a\x00,1\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        outcome = self._pipe_outcome(data, "stat", path) if pipe else self._outcome(path, "stat")
+        if sys.version_info < (3, 11):
+            assert outcome == (InputError,
+                               f"cannot read {str(path)!r} as UTF-8 CSV: line contains NUL")
+        else:
+            ids, values = outcome
+            assert ids == [f"c{i:05d}" for i in range(1500)] + ["a\x00"]
+            assert values == np.append(np.arange(1500) / 8, 1.0).tobytes()
 
 
 class TestNullSpecParsing:
@@ -867,23 +944,52 @@ def test_json_writer_matches_stdlib_across_blocks(items):
     assert "".join(_json_text(payload)) == json.dumps(payload, indent=1, default=_default)
 
 
-@pytest.mark.parametrize("records, template", [
-    ([{"index": 3, "id": "g3", "stat": 2.5, "pvalue": 0.00125, "fdr": 0.1},
-      {"index": 17, "id": "g\u00e917", "stat": -1e-300, "pvalue": 1.0, "fdr": 0.2}], True),
-    ([{"100%": 1.0, "%s": "x"}, {"100%": 2.0, "%s": "y"}], True),
-    ([{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}], False),
-    ([{"a": 1.0}, {"a": math.nan}], False),
-    ([{"a": 1}, {"a": 1.0}], False),
-    ([{"a": True}], False),
-    ([{"a": 1}, [1]], False),
-    ([{}], False),
-    ([], False),
+@pytest.mark.parametrize("records", [
+    [{"index": 3, "id": "g3", "stat": 2.5, "pvalue": 0.00125, "fdr": 0.1},
+     {"index": 17, "id": "g\u00e917", "stat": -1e-300, "pvalue": 1.0, "fdr": 0.2}],
+    [{"100%": 1.0, "%s": "x"}, {"100%": 2.0, "%s": "y"}],
+    [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}],
+    [{"a": 1.0}, {"a": math.nan}],
+    [{"a": 1}, {"a": 1.0}],
+    [{"a": True}],
+    [{"a": 1}, [1]],
+    [{}],
+    [],
 ], ids=["hits", "percent-keys", "key-order", "nan", "mixed-kinds", "bool", "not-a-dict",
         "empty-record", "empty"])
-def test_records_match_stdlib(records, template):
+def test_records_match_stdlib(records):
     payload = {"discoveries": {"cases": records}}
     assert "".join(_json_text(payload)) == json.dumps(payload, indent=1)
-    assert (_records_text(records, "  ") is not None) == template
+
+
+@pytest.mark.parametrize("pad", ["", "  "], ids=["top", "nested"])
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_table_text_matches_stdlib(rows, pad):
+    """A table of field texts is written as json.dumps writes its records."""
+    ids = ['a"b\\', "100%s%%", "\u00e9\u4e2d"][:rows]
+    index = [0, 199_999, 7][:rows]
+    stat, pvalue, fdr = ([-0.0, 0.0, 5e-324], [1e-05, 0.0001, 1e16], [0.1, 1.0, 5e-324])
+    columns = {"index": index, "id": ids, "stat": stat[:rows], "p%svalue": pvalue[:rows],
+               "fdr": fdr[:rows]}
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    table = _Table(index=list(map(str, index)), id=list(map(encode_basestring_ascii, ids)),
+                   **{key: _float_text(columns[key]) for key in ("stat", "p%svalue", "fdr")})
+    assert _table_text(table, pad) == json.dumps(records, indent=1).replace("\n", "\n" + pad)
+    payload = {"discoveries": {"cases": table}}
+    assert "".join(_json_text(payload)) == json.dumps(
+        {"discoveries": {"cases": records}}, indent=1)
+
+
+def test_fdr_run_makes_no_repr_call(mixture_csv, tmp_path, monkeypatch):
+    """Every float of the discovery table is rendered with the other columns."""
+    calls = []
+    monkeypatch.setattr(cdfdr.cli, "repr", lambda obj: calls.append(obj) or builtins.repr(obj),
+                        raising=False)
+    out = tmp_path / "r.json"
+    assert main(["fdr", "--input", str(mixture_csv[0]), "--column", "stat",
+                 "--out", str(out), "--curves", str(tmp_path / "c.csv")]) == 0
+    assert json.loads(out.read_text())["discoveries"]["n_discoveries"] > 0
+    assert calls == []
 
 
 def _float_payload(n):
@@ -1048,6 +1154,29 @@ def test_out_and_curves_naming_one_file_exits_2(command, mixture_csv, tmp_path, 
     assert capsys.readouterr().err.startswith(
         "cdfdr: input error: --out and --curves name the same file")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["fdr", "pi0"])
+@pytest.mark.parametrize("flag, name", [
+    ("--out", "stats.csv"), ("--curves", "stats.csv"), ("--out", "./stats.csv"),
+    ("--out", "symlink.csv"), ("--curves", "hardlink.csv"),
+], ids=["out", "curves", "out-relative", "out-symlink", "curves-hardlink"])
+def test_output_naming_the_input_exits_2(command, flag, name, mixture_csv, tmp_path, monkeypatch,
+                                         capsys):
+    # The commit would move the input aside into its stage and delete it with
+    # the stage.  The paths are refused before the input is read.
+    monkeypatch.chdir(tmp_path)
+    _forbid_work(monkeypatch)
+    (tmp_path / "symlink.csv").symlink_to("stats.csv")
+    os.link(tmp_path / "stats.csv", tmp_path / "hardlink.csv")
+    data = (tmp_path / "stats.csv").read_bytes()
+    paths = {"--out": "r.json", "--curves": "c.csv", flag: name}
+    code = main([command, "--input", "stats.csv", "--column", "stat", *chain(*paths.items())])
+    assert code == 2
+    assert capsys.readouterr().err == f"cdfdr: input error: {flag} names the input file {name!r}\n"
+    assert (tmp_path / "stats.csv").read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hardlink.csv", "stats.csv", "symlink.csv"]
 
 
 class TestPi0Command:

@@ -42,6 +42,7 @@ from cdfdr.special import (
     student_t_pdf_many,
     trigamma,
 )
+from beta_cdf_pivot_table import BETA_CDF_PIVOT, BETA_CDF_PIVOT_BOUNDS
 from beta_cdf_table import BETA_CDF, BETA_CDF_BOUNDS
 from normal_tables import (
     NORMAL_CDF,
@@ -872,6 +873,15 @@ class TestBetaCdfSeriesAgainstTable:
         assert beta_cdf_many([0.0, -0.0, 1.0], a, b).tolist() == [0.0, 0.0, 1.0]
         edge = beta_cdf_many([5e-324, 1.0 - 2.0 ** -53], a, b)
         assert np.all((edge >= 0.0) & (edge <= 1.0))
+
+
+@pytest.mark.parametrize("pair", sorted(BETA_CDF_PIVOT))
+def test_beta_cdf_at_the_pivot_against_table(pair):
+    """Shapes above 1 at the continued fraction's pivot and three floats on
+    each side: within the frozen mpmath table's bound."""
+    a, b = map(float, pair.split("/"))
+    assert _max_ulp_error(lambda x: beta_cdf_many(x, a, b), BETA_CDF_PIVOT[pair]) \
+        <= BETA_CDF_PIVOT_BOUNDS[pair]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
