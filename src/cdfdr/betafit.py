@@ -9,12 +9,13 @@ p-values, so fitting and transforming see identical data.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSampleError, EstimationError, InsufficientDataError
-from .special import _within, beta_cdf_many, digamma, trigamma
+from .special import _BLOCK, _block_means, _blocks, _within, beta_cdf_many, digamma, trigamma
 
 __all__ = ["CLAMP", "BetaFit", "fit_beta_mle", "smooth_pvalues"]
 
@@ -52,13 +53,20 @@ def _mean_gradient(a: float, b: float, s1: float, s2: float) -> tuple[float, flo
     return d_ab - digamma(a) + s1, d_ab - digamma(b) + s2
 
 
-def _moment_start(uc: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(uc))
-    v = float(np.var(uc))
+def _moment_start(m: float, v: float) -> tuple[float, float]:
+    """Method-of-moments shapes from the clamped sample's mean m and variance v."""
     scale = m * (1.0 - m) / v - 1.0 if v > 0.0 else 0.0
     if scale <= 0.0:
         return 1.0, 1.0
     return max(m * scale, 1e-3), max((1.0 - m) * scale, 1e-3)
+
+
+def _clamped_blocks(u: np.ndarray) -> Iterator[np.ndarray]:
+    """u clamped to [CLAMP, 1 - CLAMP], one ``_blocks`` block at a time in one
+    reused scratch array."""
+    scratch = np.empty(min(u.size, _BLOCK))
+    for (ub,) in _blocks(u):
+        yield np.clip(ub, CLAMP, 1.0 - CLAMP, out=scratch[:ub.size])
 
 
 def fit_beta_mle(pvalues) -> BetaFit:
@@ -70,24 +78,40 @@ def fit_beta_mle(pvalues) -> BetaFit:
     A step is halved until the log-likelihood rises or the gradient's
     sup-norm falls.  Stops when the sup-norm of the per-observation gradient
     is at most 1e-8, or flags ``converged=False`` when 200 steps, 60 halvings
-    or a singular scoring matrix leave it above that.
+    or a singular scoring matrix leave it above that.  The sums of the
+    clamped sample are taken a ``special._blocks`` block at a time and added
+    by ``special._block_means``, so only block-sized scratch is allocated.
     """
     u = np.asarray(pvalues, dtype=float)
     if u.ndim != 1:
         u = u.ravel()
     if u.size < 10:
         raise InsufficientDataError(f"beta fit needs at least 10 p-values, got {u.size}")
-    if not _within(u):
+    lo, hi = u.min(), u.max()
+    if not (0.0 <= lo and hi <= 1.0):
         raise InsufficientDataError("p-values must be finite and lie in [0, 1]")
-    uc = np.clip(u, CLAMP, 1.0 - CLAMP)
-    if np.all(uc == uc[0]):
+    lo, hi = np.clip((lo, hi), CLAMP, 1.0 - CLAMP)
+    if lo == hi:
         raise DegenerateSampleError("all p-values identical after clamping")
     n = int(u.size)
-    logs = np.log(uc)
-    s1 = float(np.mean(logs))
-    s2 = float(np.mean(np.log1p(np.negative(uc, out=logs), out=logs)))
+    # Per block, the sums of uc, log uc and log1p(-uc).  The logs share one
+    # scratch array: a tuple's items are taken in order, so log uc is summed
+    # before log1p(-uc) overwrites it.
+    sums, logs = [], np.empty(min(n, _BLOCK))
+    for uc in _clamped_blocks(u):
+        lb = logs[:uc.size]
+        sums.append((uc.sum(), np.log(uc, out=lb).sum(),
+                     np.log1p(np.negative(uc, out=lb), out=lb).sum()))
+    mean, s1, s2 = _block_means(sums, n)
+    # The variance as np.var takes it, in a second walk over the centred
+    # sample: sum(u^2) - n mean^2 would cancel on a sample pinned at a clamp.
+    squares = []
+    for uc in _clamped_blocks(u):
+        np.subtract(uc, mean, out=uc)
+        squares.append((np.multiply(uc, uc, out=uc).sum(),))
+    (var,) = _block_means(squares, n)
 
-    a, b = _moment_start(uc)
+    a, b = _moment_start(mean, var)
     ll = _mean_loglik(a, b, s1, s2)
     ga, gb = _mean_gradient(a, b, s1, s2)
     iterations = 0

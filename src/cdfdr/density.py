@@ -18,7 +18,7 @@ from .betafit import CLAMP, BetaFit, smooth_pvalues
 from .errors import DomainError, InsufficientDataError
 from .legendre import _terms
 from .quadrature import integrate_unit
-from .special import _blocks, _within, beta_cdf_many, beta_pdf_many
+from .special import _block_means, _blocks, _within, beta_cdf_many, beta_pdf_many
 
 __all__ = [
     "CoefficientSet",
@@ -70,9 +70,10 @@ class ComparisonDensityModel:
 def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
     """Sample-mean score coefficients of S_1..S_m with hard thresholding.
 
-    theta_tilde[j] is the mean of S_j over the input, each term averaged on
-    its own; coefficients with theta^2 <= 2 ln(n)/n are zeroed (natural
-    logarithm).
+    theta_tilde[j] is the mean of S_j over the input: the recurrence runs a
+    ``special._blocks`` block at a time and each term's block sums are added
+    by ``special._block_means``.  Coefficients with theta^2 <= 2 ln(n)/n are
+    zeroed (natural logarithm).
     """
     v = np.asarray(smooth_pvalues, dtype=float).ravel()
     if v.size == 0:
@@ -80,7 +81,8 @@ def score_coefficients(smooth_pvalues, m: int = 6) -> CoefficientSet:
     if v.size < 10:
         raise InsufficientDataError(f"need at least 10 values, got {v.size}")
     n = int(v.size)
-    theta_tilde = np.array([term.mean() for term in _terms(m, v)])
+    sums = ([term.sum() for term in _terms(m, vb)] for vb, in _blocks(v))
+    theta_tilde = np.array(_block_means(sums, n))
     threshold = 2.0 * math.log(n) / n
     theta_hat = np.where(theta_tilde ** 2 > threshold, theta_tilde, 0.0)
     theta_tilde.setflags(write=False)

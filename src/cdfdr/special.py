@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,10 +84,20 @@ def _within(x: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> bool:
 def _blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """Aligned views of the C-order elements of ``arrays`` (all of one size),
     ``_BLOCK`` at a time; an array written through them must be C-contiguous.
-    Each lane's arithmetic is its own, so no value depends on the block size."""
+    Each lane's arithmetic is its own, so no per-lane value depends on the
+    block size.  A sum over the lanes does: the fit's sums are per-block
+    partials added by :func:`_block_means`."""
     flats = [array.ravel() for array in arrays]
     for start in range(0, flats[0].size, _BLOCK):
         yield tuple(flat[start:start + _BLOCK] for flat in flats)
+
+
+def _block_means(partials: Iterable[Sequence[float]], n: int) -> list[float]:
+    """The means of n terms from their per-block sums: ``partials`` holds one
+    row of sums per :func:`_blocks` block, each summed pairwise
+    (``ndarray.sum``).  Each column is added exactly (``math.fsum``) and
+    divided by n, so an input of one block keeps ``np.mean``'s bits."""
+    return [math.fsum(column) / n for column in zip(*partials)]
 
 
 def _finite_1d(name: str, x, error: type[Exception] = DomainError) -> np.ndarray:

@@ -20,8 +20,8 @@ from cdfdr.density import (
     score_coefficients,
 )
 from cdfdr.errors import DomainError, InsufficientDataError
-from cdfdr.legendre import basis_matrix
-from cdfdr.special import beta_cdf_many, normal_cdf_many, normal_pdf_many
+from cdfdr.legendre import _terms, basis_matrix
+from cdfdr.special import _BLOCK, beta_cdf_many, normal_cdf_many, normal_pdf_many
 
 
 def _manual_fit(alpha, beta):
@@ -91,6 +91,23 @@ class TestScoreCoefficients:
         for j in range(1, 5):
             mean = np.mean([basis_matrix(4, vi)[0, j - 1] for vi in v])
             assert coeffs.theta_tilde[j - 1] == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 5000, _BLOCK])
+    def test_one_block_keeps_the_term_means(self, n):
+        v = np.random.Generator(np.random.Philox(n)).beta(0.8, 1.3, n)
+        coeffs = score_coefficients(v, 16)
+        assert coeffs.theta_tilde.tolist() == [term.mean() for term in _terms(16, v)]
+
+    @pytest.mark.parametrize("seed", [19, 20, 21])
+    def test_many_blocks_within_three_ulp_of_the_exact_mean(self, seed):
+        # 3 ulp is the largest error measured on these three samples (seed 20,
+        # S_16); whole-array np.mean's was 2.
+        n = 3 * _BLOCK + 1000
+        v = np.random.Generator(np.random.Philox(seed)).beta(0.8, 1.3, n)
+        coeffs = score_coefficients(v, 16)
+        for theta, term in zip(coeffs.theta_tilde, _terms(16, v)):
+            exact = math.fsum(term) / n
+            assert abs(theta - exact) <= 3 * math.ulp(exact)
 
     def test_threshold_decreasing_in_n(self):
         ns = np.arange(8, 100_000, 97)

@@ -888,6 +888,8 @@ def _budget_call(name):
         "beta_cdf_many": lambda: special.beta_cdf_many(u, fit.alpha, fit.beta),
         "beta_pdf_many": lambda: special.beta_pdf_many(u, fit.alpha, fit.beta),
         "smooth_pvalues": lambda: smooth_pvalues(u, fit),
+        "fit_beta_mle": lambda: cdfdr.betafit.fit_beta_mle(u),
+        "score_coefficients": lambda: cdfdr.density.score_coefficients(model.fitted.v),
         "t_to_z": lambda: t_to_z(t, 30.0),
         "to_pvalues-pit": lambda: to_pvalues(z, NullSpec.standard_normal(), "pit"),
         "to_pvalues-two_sided": lambda: to_pvalues(z, NullSpec.standard_normal(), "two_sided"),
@@ -909,6 +911,10 @@ class TestAllocationBudget:
         ("beta_cdf_many", 2.5),
         ("beta_pdf_many", 1.5),
         ("smooth_pvalues", 3.5),
+        # 0.248 and 0.332: block-sized scratch, where the whole-array sums
+        # held 3.0 and 4.0.
+        ("fit_beta_mle", 0.3),
+        ("score_coefficients", 0.35),
         ("t_to_z", 3.5),
         ("to_pvalues-pit", 3.0),
         ("to_pvalues-two_sided", 3.0),
